@@ -2,7 +2,7 @@
 and the explicit modulus/boundary-regularity bounds, with a verification
 harness driving everything against analytically known test mappings."""
 
-from .constants import Constants, ball_volume, sphere_area
+from .constants import ball_volume, sphere_area
 from .geometry import (
     Annulus,
     ApollonianSemiring,

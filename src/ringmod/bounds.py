@@ -203,8 +203,9 @@ def eq1est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
         ratio = image_mo / exact_modulus(shape)
         ratio_err = image_mo_error / exact_modulus(shape)
         details["ratio"] = ratio
-        # absolute floor: sharp cases sit exactly on a bound, and the sphere
-        # optimizer itself carries ~1e-10 slack
+        # absolute floor: sharp cases sit exactly on a bound, and when two
+        # quadrature levels agree to the last bit the error estimate is zero,
+        # so rounding alone would decide the verdict
         floor = 1e-9 * max(1.0, abs(ratio))
         ok_low = ratio >= lower - err_lower - ratio_err - floor
         ok_high = ratio <= upper + err_upper + ratio_err + floor

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def sphere_area(n: int) -> float:
@@ -21,16 +20,3 @@ def ball_volume(n: int) -> float:
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Bundle of the dimension-dependent normalizers used throughout."""
-
-    n: int
-    sphere_area: float
-    ball_volume: float
-
-    @classmethod
-    def for_dim(cls, n: int) -> "Constants":
-        return cls(n=n, sphere_area=sphere_area(n), ball_volume=ball_volume(n))

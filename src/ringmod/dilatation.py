@@ -17,13 +17,14 @@ u = (x - x0)/|x - x0|:
 
 and combine with the Jacobian determinant J into the angular and normal
 dilatations D = J / min^n and T = (max^n / J)^(1/(n-1)).  Both can be < 1,
-unlike the classical coefficients.
+unlike the classical coefficients.  Both stretches are exact: the minimum in
+the closed form above, the maximum from the real roots of a secular
+polynomial plus the hard-case branch, with no sampling and no iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,10 +74,9 @@ def min_directional_stretch(A, u) -> float:
     A = np.asarray(A, dtype=float)
     u = np.asarray(u, dtype=float)
     try:
-        v = np.linalg.solve(A.T, u)
+        return float(_min_stretch_batch(A[None], u[None])[0])
     except np.linalg.LinAlgError as exc:
         raise IrregularPointError("matrix is singular") from exc
-    return 1.0 / float(np.linalg.norm(v))
 
 
 def _min_stretch_batch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -84,144 +84,76 @@ def _min_stretch_batch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     return 1.0 / np.linalg.norm(v, axis=-1)
 
 
-@lru_cache(maxsize=8)
-def _guard_directions(n: int, count: int) -> np.ndarray:
-    """Fixed quasi-random unit directions for the sampled lower-bound guard."""
-    rng = np.random.default_rng(20240611)
-    h = rng.standard_normal((count, n))
-    return h / np.linalg.norm(h, axis=1, keepdims=True)
+def max_directional_stretch(A, u) -> float:
+    """max over |h| = 1 of |Ah| * |h.u| for a unit vector u, exactly.
 
-
-GUARD_SAMPLES = 10_000
-
-
-def _pgd_max(A: np.ndarray, u: np.ndarray, H0: np.ndarray, iters: int = 240) -> tuple[np.ndarray, np.ndarray]:
-    """Projected-gradient ascent of |Ah|^2 (h.u)^2 on the sphere, batched over rows of H0."""
-    B = A.T @ A
-    H = H0 / np.linalg.norm(H0, axis=1, keepdims=True)
-    step = np.full(len(H), 0.5)
-
-    def value(h):
-        Bh = h @ B.T
-        return np.einsum("ij,ij->i", h, Bh) * (h @ u) ** 2
-
-    F = value(H)
-    for _ in range(iters):
-        Bh = H @ B.T
-        hu = H @ u
-        G = 2.0 * hu[:, None] ** 2 * Bh + 2.0 * np.einsum("ij,ij->i", H, Bh)[:, None] * hu[:, None] * u[None, :]
-        G -= np.einsum("ij,ij->i", G, H)[:, None] * H
-        cand = H + step[:, None] * G
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        Fc = value(cand)
-        better = Fc > F
-        H[better] = cand[better]
-        F[better] = Fc[better]
-        step = np.where(better, step * 1.3, step * 0.5)
-        if step.max() < 1e-15:
-            break
-    return H, F
-
-
-def max_directional_stretch(A, u, guard_samples: int = GUARD_SAMPLES) -> float:
-    """max over |h| = 1 of |Ah| * |h.u|.
-
-    No closed form is available; a multi-start projected-gradient ascent
-    (starts: +/- coordinate axes, +/- u, right singular vectors) is refined to
-    ~1e-10 and guarded from below by ``guard_samples`` fixed quasi-random
-    directions -- if sampling beats the optimizer, the ascent restarts from
-    the sampled best, so the result is never below the sampled maximum.
+    The stationary points on the sphere are enumerated in closed form (see
+    ``_max_stretch_batch``).  The value also equals
+    min over k > 0 of lambda_max(A^T A / k + k u u^T) / 2: AM-GM gives
+    |Ah| |h.u| <= h^T (A^T A / k + k u u^T) h / 2, and equality holds for the
+    best k because the joint numerical range of two quadratic forms is convex
+    (Brickman 1961).  The tests use this dual as an independent upper bound.
     """
     A = np.asarray(A, dtype=float)
     u = np.asarray(u, dtype=float)
-    n = A.shape[0]
-    _, _, Vt = np.linalg.svd(A)
-    starts = np.concatenate([np.eye(n), -np.eye(n), u[None, :], -u[None, :], Vt], axis=0)
-    near_zero = np.abs(starts @ u) < 1e-9
-    starts[near_zero] += 1e-6 * u
-    _, F = _pgd_max(A, u, starts)
-    best = float(np.sqrt(F.max()))
-
-    if guard_samples > 0:
-        dirs = _guard_directions(n, guard_samples)
-        vals = np.linalg.norm(dirs @ A.T, axis=1) * np.abs(dirs @ u)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            _, F2 = _pgd_max(A, u, dirs[k][None, :])
-            best = max(best, float(np.sqrt(F2.max())), float(vals[k]))
-    return best
+    return float(_max_stretch_batch(A[None], u[None])[0])
 
 
-BATCH_GUARD_SAMPLES = 2048
+def _max_stretch_batch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """max_directional_stretch for A: (N, n, n) and unit u: (N, n).
 
-
-def _pgd_max_joint(A: np.ndarray, u: np.ndarray, H: np.ndarray, iters: int = 200) -> np.ndarray:
-    """Ascent of |A h|^2 (h.u)^2 jointly over points and starts.
-
-    A: (N, n, n), u: (N, n), H: (N, S, n); returns the best squared objective
-    per point.  Same iteration as the single-point optimizer, vectorized so
-    quadrature grids stay cheap.
+    With B = A^T A = V diag(beta) V^T and y = V^T u, the squared objective
+    (h^T B h)(h.u)^2 is stationary on the sphere where (beta_i - alpha) h_i
+    is proportional to y_i, with alpha = 2 h^T B h.  Eliminating h leaves the
+    secular equation sum_i y_i^2 (alpha - 2 beta_i) / (beta_i - alpha)^2 = 0,
+    a polynomial of degree 2n - 1.  Its roots come from companion-matrix
+    eigenvalues in the shifted variable t = alpha - beta_k, once per k: roots
+    near beta_k (u almost orthogonal to its eigenvector) then keep their
+    relative accuracy, and beta_i - alpha = d_i - t needs no cancelling
+    subtraction.  The hard case alpha = beta_k with y_k = 0 (More & Sorensen
+    1983) has h = gamma z +- tau e_k with z = (B - beta_k)^+ u, where
+    |h| = 1 and h^T B h = beta_k / 2 fix gamma^2 and tau^2; both signs are
+    kept, since a tiny nonzero y_k decides which one is larger.  Every
+    candidate is a unit vector after scaling, so none exceeds the maximum,
+    and the maximizer is among them.
     """
-    B = np.swapaxes(A, -1, -2) @ A
-    H = H / np.linalg.norm(H, axis=-1, keepdims=True)
-    step = np.full(H.shape[:2], 0.5)
+    beta, V = np.linalg.eigh(np.swapaxes(A, -1, -2) @ A)
+    y = np.einsum("nji,nj->ni", V, u)
+    N, n = y.shape
+    deg = 2 * n - 1
+    d = beta[:, None, :] - beta[:, :, None]            # d[:, k, i] = beta_i - beta_k
+    # ascending coefficients in t of sum_i y_i^2 (t - beta_k - 2 d_i) prod_{j != i} (d_j - t)^2
+    coef = np.zeros((N, n, deg + 1))
+    for i in range(n):
+        p = np.zeros((N, n, deg + 1))
+        p[..., 0] = -beta - 2.0 * d[..., i]
+        p[..., 1] = 1.0
+        for j in range(n):
+            if j != i:      # times (d_j - t)^2; the rolled-over top entries are still zero
+                c = d[..., j, None]
+                p = c * c * p - 2.0 * c * np.roll(p, 1, axis=-1) + np.roll(p, 2, axis=-1)
+        coef += y[:, None, i, None] ** 2 * p
+    companion = np.zeros((N, n, deg, deg))
+    companion[..., 1:, :-1] = np.eye(deg - 1)
+    companion[..., -1] = -coef[..., :-1] / coef[..., -1:]
+    t = np.linalg.eigvals(companion).real             # (N, k, deg)
 
-    def value(h):
-        Bh = np.einsum("nij,nsj->nsi", B, h)
-        return np.einsum("nsi,nsi->ns", h, Bh) * np.einsum("nsi,ni->ns", h, u) ** 2
-
-    F = value(H)
-    for _ in range(iters):
-        Bh = np.einsum("nij,nsj->nsi", B, H)
-        hu = np.einsum("nsi,ni->ns", H, u)
-        hBh = np.einsum("nsi,nsi->ns", H, Bh)
-        G = 2.0 * hu[..., None] ** 2 * Bh + 2.0 * (hBh * hu)[..., None] * u[:, None, :]
-        G -= np.einsum("nsi,nsi->ns", G, H)[..., None] * H
-        cand = H + step[..., None] * G
-        cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
-        Fc = value(cand)
-        better = Fc > F
-        H = np.where(better[..., None], cand, H)
-        F = np.where(better, Fc, F)
-        step = np.where(better, step * 1.3, step * 0.5)
-        if step.max() < 1e-15:
-            break
-    return F.max(axis=1)
+    # infeasible or degenerate candidates come out non-finite and count as 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        generic = y[:, None, None, :] / (d[:, :, None, :] - t[..., None])
+        z = np.where(d != 0.0, y[:, None, :] / d, 0.0)
+        gamma = np.sqrt(-beta / (2.0 * np.einsum("nki,ni->nk", z, y)))
+        tau = np.sqrt(1.0 - gamma ** 2 * np.einsum("nki,nki->nk", z, z))
+        hard = [gamma[..., None] * z + s * tau[..., None] * np.eye(n) for s in (1.0, -1.0)]
+        return np.maximum.reduce([_best_candidate(H, beta, y)
+                                  for H in (generic.reshape(N, -1, n), *hard)])
 
 
-def _max_stretch_batch(A: np.ndarray, u: np.ndarray,
-                       guard_samples: int = BATCH_GUARD_SAMPLES,
-                       chunk: int = 512) -> np.ndarray:
-    """max_directional_stretch over a batch of (matrix, direction) pairs.
-
-    Multi-start ascent vectorized over the whole batch, then a sampled guard
-    (fewer directions than the single-point operation; any point where the
-    sample wins gets one extra ascent from the sampled direction).
-    """
-    A = np.asarray(A, dtype=float)
-    u = np.asarray(u, dtype=float)
-    N, n = u.shape
-    Vt = np.linalg.svd(A)[2]                         # (N, n, n) rows = singular directions
-    eye = np.broadcast_to(np.eye(n), (N, n, n))
-    starts = np.concatenate([eye, -eye, u[:, None, :], -u[:, None, :], Vt], axis=1)
-    dots = np.einsum("nsi,ni->ns", starts, u)
-    starts = starts + np.where(np.abs(dots) < 1e-9, 1e-6, 0.0)[..., None] * u[:, None, :]
-    out = np.sqrt(_pgd_max_joint(A, u, starts))
-
-    if guard_samples > 0:
-        dirs = _guard_directions(n, guard_samples)
-        for lo in range(0, N, chunk):
-            hi = min(lo + chunk, N)
-            Ah = np.einsum("bij,kj->bki", A[lo:hi], dirs)      # (b, K, n)
-            vals = np.linalg.norm(Ah, axis=-1) * np.abs(dirs @ u[lo:hi].T).T
-            smax = vals.max(axis=1)
-            ks = vals.argmax(axis=1)
-            beat = smax > out[lo:hi]
-            if np.any(beat):
-                idx = np.nonzero(beat)[0]
-                F2 = _pgd_max_joint(A[lo + idx], u[lo + idx], dirs[ks[idx]][:, None, :])
-                out[lo + idx] = np.maximum(smax[idx], np.sqrt(F2))
-    return out
+def _best_candidate(H: np.ndarray, beta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Largest |Ah| |h.u| / |h|^2 over candidate rows H: (N, S, n) in eigen-coordinates."""
+    val = (np.sqrt(np.einsum("nsi,nsi,ni->ns", H, H, beta)) * np.abs(np.einsum("nsi,ni->ns", H, y))
+           / np.einsum("nsi,nsi->ns", H, H))
+    return np.where(np.isfinite(val), val, 0.0).max(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,8 +242,13 @@ def angular_dilatation_field(mapping: Mapping, x0):
     return field
 
 
+# points per call of the maximal-stretch kernel, which needs about 2.5 kB per
+# point at n = 3; a fixed block keeps fine quadrature levels within memory
+_FIELD_BLOCK = 4096
+
+
 def normal_dilatation_field(mapping: Mapping, x0):
-    """Vectorized x -> T(x, x0); runs the batched sphere optimizer."""
+    """Vectorized x -> T(x, x0); uses the exact batched maximal stretch."""
     x0 = np.asarray(x0, dtype=float)
 
     def field(X: np.ndarray) -> np.ndarray:
@@ -323,7 +260,8 @@ def normal_dilatation_field(mapping: Mapping, x0):
         J = np.linalg.det(A)
         if np.any(J <= 0):
             raise IrregularPointError("irregular point inside the integration region")
-        mx = _max_stretch_batch(A, u)
+        mx = np.concatenate([_max_stretch_batch(A[s:s + _FIELD_BLOCK], u[s:s + _FIELD_BLOCK])
+                             for s in range(0, len(u), _FIELD_BLOCK)])
         return (mx ** n / J) ** (1.0 / (n - 1.0))
 
     return field

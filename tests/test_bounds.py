@@ -26,6 +26,7 @@ from ringmod import (
     quad_weighted,
     separation_bound,
 )
+from ringmod.bounds import DEFAULT_SPEC
 
 E = math.e
 PI = math.pi
@@ -98,6 +99,13 @@ def test_eq1est_radial_sharp():
     assert rep.left == pytest.approx(a, abs=1e-3)
     assert rep.right == pytest.approx(a, abs=1e-3)
     assert rep.verdict == "holds"
+
+
+def test_eq1est_radial_sharp_n3():
+    # both dilatations of a radial stretch are constant, so the sandwich is exact
+    rep = eq1est_bounds(RadialStretch(a=0.8), HalfSemiring(n=3, r0=1.0, r1=E), DEFAULT_SPEC)
+    assert rep.left == pytest.approx(0.8, abs=1e-9)
+    assert rep.right == pytest.approx(0.8, abs=1e-9)
 
 
 def test_eq1est_twist_ring_variant():

@@ -14,6 +14,8 @@ from ringmod import (
     max_directional_stretch,
     min_directional_stretch,
 )
+from ringmod.dilatation import normal_dilatation_field
+from ringmod.harness import _dual_max_stretch
 
 SQ2 = math.sqrt(2.0)
 
@@ -95,17 +97,55 @@ def test_max_stretch_identity():
     assert max_directional_stretch(np.eye(2), u) == pytest.approx(1.0, abs=1e-10)
 
 
+def _radial_closed_form(a):
+    return 1.0 / (2.0 * math.sqrt(1.0 - a * a)) if a * a <= 0.5 else a
+
+
+def _hard_cases(rng):
+    """(A, u, closed form or None) with u orthogonal or nearly orthogonal to
+    eigenvectors of A^T A: the trust-region hard case and its neighbours."""
+    cases = []
+    for n in (2, 3, 4):
+        axis = np.eye(n)[0]
+        tilted = rng.standard_normal(n)
+        tilted /= np.linalg.norm(tilted)
+        for a in (0.3, 0.5, 0.8, 1.6):
+            for x in (axis, tilted):       # |x| = 1, x0 = 0: u = x is an eigenvector
+                cases.append((RadialStretch(a=a).jacobian(x), x, _radial_closed_form(a)))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        u = rng.standard_normal(n)
+        cases.append((2.5 * Q, u / np.linalg.norm(u), 2.5))     # B = 6.25 I, repeated
+        D = np.diag(rng.uniform(0.2, 3.0, n))
+        cases += [(D, e, None) for e in np.eye(n)]
+    cases += [(A + 1e-8 * rng.standard_normal(A.shape), u, None) for A, u, _ in cases]
+    # near-hard sweep: u on an eigen-axis of a diagonal A, perturbed at 1e-12 .. 1e-7
+    for _ in range(100):
+        A = np.diag(rng.uniform(0.2, 3.0, 4)) + 10.0 ** rng.uniform(-12, -7) * rng.standard_normal((4, 4))
+        cases.append((A, np.eye(4)[rng.integers(4)], None))
+    return cases
+
+
 def test_max_stretch_never_below_sampling():
     rng = np.random.default_rng(8)
-    for n in (2, 3):
-        dirs = rng.standard_normal((20_000, n))
+    sphere = {}
+    for n in (2, 3, 4):
+        dirs = sphere[n] = rng.standard_normal((20_000, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         for _ in range(25):
             A = rng.standard_normal((n, n))
             u = rng.standard_normal(n)
             u /= np.linalg.norm(u)
             sampled = np.max(np.linalg.norm(dirs @ A.T, axis=1) * np.abs(dirs @ u))
-            assert max_directional_stretch(A, u) >= sampled - 1e-9
+            exact = max_directional_stretch(A, u)
+            assert exact >= sampled - 1e-9
+            assert exact == pytest.approx(_dual_max_stretch(A, u), rel=1e-12)
+    for A, u, closed in _hard_cases(rng):
+        dirs = sphere[len(u)]
+        exact = max_directional_stretch(A, u)
+        assert exact >= np.max(np.linalg.norm(dirs @ A.T, axis=1) * np.abs(dirs @ u)) - 1e-9
+        assert exact == pytest.approx(_dual_max_stretch(A, u), rel=1e-12)
+        if closed is not None:
+            assert exact == pytest.approx(closed, rel=1e-12)
 
 
 def test_directional_sample_identity():
@@ -185,3 +225,15 @@ def test_irregular_points_refused():
     flip = Linear(matrix=np.diag([1.0, -1.0]))    # orientation-reversing
     with pytest.raises(IrregularPointError):
         directional_sample(flip, np.array([1.0, 0.5]), np.zeros(2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("mapping", [RotationTwist(), RadialStretch(a=0.5), RadialStretch(a=1.6)],
+                         ids=["twist", "radial-0.5", "radial-1.6"])
+def test_normal_field_matches_pointwise(mapping, n):
+    rng = np.random.default_rng(5)
+    x0 = 0.3 * rng.standard_normal(n)
+    X = rng.standard_normal((40, n))
+    field = normal_dilatation_field(mapping, x0)(X)
+    pointwise = [directional_sample(mapping, x, x0).normal for x in X]
+    np.testing.assert_allclose(field, pointwise, rtol=1e-14, atol=0.0)
