@@ -54,7 +54,6 @@ from .discrete import (
     image_modulus,
     mo_from_gamma,
     modulus_connect,
-    modulus_separate,
 )
 from .bounds import (
     BoundReport,

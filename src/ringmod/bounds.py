@@ -49,6 +49,7 @@ DEFAULT_SPEC = QuadratureSpec()
 
 MC_SEED = 20240229
 MC_MIN_POINTS = 100_000
+QUAD_BLOCK = 1 << 16      # integrand points per call of g in _quad_once
 
 
 @dataclass
@@ -139,8 +140,15 @@ def _quad_once(g: Callable, shape: Shape, nr: int, na: int) -> float:
     hemisphere = shape.kind == "semiring"
     Z, wz = _sphere_rule(n, na, hemisphere)
     s, ws = _gauss(nr, math.log(shape.r0), math.log(shape.r1))
-    X = shape.x0 + np.exp(s)[:, None, None] * Z[None, :, :]
-    vals = np.asarray(g(X.reshape(-1, n)), dtype=float).reshape(len(s), len(Z))
+    radius = np.exp(s)
+    # blocks of points in row-major (radius, direction) order bound the memory;
+    # each point is computed as in one whole-level array, so the sum is unchanged
+    vals = np.empty(len(s) * len(Z))
+    for lo in range(0, len(vals), QUAD_BLOCK):
+        idx = np.arange(lo, min(lo + QUAD_BLOCK, len(vals)))
+        X = shape.x0 + radius[idx // len(Z), None] * Z[idx % len(Z)]
+        vals[idx] = np.asarray(g(X), dtype=float)
+    vals = vals.reshape(len(s), len(Z))
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite integrand sample")
     return float(ws @ (vals @ wz))

@@ -76,12 +76,12 @@ def _cmd_modulus(args) -> int:
         graph = discrete.build_image_grid(mapping, shape, (K, A))
     else:
         graph = discrete.build_grid(shape, K, A)
-    est = discrete.modulus_connect(graph, tol=args.tol)
+    est = discrete.modulus_connect(graph)
     payload = {
         "m_gamma": est.m_gamma,
         "mo": est.mo,
         "iterations": est.iterations,
-        "duality_gap": est.duality_gap,
+        "residual": est.residual,
         "resolution": list(est.resolution),
         "n_paths": est.n_paths,
     }
@@ -233,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     mo.add_argument("--shape", required=True)
     mo.add_argument("--map", default=None)
     mo.add_argument("--grid", required=True, help="RxA, e.g. 64x256")
-    mo.add_argument("--tol", type=float, default=discrete.DEFAULT_TOL)
     mo.add_argument("--emit-density", dest="emit_density", default=None,
                     help="write the extremal density CSV here")
     mo.set_defaults(fn=_cmd_modulus)

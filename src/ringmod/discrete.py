@@ -8,15 +8,17 @@ components is approximated by the convex program
 
 where ``len_e`` is the Euclidean edge length (line-integral weight) and
 ``w_e`` is the measure weight of the flow tube the edge represents, so the
-objective is a Riemann sum of the p-energy.  The program is solved by
-constraint generation: keep an active set of paths, maximize the Lagrangian
-dual by projected gradient ascent with Polyak steps, and separate with a
-nonnegative-weight shortest-path search; a path whose rho-length falls below
-1 - tol joins the active set.
+objective is a Riemann sum of the p-energy.  On a finite graph this modulus
+equals the p-capacity (Duffin, "The extremal length of a network", 1962):
+the minimum of sum_e sigma_e |dphi_e|^p with sigma_e = w_e / len_e^p over
+potentials phi = 0 on the source and 1 on the sink, and the extremal
+density is rho_e = |dphi_e| / len_e.  ``modulus_connect`` finds that
+potential with one Jacobi-preconditioned conjugate-gradient solve for p = 2
+and with Newton's method, one such solve per step, for p > 2.
 
 Grids are structured log-polar (log-spherical for n = 3) products aligned
-with the shapes, which keeps level sets of the extremal densities along grid
-lines and gives fast convergence.  Image grids push nodes through a mapping,
+with the shapes, which keeps level sets of the extremal potentials along
+grid lines and the discretization error small.  Image grids push nodes through a mapping,
 recompute edge lengths as image chords and tube weights as image cell areas;
 for full rings the grid is pre-rotated layer by layer to follow the map's
 angular drift, so that the image grid stays close to orthogonal.
@@ -29,24 +31,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import cg
 
 from .constants import sphere_area
 from .geometry import Annulus, ApollonianSemiring, HalfSemiring, Shape
 from .maps import Identity, Mapping
 
-DEFAULT_TOL = 1e-3
-PATH_CAP = 10_000
-
 
 class ConvergenceError(RuntimeError):
-    """Constraint generation hit its cap; carries the best bounds so far."""
-
-    def __init__(self, msg, best_energy=None, shortest=None):
-        super().__init__(msg)
-        self.best_energy = best_energy
-        self.shortest = shortest
+    """A CG solve or the Newton iteration of the potential solver did not converge."""
 
 
 @dataclass(eq=False)
@@ -79,10 +73,10 @@ class GridGraph:
 class ModulusEstimate:
     m_gamma: float             # estimated modulus of the connecting family
     mo: float                  # derived ring/semiring modulus
-    iterations: int            # constraint-generation rounds
-    duality_gap: float         # admissibility violation of rho at termination
+    iterations: int            # linear solves: 1 for p = 2, 1 + Newton steps for p > 2
+    residual: float            # net flux at free nodes relative to that at source and sink
     resolution: tuple
-    n_paths: int
+    n_paths: int = 0           # no paths are enumerated; kept for perfbench, which reads it
     rho: np.ndarray = field(repr=False, default=None)
 
 
@@ -304,178 +298,106 @@ def build_grid(shape: Shape, radial_cells: int, angular_cells: int) -> GridGraph
 # solver
 # ---------------------------------------------------------------------------
 
-class _ShortestPathOracle:
-    """Supersource/supersink Dijkstra over the undirected edge list."""
-
-    def __init__(self, graph: GridGraph):
-        N = len(graph.nodes)
-        E = len(graph.edges)
-        self.N, self.E = N, E
-        self.super_s, self.super_t = N, N + 1
-        rows = np.concatenate([graph.edges[:, 0], graph.edges[:, 1],
-                               np.full(len(graph.source), self.super_s), graph.sink])
-        cols = np.concatenate([graph.edges[:, 1], graph.edges[:, 0],
-                               graph.source, np.full(len(graph.sink), self.super_t)])
-        eids = np.concatenate([np.arange(E), np.arange(E),
-                               np.full(len(graph.source) + len(graph.sink), -1)])
-        # stable CSR slot -> edge id mapping (offset avoids losing explicit zeros)
-        marker = sp.csr_matrix((eids + 2.0, (rows, cols)), shape=(N + 2, N + 2))
-        self.slot_edge = (marker.data - 2.0).astype(np.int64)
-        self.indices = marker.indices
-        self.indptr = marker.indptr
-        self.edge_of = {}
-        for i, (a, b) in enumerate(graph.edges):
-            self.edge_of[(int(a), int(b))] = i
-            self.edge_of[(int(b), int(a))] = i
-
-    def run(self, edge_weights: np.ndarray):
-        data = np.where(self.slot_edge >= 0, edge_weights[np.clip(self.slot_edge, 0, None)], 0.0)
-        G = sp.csr_matrix((data, self.indices, self.indptr), shape=(self.N + 2, self.N + 2))
-        dist, pred = dijkstra(G, directed=True, indices=self.super_s, return_predecessors=True)
-        return dist, pred
-
-    def extract(self, pred, sink_node: int) -> tuple[int, ...]:
-        out = []
-        v = int(sink_node)
-        while pred[v] >= 0:
-            u = int(pred[v])
-            if u < self.N and v < self.N:
-                out.append(self.edge_of[(u, v)])
-            v = u
-        return tuple(reversed(out))
+_CG_RTOL = 1e-12       # relative residual of every CG solve
+_NEWTON_RTOL = 1e-10   # Newton stops once the net-flux residual falls below this
+_NEWTON_CAP = 50       # Newton steps before ConvergenceError
+_WEIGHT_FLOOR = 1e-12  # Hessian weights floored at this multiple of their maximum
 
 
-def _dual_ascent(A: sp.csr_matrix, lam: np.ndarray, weights: np.ndarray,
-                 p: float, viol_target: float, max_iter: int):
-    """Maximize the Lagrangian dual over lam >= 0 (projected quasi-Newton).
+def _free_nodes(graph: GridGraph, fixed: np.ndarray) -> np.ndarray:
+    """Nodes off the source and sink in components that touch either.
 
-    For multipliers lam the inner minimizer is rho_e = (g_e / (p w_e))^(1/(p-1))
-    with g = A^T lam, giving the smooth concave dual
-    phi(lam) = (1 - p) sum w rho^p + sum lam, whose gradient is the violation
-    vector 1 - A rho.  The bound-constrained ascent runs until the projected
-    gradient (the active-set admissibility violation) falls below the target;
-    quasi-Newton steps converge orders of magnitude faster here than plain
-    Polyak subgradient steps, which stall on warm restarts.
+    Components touching neither carry no energy (their potential stays 0);
+    dropping them keeps the reduced Laplacian nonsingular.
     """
-    q = 1.0 / (p - 1.0)
-    holder = {}
-
-    def neg_dual(lm):
-        g = A.T @ lm
-        rho = (g / (p * weights)) ** q
-        Ar = A @ rho
-        energy = float(np.sum(weights * rho ** p))
-        phi = (1.0 - p) * energy + float(lm.sum())
-        holder["rho"] = rho
-        return -phi, Ar - 1.0
-
-    res = minimize(neg_dual, lam, jac=True, method="L-BFGS-B",
-                   bounds=[(0.0, None)] * len(lam),
-                   options={"maxiter": max_iter, "ftol": 1e-15,
-                            "gtol": 0.1 * viol_target, "maxcor": 20})
-    neg_dual(res.x)
-    return res.x, holder["rho"], int(res.nit)
-
-
-def modulus_connect(graph: GridGraph, tol: float = DEFAULT_TOL,
-                    max_paths: int = PATH_CAP) -> ModulusEstimate:
-    """Discrete modulus of the source-to-sink path family.
-
-    Terminates when the rho-shortest source-sink path has rho-length at least
-    1 - tol; the returned density is rescaled down if it ended strictly
-    super-admissible, so the reported energy sum w rho^p tracks the graph
-    optimum to O(tol).  Deterministic: fixed iteration order, no randomness.
-    """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
-    p = graph.p
-    if p <= 1:
-        raise ValueError("modulus exponent must exceed 1")
-    oracle = _ShortestPathOracle(graph)
-    lengths, weights = graph.lengths, graph.weights
-
-    # seed with the geometrically shortest path to every sink node
-    dist, pred = oracle.run(lengths)
-    if not math.isfinite(dist[oracle.super_t]):
+    N = len(graph.nodes)
+    adj = sp.coo_matrix((np.ones(len(graph.edges)), (graph.edges[:, 0], graph.edges[:, 1])),
+                        shape=(N, N))
+    _, label = connected_components(adj, directed=False)
+    if not np.intersect1d(label[graph.source], label[graph.sink]).size:
         raise ValueError("graph is disconnected between source and sink")
-    paths: list[tuple[int, ...]] = []
-    seen = set()
-    for t in graph.sink:
-        key = oracle.extract(pred, t)
-        if key and key not in seen:
-            seen.add(key)
-            paths.append(key)
+    return np.flatnonzero(np.isin(label, label[fixed]) & ~fixed)
 
-    # the seed batch starts from zero multipliers; the as-if-alone warm start
-    # below overshoots when constraints overlap, which stalls the ascent
-    lam = np.zeros(len(paths))
-    rho = np.zeros(len(lengths))
-    rounds = 0
-    stall = 0
-    d_star = 0.0
+
+def modulus_connect(graph: GridGraph) -> ModulusEstimate:
+    """Discrete p-modulus of the source-to-sink path family, as a p-capacity.
+
+    With sigma = w / len^p the modulus is the minimum of
+    F(phi) = sum_e sigma_e |dphi_e|^p over potentials phi = 0 on the source
+    and 1 on the sink, and rho = |dphi| / len is the extremal density.  p = 2
+    is one Jacobi-preconditioned CG solve of the weighted Laplacian; p > 2
+    runs Newton with backtracking on F from the p = 2 potential, one CG
+    solve per step.  rho has rho-length >= 1 on every source-sink path by
+    telescoping, so it is admissible without rescaling and m_gamma = F(phi)
+    is an upper bound on the graph modulus.  Deterministic.
+    """
+    p = graph.p
+    if p < 2:
+        raise ValueError(f"modulus exponent must be at least 2, got {p}")
+    E, N = len(graph.edges), len(graph.nodes)
+    fixed = np.zeros(N, dtype=bool)
+    fixed[graph.source] = fixed[graph.sink] = True
+    free = _free_nodes(graph, fixed)
+    inc = sp.csr_matrix((np.repeat([-1.0, 1.0], E),
+                         (np.tile(np.arange(E), 2), graph.edges.T.ravel())), shape=(E, N))
+    inc_free = inc[:, free]
+    inc_free_t = inc_free.T.tocsr()
+    sigma = graph.weights / graph.lengths ** p
+
+    def solve(c, rhs):
+        """Jacobi-preconditioned CG on the free-node Laplacian with edge weights c."""
+        if not len(free):
+            return rhs
+        L = inc_free_t @ sp.diags(c) @ inc_free
+        x, info = cg(L, rhs, rtol=_CG_RTOL, atol=0.0, M=sp.diags(1.0 / L.diagonal()))
+        if info != 0:
+            raise ConvergenceError(f"conjugate gradients did not converge (info={info})")
+        return x
+
+    def energy(x):
+        return float(sigma @ np.abs(inc @ x) ** p)
+
+    phi = np.zeros(N)
+    phi[graph.sink] = 1.0
+    phi[free] = solve(sigma, -(inc_free_t @ (sigma * (inc @ phi))))
+    solves = 1
     while True:
-        rounds += 1
-        indptr = np.cumsum([0] + [len(pe) for pe in paths])
-        indices = np.fromiter((e for pe in paths for e in pe), dtype=np.int64, count=indptr[-1])
-        data = lengths[indices]
-        A = sp.csr_matrix((data, indices, indptr), shape=(len(paths), len(lengths)))
-        if len(lam) < len(paths):
-            # seed each new multiplier as if its path were the only constraint
-            fresh = []
-            for pe in paths[len(lam):]:
-                le = lengths[list(pe)]
-                we = weights[list(pe)]
-                c = float(np.sum(le * (le / (p * we)) ** (1.0 / (p - 1.0))))
-                fresh.append(c ** (1.0 - p))
-            lam = np.concatenate([lam, np.array(fresh)])
-        lam, rho, _ = _dual_ascent(A, lam, weights, p,
-                                   viol_target=0.25 * tol,
-                                   max_iter=2000 * (1 + stall))
-
-        dist, pred = oracle.run(lengths * rho)
-        d_star = float(dist[oracle.super_t])
-        if d_star >= 1.0 - tol:
+        dphi = inc @ phi
+        scale = np.abs(dphi) ** (p - 2.0)
+        flux = p * sigma * scale * dphi
+        net = inc.T @ flux
+        grad = net[free]
+        residual = float(np.linalg.norm(grad) / np.linalg.norm(net[fixed]))
+        if p == 2.0 or residual <= _NEWTON_RTOL:
             break
-        added = 0
-        for t in graph.sink:
-            if dist[t] < 1.0 - tol:
-                key = oracle.extract(pred, t)
-                if key and key not in seen:
-                    seen.add(key)
-                    paths.append(key)
-                    added += 1
-        if len(paths) > max_paths:
-            raise ConvergenceError(
-                f"path cap {max_paths} exceeded",
-                best_energy=float(np.sum(weights * rho ** p)), shortest=d_star)
-        if added == 0:
-            stall += 1
-            if stall > 3:
-                raise ConvergenceError(
-                    "dual ascent stalled short of admissibility",
-                    best_energy=float(np.sum(weights * rho ** p)), shortest=d_star)
-        else:
-            stall = 0
+        if solves > _NEWTON_CAP:
+            raise ConvergenceError(f"Newton did not converge in {_NEWTON_CAP} steps "
+                                   f"(residual {residual:.3g})")
+        hess = p * (p - 1.0) * sigma * scale
+        step = solve(np.maximum(hess, _WEIGHT_FLOOR * hess.max()), -grad)
+        solves += 1
+        f0, slope, t = energy(phi), float(grad @ step), 1.0
+        while True:
+            trial = phi.copy()
+            trial[free] += t * step
+            # the allowance admits steps whose gain is below rounding in F
+            if energy(trial) <= f0 + 1e-4 * t * slope + 1e-14 * f0:
+                break
+            t *= 0.5
+            if t < 1e-10:
+                raise ConvergenceError(f"Newton line search failed (residual {residual:.3g})")
+        phi = trial
 
-    if d_star > 1.0:
-        rho = rho / d_star
-        d_star = 1.0
-    m_gamma = float(np.sum(weights * rho ** p))
+    rho = np.abs(inc @ phi) / graph.lengths
+    m_gamma = float(np.sum(graph.weights * rho ** p))
     return ModulusEstimate(
         m_gamma=m_gamma,
         mo=mo_from_gamma(m_gamma, graph.kind, graph.dim),
-        iterations=rounds,
-        duality_gap=max(0.0, 1.0 - d_star),
+        iterations=solves,
+        residual=residual,
         resolution=graph.resolution,
-        n_paths=len(paths),
         rho=rho,
     )
-
-
-def modulus_separate(graph: GridGraph, tol: float = DEFAULT_TOL) -> float:
-    """Modulus of the separating family via duality: M(connect)^(1/(1-n))."""
-    est = modulus_connect(graph, tol=tol)
-    return est.m_gamma ** (1.0 / (1.0 - graph.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +453,7 @@ def build_image_grid(mapping: Mapping, shape: Shape, resolution: tuple[int, int]
     return _build_2d(shape, K, M, mapping, offsets)
 
 
-def image_modulus(mapping: Mapping, shape: Shape, resolution: tuple[int, int],
-                  tol: float = DEFAULT_TOL) -> ModulusEstimate:
-    """Modulus of the image of ``shape`` under ``mapping`` (path solver on the
-    pushed-forward grid)."""
-    return modulus_connect(build_image_grid(mapping, shape, resolution), tol=tol)
+def image_modulus(mapping: Mapping, shape: Shape, resolution: tuple[int, int]) -> ModulusEstimate:
+    """Modulus of the image of ``shape`` under ``mapping``: the potential solve
+    of ``modulus_connect`` on the pushed-forward grid of ``build_image_grid``."""
+    return modulus_connect(build_image_grid(mapping, shape, resolution))

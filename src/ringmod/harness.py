@@ -490,7 +490,7 @@ def _sc_blowup(cfg):
 @_register("solver-annulus", ("solver",), "plane ring estimate against the closed form")
 def _sc_solver_annulus(cfg):
     g = discrete.build_grid(geometry.Annulus(n=2, r0=1.0, r1=math.e), 64, 256)
-    est = discrete.modulus_connect(g, tol=1e-3)
+    est = discrete.modulus_connect(g)
     rel = abs(est.m_gamma - 2.0 * math.pi) / (2.0 * math.pi)
     return [_close("annulus-64x256-reldev", rel, 0.0, 0.02, "derived", cfg)]
 
@@ -498,7 +498,7 @@ def _sc_solver_annulus(cfg):
 @_register("solver-semiring", ("solver",), "half ring estimate against the closed form")
 def _sc_solver_semiring(cfg):
     g = discrete.build_grid(geometry.HalfSemiring(n=2, r0=1.0, r1=math.e), 64, 129)
-    est = discrete.modulus_connect(g, tol=1e-3)
+    est = discrete.modulus_connect(g)
     rel = abs(est.m_gamma - math.pi) / math.pi
     return [_close("semiring-64x129-reldev", rel, 0.0, 0.02, "literature", cfg)]
 
@@ -506,7 +506,7 @@ def _sc_solver_semiring(cfg):
 @_register("solver-apollonian", ("solver",), "bipolar-chart estimate against the closed form")
 def _sc_solver_apollonian(cfg):
     g = discrete.build_grid(geometry.ApollonianSemiring(n=2, r0=0.1, r1=1.0), 64, 129)
-    est = discrete.modulus_connect(g, tol=1e-3)
+    est = discrete.modulus_connect(g)
     rel = abs(est.mo - math.log(10.0)) / math.log(10.0)
     return [_close("apollonian-mo-reldev", rel, 0.0, 0.03, "literature", cfg)]
 
@@ -514,9 +514,9 @@ def _sc_solver_apollonian(cfg):
 @_register("solver-refinement", ("solver",), "error decreases under grid refinement")
 def _sc_solver_refine(cfg):
     rels = []
-    for (K, M, tol) in ((16, 64, 4e-3), (32, 128, 1e-3), (64, 256, 2.5e-4)):
+    for (K, M) in ((16, 64), (32, 128), (64, 256)):
         g = discrete.build_grid(geometry.Annulus(n=2, r0=1.0, r1=math.e), K, M)
-        est = discrete.modulus_connect(g, tol=tol)
+        est = discrete.modulus_connect(g)
         rels.append(abs(est.m_gamma - 2.0 * math.pi) / (2.0 * math.pi))
     return [
         _flag("refinement-decreasing", rels[0] > rels[1] > rels[2], "derived"),
@@ -528,8 +528,8 @@ def _sc_solver_refine(cfg):
 def _sc_solver_symmetry(cfg):
     ga = discrete.build_grid(geometry.Annulus(n=2, r0=1.0, r1=math.e), 32, 128)
     gs = discrete.build_grid(geometry.HalfSemiring(n=2, r0=1.0, r1=math.e), 32, 65)
-    ea = discrete.modulus_connect(ga, tol=1e-3)
-    es = discrete.modulus_connect(gs, tol=1e-3)
+    ea = discrete.modulus_connect(ga)
+    es = discrete.modulus_connect(gs)
     rel = abs(es.m_gamma - ea.m_gamma / 2.0) / (ea.m_gamma / 2.0)
     return [_close("half-vs-full-reldev", rel, 0.0, 0.03, "derived", cfg)]
 
@@ -537,8 +537,8 @@ def _sc_solver_symmetry(cfg):
 @_register("solver-image-invariance", ("solver",), "twist image matches the direct ring estimate")
 def _sc_solver_image(cfg):
     shape = geometry.Annulus(n=2, r0=1.0, r1=math.e)
-    direct = discrete.modulus_connect(discrete.build_grid(shape, 64, 256), tol=1e-3)
-    img = discrete.image_modulus(maps.RotationTwist(), shape, (64, 256), tol=1e-3)
+    direct = discrete.modulus_connect(discrete.build_grid(shape, 64, 256))
+    img = discrete.image_modulus(maps.RotationTwist(), shape, (64, 256))
     rel = abs(img.mo - direct.mo) / direct.mo
     return [
         _close("image-vs-direct-reldev", rel, 0.0, 0.01, "derived", cfg),
@@ -550,7 +550,7 @@ def _sc_solver_image(cfg):
 def _sc_solver_ratio(cfg):
     a = 0.8
     shape = geometry.HalfSemiring(n=2, r0=1.0, r1=math.e)
-    est = discrete.image_modulus(maps.RadialStretch(a=a), shape, (48, 97), tol=1e-3)
+    est = discrete.image_modulus(maps.RadialStretch(a=a), shape, (48, 97))
     ratio = est.mo / geometry.exact_modulus(shape)
     rep = bd.eq1est_bounds(maps.RadialStretch(a=a), shape,
                            image_mo=est.mo, image_mo_error=0.02 * est.mo)
@@ -558,7 +558,7 @@ def _sc_solver_ratio(cfg):
         _close("image-ratio", ratio, a, 0.02 * a, "derived", cfg),
         _flag("sandwich-holds", rep.verdict == "holds", "derived"),
         _close("identity-image", discrete.image_modulus(
-            maps.Identity(), shape, (48, 97), tol=1e-3).mo, 1.0, 0.02, "trivial", cfg),
+            maps.Identity(), shape, (48, 97)).mo, 1.0, 0.02, "trivial", cfg),
     ]
 
 

@@ -69,6 +69,28 @@ def test_quad_weighted_nonconstant():
     assert val == pytest.approx(PI / 2.0, abs=1e-9)
 
 
+def test_quad_level_evaluated_in_bounded_blocks():
+    from ringmod import bounds
+    shape = HalfSemiring(n=3, r0=1.0, r1=E)
+    nr, na = 64, 48
+    batches = []
+
+    def g(X):
+        batches.append(len(X))
+        r = np.linalg.norm(X - shape.x0, axis=1)
+        return np.log(r) * (1.0 + X[:, 0] ** 2) + X[:, 2]
+
+    blocked = bounds._quad_once(g, shape, nr, na)
+    assert sum(batches) == nr * 2 * na * na > bounds.QUAD_BLOCK
+    assert max(batches) <= bounds.QUAD_BLOCK
+    # one unblocked evaluation of the whole level gives the same bits
+    Z, wz = bounds._sphere_rule(3, na, True)
+    s, ws = bounds._gauss(nr, 0.0, 1.0)
+    X = shape.x0 + np.exp(s)[:, None, None] * Z[None, :, :]
+    whole = float(ws @ (g(X.reshape(-1, 3)).reshape(len(s), len(Z)) @ wz))
+    assert blocked == whole
+
+
 def test_quad_rejects_bad_input():
     from ringmod import ApollonianSemiring
     with pytest.raises(TypeError):
@@ -146,11 +168,11 @@ def test_eq1est_composed_map_sandwich():
 def test_modintbound_stays_below_image_estimate():
     from ringmod import image_modulus
     shape = HalfSemiring(n=2, r0=1.0, r1=E)
-    est = image_modulus(RadialStretch(a=0.8), shape, (32, 65), tol=1e-3)
+    est = image_modulus(RadialStretch(a=0.8), shape, (32, 65))
     lower = modintbound(RadialStretch(a=0.8), np.zeros(2), 1.0, E)
     assert lower <= est.mo + 0.02 * est.mo
     ring = Annulus(n=2, r0=1.0, r1=E)
-    est2 = image_modulus(RotationTwist(), ring, (32, 128), tol=1e-3)
+    est2 = image_modulus(RotationTwist(), ring, (32, 128))
     lower2 = modintbound(RotationTwist(), np.zeros(2), 1.0, E, full_sphere=True)
     assert lower2 <= est2.mo + 0.02 * est2.mo
 
