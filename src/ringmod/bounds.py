@@ -60,7 +60,7 @@ class BoundReport:
     left: float | None
     right: float | list | None
     error: float
-    verdict: str                      # holds / violated / inconclusive
+    verdict: str                      # holds / violated / inconclusive / not-checked
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:

@@ -4,7 +4,10 @@ Subcommands: special, modulus, dilatation, bounds, verify, sweep.
 Global flags --json/--csv write the primary output to files in addition to
 stdout; --tol-scale (>= 1) tightens every verification tolerance; --jobs
 (default from RINGMOD_JOBS) parallelizes scenario execution.  An optional
-config file holds ``key = value`` lines mirroring the long flag names.
+config file holds ``key = value`` lines mirroring the long flag names of the
+chosen subcommand and the global flags; each value is read as the flag's
+type (switches take ``true`` or ``false``) and becomes that flag's default,
+so flags on the command line win.
 
 Exit codes: 0 all checks passed, 1 at least one violation, 2 bad
 configuration or I/O.
@@ -127,13 +130,13 @@ def _cmd_bounds(args) -> int:
             raise ValueError("modintbound needs --shape")
         val, err = bd.modintbound_with_error(mapping, shape.x0, shape.r0, shape.r1, spec,
                                              full_sphere=(shape.kind == "ring"))
-        rep = bd.BoundReport("modintbound", val, None, err, "holds",
+        rep = bd.BoundReport("modintbound", val, None, err, "not-checked",
                              details={"r": shape.r0, "R": shape.r1})
     elif args.which == "domfac":
         H = bd.DominatingFactor.linear(args.gamma)
         res = bd.dominated_modulus_bound(args.m, args.M, args.r0, args.n, H)
         rep = bd.BoundReport("domfac", res.value, res.closed_form,
-                             abs(res.value - (res.closed_form or res.value)), "holds",
+                             abs(res.value - (res.closed_form or res.value)), "not-checked",
                              details={"sigma": res.sigma, **res.constants,
                                       "divergence": bd.is_divergence_type(H, args.n)})
     elif args.which == "holder":
@@ -147,7 +150,7 @@ def _cmd_bounds(args) -> int:
                              details={"values": list(trend.values), "radii": list(trend.radii)})
     elif args.which == "continuity":
         res = bd.continuity_bounds(args.n, args.gamma, args.M, args.r0, args.dist, args.d)
-        rep = bd.BoundReport("continuity", res.value, None, 0.0, "holds",
+        rep = bd.BoundReport("continuity", res.value, None, 0.0, "not-checked",
                              details={"is_log_bound": res.is_log_bound,
                                       "conservative": res.conservative, **res.constants})
     elif args.which == "separation":
@@ -155,7 +158,7 @@ def _cmd_bounds(args) -> int:
         details = {}
         if args.dist is not None:
             details["boundary_estimate"] = bd.boundary_estimate(args.mo, args.dist, args.n)
-        rep = bd.BoundReport("separation", val, None, 0.0, "holds", details=details)
+        rep = bd.BoundReport("separation", val, None, 0.0, "not-checked", details=details)
     else:
         raise ValueError(f"unknown bounds subcommand {args.which}")
 
@@ -275,21 +278,47 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Make each config entry the default of the flag that owns it.
+
+    The owner is looked up in the parser and the subparsers selected by
+    ``args``; global flags belong to the top-level parser.  Values are cast
+    by the flag's type; switches take ``true`` or ``false``.
+    """
+    chain = [parser]
+    while True:
+        sub = next((a for a in chain[-1]._actions
+                    if isinstance(a, argparse._SubParsersAction)), None)
+        if sub is None:
+            break
+        chain.append(sub.choices[getattr(args, sub.dest)])
+    for key, raw in _load_config_file(args.config).items():
+        owner = next(((p, a) for p in chain for a in p._actions
+                      if a.dest == key and a.option_strings and a.default is not argparse.SUPPRESS),
+                     None)
+        if owner is None:
+            raise ValueError(f"unknown config key {key!r}")
+        p, action = owner
+        if action.nargs == 0:
+            if raw not in ("true", "false"):
+                raise ValueError(f"config key {key!r} takes true or false, got {raw!r}")
+            value = raw == "true"
+        else:
+            try:
+                value = action.type(raw) if action.type else raw
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
+        p.set_defaults(**{key: value})
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
-            file_cfg = _load_config_file(args.config)
-            for key, raw in file_cfg.items():
-                if not hasattr(args, key):
-                    raise ValueError(f"unknown config key {key!r}")
-                # CLI flags win over the config file
-                current = getattr(args, key)
-                default = parser.get_default(key)
-                if current == default:
-                    cast = type(default) if default is not None else str
-                    setattr(args, key, cast(raw) if default is not None else raw)
+            _apply_config(parser, args)
+            # flags on the command line win over the new defaults
+            args = parser.parse_args(argv)
         if args.jobs is None:
             args.jobs = int(os.environ.get("RINGMOD_JOBS", "1"))
         if args.jobs < 1 or args.tol_scale < 1.0:

@@ -18,10 +18,15 @@ and with Newton's method, one such solve per step, for p > 2.
 
 Grids are structured log-polar (log-spherical for n = 3) products aligned
 with the shapes, which keeps level sets of the extremal potentials along
-grid lines and the discretization error small.  Image grids push nodes through a mapping,
-recompute edge lengths as image chords and tube weights as image cell areas;
-for full rings the grid is pre-rotated layer by layer to follow the map's
-angular drift, so that the image grid stays close to orthogonal.
+grid lines and the discretization error small.  Builders are array code over
+the product index grid: node ids form an array with the radial axis first,
+one helper pairs every node with its neighbour along each axis (only the
+angular or azimuthal axis wraps), the first and last radial layers are the
+source and sink, and edge lengths are chords.  Image grids push nodes
+through a mapping, recompute edge lengths as image chords and tube weights
+as image cell areas; for full rings the grid is pre-rotated layer by layer
+to follow the map's angular drift, so that the image grid stays close to
+orthogonal.
 """
 
 from __future__ import annotations
@@ -99,12 +104,41 @@ def mo_from_gamma(m_gamma: float, kind: str, n: int) -> float:
 # grid construction
 # ---------------------------------------------------------------------------
 
+def _grid_edges(ids: np.ndarray, wrap_axis: int | None) -> np.ndarray:
+    """(E, 2) edges joining index neighbours of the node-id array ``ids``,
+    axis by axis and in C order of the tail within an axis.  Only
+    ``wrap_axis`` (None for none) wraps around."""
+    blocks = []
+    for axis in range(ids.ndim):
+        pairs = np.stack([ids, np.roll(ids, -1, axis)], axis=-1)
+        if axis != wrap_axis:
+            pairs = np.delete(pairs, -1, axis)
+        blocks.append(pairs.reshape(-1, 2))
+    return np.concatenate(blocks)
+
+
+def _grid_graph(shape: Shape, ids: np.ndarray, nodes: np.ndarray, edges: np.ndarray,
+                weights: np.ndarray) -> GridGraph:
+    """Graph of a product grid whose first axis is radial: edge lengths are
+    chords, the first radial layer is the source and the last the sink."""
+    lengths = np.linalg.norm(nodes[edges[:, 1]] - nodes[edges[:, 0]], axis=1)
+    return GridGraph(nodes=nodes, edges=edges, lengths=lengths, weights=weights,
+                     source=ids[0].ravel(), sink=ids[-1].ravel(), p=float(shape.n),
+                     dim=shape.n, kind=shape.kind, resolution=ids.shape)
+
+
+def _stack_points(*points) -> np.ndarray:
+    """(..., len(points), 2) array of (r, theta) pairs broadcast together."""
+    return np.stack([np.stack(np.broadcast_arrays(r, t), axis=-1) for r, t in points], axis=-2)
+
+
 def _polar_template(K: int, M: int, r0: float, r1: float, wrap: bool, span: float,
                     offsets: np.ndarray | None):
     """Log-polar product grid in (r, theta) parameters.
 
-    Returns node parameters (K*M, 2), edge list, per-edge flow-tube corner
-    parameters (E, 4, 2), and the source/sink node ids.  ``offsets`` rotates
+    Returns the node-id array (K, M), node parameters (K*M, 2), the edge list
+    (all radial edges, then all angular ones, each in (k, m) order) and the
+    per-edge flow-tube corner parameters (E, 4, 2).  ``offsets`` rotates
     every layer k by offsets[k].
     """
     radii = np.exp(np.linspace(math.log(r0), math.log(r1), K))
@@ -114,41 +148,27 @@ def _polar_template(K: int, M: int, r0: float, r1: float, wrap: bool, span: floa
     else:
         theta = np.linspace(0.0, span, M)
         dth = span / (M - 1)
-    off = np.zeros(K) if offsets is None else np.asarray(offsets, float)
-
-    node_r = np.repeat(radii, M)
-    node_t = np.tile(theta, K) + np.repeat(off, M)
-    params = np.stack([node_r, node_t], axis=1)
-
-    def nid(k, m):
-        return k * M + (m % M if wrap else m)
+    off = np.zeros((K, 1)) if offsets is None else np.asarray(offsets, float)[:, None]
+    ids = np.arange(K * M).reshape(K, M)
+    params = _stack_points((radii[:, None], theta + off)).reshape(-1, 2)
+    edges = _grid_edges(ids, 1 if wrap else None)
 
     r_half = np.sqrt(radii[:-1] * radii[1:])
-    r_lo = np.concatenate([[radii[0]], r_half])
-    r_hi = np.concatenate([r_half, [radii[-1]]])
+    r_lo = np.concatenate([[radii[0]], r_half])[:, None]
+    r_hi = np.concatenate([r_half, [radii[-1]]])[:, None]
 
-    edges = []
-    corners = []
-    for k in range(K - 1):           # radial edges
-        for m in range(M):
-            edges.append((nid(k, m), nid(k + 1, m)))
-            t = theta[m]
-            if wrap:
-                tm, tp = t - dth / 2, t + dth / 2
-            else:
-                tm, tp = max(0.0, t - dth / 2), min(span, t + dth / 2)
-            corners.append(((radii[k], tm + off[k]), (radii[k], tp + off[k]),
-                            (radii[k + 1], tp + off[k + 1]), (radii[k + 1], tm + off[k + 1])))
-    m_stop = M if wrap else M - 1
-    for k in range(K):               # angular edges
-        for m in range(m_stop):
-            edges.append((nid(k, m), nid(k, m + 1)))
-            t0, t1 = theta[m] + off[k], theta[m] + dth + off[k]
-            corners.append(((r_lo[k], t0), (r_lo[k], t1), (r_hi[k], t1), (r_hi[k], t0)))
-
-    src = np.array([nid(0, m) for m in range(M)])
-    snk = np.array([nid(K - 1, m) for m in range(M)])
-    return params, np.array(edges), np.array(corners), src, snk
+    # radial tubes span half an angular step either side, clipped to the span
+    tm, tp = theta - dth / 2, theta + dth / 2
+    if not wrap:
+        tm, tp = np.maximum(tm, 0.0), np.minimum(tp, span)
+    ra, rb, oa, ob = radii[:-1, None], radii[1:, None], off[:-1], off[1:]
+    radial = _stack_points((ra, tm + oa), (ra, tp + oa), (rb, tp + ob), (rb, tm + ob))
+    # angular tubes span the radial half steps about their layer
+    t0 = theta if wrap else theta[:-1]
+    t0, t1 = t0 + off, t0 + dth + off
+    angular = _stack_points((r_lo, t0), (r_lo, t1), (r_hi, t1), (r_hi, t0))
+    corners = np.concatenate([radial.reshape(-1, 4, 2), angular.reshape(-1, 4, 2)])
+    return ids, params, edges, corners
 
 
 def _shoelace(quads: np.ndarray) -> np.ndarray:
@@ -178,49 +198,36 @@ def _apollonian_embed(pole: np.ndarray):
     return chart
 
 
-def _materialize_2d(params, corners, chart, mapping: Mapping | None):
+def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None,
+              offsets: np.ndarray | None) -> GridGraph:
+    if isinstance(shape, ApollonianSemiring):
+        wrap, chart = False, _apollonian_embed(shape.pole)
+    elif isinstance(shape, (Annulus, HalfSemiring)):
+        wrap, center = isinstance(shape, Annulus), shape.center
+
+        def chart(x):
+            return x + center
+    else:
+        raise TypeError(f"unsupported shape {type(shape).__name__}")
+
+    span = 2.0 * math.pi if wrap else math.pi
+    ids, params, edges, corners = _polar_template(K, M, shape.r0, shape.r1, wrap, span, offsets)
     pts = chart(_embed_2d(params))
     crn = chart(_embed_2d(corners))
     if mapping is not None:
         pts = mapping(pts)
-        crn = mapping(crn.reshape(-1, 2)).reshape(corners.shape[:-1] + (2,))
-    return pts, _shoelace(crn)
-
-
-def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None,
-              offsets: np.ndarray | None) -> GridGraph:
-    if isinstance(shape, Annulus):
-        wrap, span = True, 2.0 * math.pi
-        center = shape.center
-
-        def chart(x):
-            return x + center
-    elif isinstance(shape, HalfSemiring):
-        wrap, span = False, math.pi
-        center = shape.center
-
-        def chart(x):
-            return x + center
-    elif isinstance(shape, ApollonianSemiring):
-        wrap, span = False, math.pi
-        chart = _apollonian_embed(shape.pole)
-    else:
-        raise TypeError(f"unsupported shape {type(shape).__name__}")
-
-    params, edges, corners, src, snk = _polar_template(K, M, shape.r0, shape.r1, wrap, span, offsets)
-    pts, weights = _materialize_2d(params, corners, chart, mapping)
-    lengths = np.linalg.norm(pts[edges[:, 1]] - pts[edges[:, 0]], axis=1)
-    return GridGraph(nodes=pts, edges=edges, lengths=lengths, weights=weights,
-                     source=src, sink=snk, p=float(shape.n), dim=shape.n,
-                     kind=shape.kind, resolution=(K, M))
+        crn = mapping(crn.reshape(-1, 2)).reshape(crn.shape)
+    return _grid_graph(shape, ids, pts, edges, _shoelace(crn))
 
 
 def _build_3d(shape: Shape, K: int, J: int) -> GridGraph:
     """Log-spherical product grid; azimuthal count is 2*J.
 
-    Tube weights come from the two-point flux rule: weight = face area times
-    center distance, so that weight/length^2 is the conductance of the tube.
-    Polar cells are cell-centered, which keeps nodes off the axis.
+    Node ids run over (radius, polar, azimuth) in C order and edges come axis
+    by axis: radial, polar, then the wrapping azimuthal edges.  Tube weights
+    come from the two-point flux rule: weight = face area times center
+    distance, so that weight/length^2 is the conductance of the tube.  Polar
+    cells are cell-centered, which keeps nodes off the axis.
     """
     if isinstance(shape, Annulus):
         hemi = False
@@ -236,45 +243,27 @@ def _build_3d(shape: Shape, K: int, J: int) -> GridGraph:
     dpsi = 2.0 * math.pi / I
     psis = np.arange(I) * dpsi
 
-    def nid(k, j, i):
-        return (k * J + j) * I + (i % I)
-
+    ids = np.arange(K * J * I).reshape(K, J, I)
     rr, pp, ss = np.meshgrid(radii, phis, psis, indexing="ij")
     nodes = np.stack([rr * np.sin(pp) * np.cos(ss),
                       rr * np.sin(pp) * np.sin(ss),
                       rr * np.cos(pp)], axis=-1).reshape(-1, 3) + shape.center
+    edges = _grid_edges(ids, 2)
 
     r_half = np.sqrt(radii[:-1] * radii[1:])
     r_lo = np.concatenate([[radii[0]], r_half])
     r_hi = np.concatenate([r_half, [radii[-1]]])
-
-    edges, lengths, weights = [], [], []
-    for k in range(K):
-        ring_area = 0.5 * (r_hi[k] ** 2 - r_lo[k] ** 2)
-        for j in range(J):
-            cell_solid = dpsi * (math.cos(phis[j] - dphi / 2) - math.cos(phis[j] + dphi / 2))
-            for i in range(I):
-                a = nid(k, j, i)
-                if k < K - 1:
-                    b = nid(k + 1, j, i)
-                    edges.append((a, b))
-                    lengths.append(np.linalg.norm(nodes[b] - nodes[a]))
-                    weights.append(r_half[k] ** 2 * cell_solid * (radii[k + 1] - radii[k]))
-                if j < J - 1:
-                    b = nid(k, j + 1, i)
-                    edges.append((a, b))
-                    lengths.append(np.linalg.norm(nodes[b] - nodes[a]))
-                    weights.append(math.sin(phis[j] + dphi / 2) * dpsi * ring_area * radii[k] * dphi)
-                b = nid(k, j, i + 1)
-                edges.append((a, b))
-                lengths.append(np.linalg.norm(nodes[b] - nodes[a]))
-                weights.append(dphi * ring_area * radii[k] * math.sin(phis[j]) * dpsi)
-
-    src = np.array([nid(0, j, i) for j in range(J) for i in range(I)])
-    snk = np.array([nid(K - 1, j, i) for j in range(J) for i in range(I)])
-    return GridGraph(nodes=nodes, edges=np.array(edges), lengths=np.array(lengths),
-                     weights=np.array(weights), source=src, sink=snk,
-                     p=float(shape.n), dim=shape.n, kind=shape.kind, resolution=(K, J, I))
+    ring_area = (0.5 * (r_hi ** 2 - r_lo ** 2))[:, None, None]
+    r = radii[:, None, None]
+    phi = phis[:, None]
+    cell_solid = dpsi * (np.cos(phi - dphi / 2) - np.cos(phi + dphi / 2))
+    # (radius, polar) tables of the radial, polar and azimuthal tube weights,
+    # which do not vary along the azimuth
+    tube = [r_half[:, None, None] ** 2 * cell_solid * np.diff(r, axis=0),
+            np.sin(phi[:-1] + dphi / 2) * dpsi * ring_area * r * dphi,
+            dphi * ring_area * r * np.sin(phi) * dpsi]
+    weights = np.concatenate([np.repeat(w, I) for w in tube])
+    return _grid_graph(shape, ids, nodes, edges, weights)
 
 
 def build_grid(shape: Shape, radial_cells: int, angular_cells: int) -> GridGraph:

@@ -26,6 +26,7 @@ from ringmod import (
     quad_weighted,
     separation_bound,
 )
+from ringmod import bounds
 from ringmod.bounds import DEFAULT_SPEC
 
 E = math.e
@@ -70,7 +71,6 @@ def test_quad_weighted_nonconstant():
 
 
 def test_quad_level_evaluated_in_bounded_blocks():
-    from ringmod import bounds
     shape = HalfSemiring(n=3, r0=1.0, r1=E)
     nr, na = 64, 48
     batches = []
@@ -197,6 +197,25 @@ def test_psi_values():
         1.0, abs=1e-10)
     with pytest.raises(ValueError):
         psi_D(Identity(), -1.0, np.zeros(2))
+
+
+def test_psi_jitter_on_singular_node(monkeypatch):
+    # the periodic rule puts a node at (0, 1.2e-16), on the twist's singular
+    # axis, so the average is taken once more on jittered nodes
+    calls = []
+    jitter = bounds._sphere_jitter
+
+    def spy(*args):
+        calls.append(args)
+        return jitter(*args)
+
+    monkeypatch.setattr(bounds, "_sphere_jitter", spy)
+    value = psi_D(RotationTwist(), 1.0, (1.0, 0.0), full_sphere=True)
+    assert len(calls) == 1
+    assert math.isfinite(value)
+    for dy in (1e-4, -1e-4):
+        near = psi_D(RotationTwist(), 1.0, (1.0, dy), full_sphere=True)
+        assert value == pytest.approx(near, abs=1e-4)
 
 
 def test_modintbound_values():

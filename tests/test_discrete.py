@@ -142,15 +142,41 @@ def test_mo_from_gamma():
 def test_build_grid_structure():
     g = build_grid(Annulus(n=2, r0=1.0, r1=E), 16, 64)
     assert len(g.nodes) == 16 * 64
+    assert len(g.edges) == 15 * 64 + 16 * 64
     assert len(g.source) == 64 and len(g.sink) == 64
     assert not set(g.source) & set(g.sink)
     g = build_grid(HalfSemiring(n=2, r0=1.0, r1=E), 16, 33)
     assert len(g.nodes) == 16 * 33
+    assert len(g.edges) == 15 * 33 + 16 * 32
     assert len(g.source) == 33 and len(g.sink) == 33
     # semiring nodes stay in the closed upper half plane
     assert g.nodes[:, 1].min() >= -1e-12
     with pytest.raises(ValueError):
         build_grid(Annulus(n=2, r0=1.0, r1=E), 4, 64)
+
+    K, J = 9, 8
+    I = 2 * J
+    radii = np.exp(np.linspace(0.0, 1.0, K))
+    r_half = np.sqrt(radii[:-1] * radii[1:])
+    for shape, c in ((Annulus(n=3, r0=1.0, r1=E), 4 * math.pi),
+                     (HalfSemiring(n=3, r0=1.0, r1=E), TWO_PI)):
+        g = build_grid(shape, K, J)
+        assert len(g.nodes) == K * J * I
+        assert len(g.edges) == (K - 1) * J * I + K * (J - 1) * I + K * J * I
+        assert len({tuple(e) for e in np.sort(g.edges, axis=1).tolist()}) == len(g.edges)
+        assert np.array_equal(np.sort(g.source), np.arange(J * I))
+        assert np.array_equal(np.sort(g.sink), np.arange((K - 1) * J * I, K * J * I))
+        # (k, j, i) of both ends differ by one step along one axis; only i wraps
+        tail, head = (np.stack(np.unravel_index(g.edges[:, s], (K, J, I)), axis=1)
+                      for s in (0, 1))
+        step = np.abs(head - tail)
+        step[:, 2] = np.minimum(step[:, 2], I - step[:, 2])
+        assert np.all(step.sum(axis=1) == 1)
+        # the cell solid angles of a layer telescope to the full (hemi)sphere
+        radial = step[:, 0] == 1
+        layer = np.minimum(tail[radial, 0], head[radial, 0])
+        sums = np.bincount(layer, weights=g.weights[radial], minlength=K - 1)
+        np.testing.assert_allclose(sums, c * r_half ** 2 * np.diff(radii), rtol=1e-12, atol=0)
 
 
 def test_apollonian_grid_in_unit_ball():

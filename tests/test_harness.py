@@ -158,6 +158,13 @@ def test_cli_bounds_separation_and_domfac(capsys):
     assert out["details"]["divergence"] == "divergent"
 
 
+def test_cli_bounds_not_checked(capsys):
+    for argv in (["modintbound", "--shape", "semiring:n=2,r=1,R=2.718281828459045"],
+                 ["domfac"], ["continuity", "--dist", "0.5"], ["separation"]):
+        assert main(["bounds"] + argv) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "not-checked"
+
+
 def test_cli_bounds_eq1est(capsys):
     code = main(["bounds", "eq1est", "--map", "radial:a=0.8",
                  "--shape", "semiring:n=2,r=1,R=2.718281828459045"])
@@ -209,7 +216,28 @@ def test_cli_config_file_and_env(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense-key = 1\n")
     assert main(["--config", str(bad), "special", "a2"]) == 2
+    assert "nonsense_key" in capsys.readouterr().err
+    # values take the type of their flag
+    jobs = tmp_path / "jobs.cfg"
+    jobs.write_text("jobs = 2\n")
+    assert main(["--config", str(jobs), "verify", "--filter", "special"]) == 0
     capsys.readouterr()
+    # subcommand flags are read from the file, and the command line wins
+    domfac = ["bounds", "domfac", "--m", "10"]
+    gamma = tmp_path / "gamma.cfg"
+    gamma.write_text("gamma = 2.0\n")
+    runs = []
+    for argv in (["--config", str(gamma)] + domfac, domfac + ["--gamma", "2.0"],
+                 ["--config", str(gamma)] + domfac + ["--gamma", "1.0"],
+                 domfac + ["--gamma", "1.0"]):
+        assert main(argv) == 0
+        runs.append(json.loads(capsys.readouterr().out))
+    assert runs[0] == runs[1] and runs[2] == runs[3]
+    assert runs[0] != runs[2]
+    switch = tmp_path / "switch.cfg"
+    switch.write_text("with-image = maybe\n")
+    assert main(["--config", str(switch), "bounds", "eq1est"]) == 2
+    assert "with_image" in capsys.readouterr().err
     monkeypatch.setenv("RINGMOD_JOBS", "2")
     assert main(["special", "a2"]) == 0
     capsys.readouterr()
