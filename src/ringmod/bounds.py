@@ -15,12 +15,14 @@ comparison stays ``inconclusive``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 from .constants import ball_volume, sphere_area
 from .dilatation import angular_dilatation_field, normal_dilatation_field
@@ -47,9 +49,7 @@ class QuadratureSpec:
 
 DEFAULT_SPEC = QuadratureSpec()
 
-MC_SEED = 20240229
-MC_MIN_POINTS = 100_000
-QUAD_BLOCK = 1 << 16      # integrand points per call of g in _quad_once
+QUAD_BLOCK = 1 << 16      # integrand points per call of g in _shell_values
 
 
 @dataclass
@@ -91,7 +91,16 @@ def _sphere_rule(n: int, count: int, hemisphere: bool):
 
     n = 2: Gauss-Legendre in the angle (half circle) or a uniform periodic
     rule (full circle).  n = 3: product Gauss in cos(polar) x uniform
-    azimuthal.  n >= 4: fixed-seed Monte Carlo with >= 1e5 points.
+    azimuthal, count x 2 count directions.  n = 4, 5: product Gauss rule
+    (Stroud 1971) built from the n = 3 rule by z = (t, sqrt(1 - t^2) y), with
+    t on [-1, 1] at the Gauss-Jacobi nodes of the weight (1 - t^2)^((d-3)/2)
+    for each dimension d = 4 .. n and y from the rule one dimension lower;
+    every factor has m nodes, m the least integer with m^(n-1) >= count^2,
+    so the 2 m^(n-1) directions grow like the 2 count^2 of n = 3.  The rule
+    integrates every even polynomial of degree < 2 m exactly.  Every rule is
+    deterministic and, for count >= 8, its nodes change when count doubles,
+    so doubling it is a real refinement; n >= 6 has no such rule of that
+    size and is rejected.
     """
     if n == 2:
         if hemisphere:
@@ -112,16 +121,17 @@ def _sphere_rule(n: int, count: int, hemisphere: bool):
                       np.outer(u, np.ones(m_az))], axis=-1).reshape(-1, 3)
         w = np.outer(wu, np.full(m_az, 2.0 * math.pi / m_az)).ravel()
         return Z, w
-    pts = max(MC_MIN_POINTS, count * count)
-    rng = np.random.default_rng(MC_SEED)
-    Z = rng.standard_normal((pts, n))
-    Z /= np.linalg.norm(Z, axis=1, keepdims=True)
-    if hemisphere:
-        Z[:, -1] = np.abs(Z[:, -1])
-        total = sphere_area(n) / 2.0
-    else:
-        total = sphere_area(n)
-    return Z, np.full(pts, total / pts)
+    if n > 5:
+        raise ValueError("sphere rules are implemented for n <= 5")
+    m = next(k for k in itertools.count(1) if k ** (n - 1) >= count * count)
+    Z, w = _sphere_rule(3, m, hemisphere)
+    for d in range(4, n + 1):
+        t, wt = roots_jacobi(m, 0.5 * (d - 3), 0.5 * (d - 3))
+        Zd = np.empty((m, len(Z), d))
+        Zd[..., 0] = t[:, None]
+        Zd[..., 1:] = np.sqrt(1.0 - t * t)[:, None, None] * Z
+        Z, w = Zd.reshape(-1, d), np.outer(wt, w).ravel()
+    return Z, w
 
 
 def nu_measure(shape: Shape) -> float:
@@ -135,20 +145,24 @@ def _check_quad_shape(shape: Shape):
         raise TypeError("weighted quadrature supports annuli and half semirings")
 
 
-def _quad_once(g: Callable, shape: Shape, nr: int, na: int) -> float:
-    n = shape.n
-    hemisphere = shape.kind == "semiring"
-    Z, wz = _sphere_rule(n, na, hemisphere)
-    s, ws = _gauss(nr, math.log(shape.r0), math.log(shape.r1))
-    radius = np.exp(s)
-    # blocks of points in row-major (radius, direction) order bound the memory;
-    # each point is computed as in one whole-level array, so the sum is unchanged
-    vals = np.empty(len(s) * len(Z))
+def _shell_values(g: Callable, x0: np.ndarray, radius: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Values of g at x0 + radius z, shape (len(radius), len(Z)).
+
+    Blocks of points in row-major (radius, direction) order bound the memory;
+    each point is computed as in one whole-level array, so the values are too.
+    """
+    vals = np.empty(len(radius) * len(Z))
     for lo in range(0, len(vals), QUAD_BLOCK):
         idx = np.arange(lo, min(lo + QUAD_BLOCK, len(vals)))
-        X = shape.x0 + radius[idx // len(Z), None] * Z[idx % len(Z)]
+        X = x0 + radius[idx // len(Z), None] * Z[idx % len(Z)]
         vals[idx] = np.asarray(g(X), dtype=float)
-    vals = vals.reshape(len(s), len(Z))
+    return vals.reshape(len(radius), len(Z))
+
+
+def _quad_once(g: Callable, shape: Shape, nr: int, na: int) -> float:
+    Z, wz = _sphere_rule(shape.n, na, shape.kind == "semiring")
+    s, ws = _gauss(nr, math.log(shape.r0), math.log(shape.r1))
+    vals = _shell_values(g, shape.x0, np.exp(s), Z)
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite integrand sample")
     return float(ws @ (vals @ wz))
@@ -304,9 +318,7 @@ def _modint_once(mapping, x0, r, R, nr, na_spec, full_sphere):
     n = len(x0)
     s, ws = _gauss(nr, math.log(r), math.log(R))
     Z, wz = _sphere_rule(n, na_spec, hemisphere=not full_sphere)
-    g = angular_dilatation_field(mapping, np.asarray(x0, float))
-    X = np.asarray(x0, float) + np.exp(s)[:, None, None] * Z[None, :, :]
-    vals = np.asarray(g(X.reshape(-1, n))).reshape(len(s), len(Z))
+    vals = _shell_values(angular_dilatation_field(mapping, x0), x0, np.exp(s), Z)
     psi = (vals @ wz) / wz.sum()
     return float(ws @ psi ** (1.0 / (1.0 - n)))
 
@@ -567,9 +579,9 @@ def _omega_profile(mapping: Mapping, t_pt: np.ndarray, radii: np.ndarray,
     Z, wz = _sphere_rule(n, na, hemisphere=True)
     q, wq = _gauss(nq, 0.0, 1.0)
     g = angular_dilatation_field(mapping, t_pt)
-    # X[i,j,k] = t + radii[i]*q[j]*Z[k]
-    X = t_pt + radii[:, None, None, None] * q[None, :, None, None] * Z[None, None, :, :]
-    vals = np.asarray(g(X.reshape(-1, n))).reshape(len(radii), len(q), len(Z)) - 1.0
+    # values at t + radii[i]*q[j]*Z[k]
+    vals = _shell_values(g, t_pt, np.outer(radii, q).ravel(), Z)
+    vals = vals.reshape(len(radii), len(q), len(Z)) - 1.0
     inner = vals @ wz                      # (s, q) surface integrals on unit shells
     radial = (inner * (q ** (n - 1.0))) @ wq
     return 2.0 * radial / ball_volume(n)

@@ -172,9 +172,16 @@ def _sc_measure(cfg):
     one = lambda X: np.ones(len(X))
     s2 = geometry.HalfSemiring(n=2, r0=1.0, r1=math.e)
     s3 = geometry.HalfSemiring(n=3, r0=1.0, r1=math.e)
+    s4 = geometry.HalfSemiring(n=4, r0=1.0, r1=math.e)
+    spec4 = bd.QuadratureSpec(radial=8, angular=8, max_refine=1)
+    # z4^2 / |z|^2 averages to 1/n over the hemisphere of S^3 (area pi^2)
+    moment4 = lambda X: X[:, 3] ** 2 / np.sum(X ** 2, axis=1)
     return [
         _close("nu-n2", bd.quad_weighted(one, s2), math.pi, 1e-6, "literature", cfg),
         _close("nu-n3", bd.quad_weighted(one, s3), 2.0 * math.pi, 1e-6, "literature", cfg),
+        _close("nu-n4", bd.quad_weighted(one, s4, spec4), math.pi ** 2, 1e-12, "literature", cfg),
+        _close("moment-n4", bd.quad_weighted(moment4, s4, spec4), math.pi ** 2 / 4.0, 1e-12,
+               "derived", cfg),
         _close("nu-zero", bd.quad_weighted(lambda X: np.zeros(len(X)), s2), 0.0, 1e-15, "trivial", cfg),
     ]
 

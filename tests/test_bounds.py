@@ -8,6 +8,7 @@ from ringmod import (
     DominatingFactor,
     HalfSemiring,
     Identity,
+    Linear,
     RadialStretch,
     RotationTwist,
     QuadratureSpec,
@@ -28,10 +29,16 @@ from ringmod import (
 )
 from ringmod import bounds
 from ringmod.bounds import DEFAULT_SPEC
+from ringmod.dilatation import angular_dilatation_field
 
 E = math.e
 PI = math.pi
 ONE = lambda X: np.ones(len(X))
+# a smooth non-constant angular dilatation in n = 4 (positive determinant)
+LINEAR_N4 = np.array([[1.3, 0.2, 0.0, 0.1],
+                      [0.0, 0.9, 0.3, 0.0],
+                      [0.2, 0.0, 1.1, 0.2],
+                      [0.0, 0.1, 0.0, 0.8]])
 
 
 # ---------------------------------------------------------------------------
@@ -53,14 +60,49 @@ def test_quad_weighted_ring_variant():
     assert nu_measure(HalfSemiring(n=2, r0=1.0, r1=E)) == pytest.approx(PI)
 
 
-def test_quad_weighted_monte_carlo_dimension():
-    # n >= 4 falls back to a fixed-seed Monte Carlo sphere rule; the constant
-    # integrand is integrated exactly by the equal weights
+def test_sphere_rule_high_dimension():
+    # n = 4, 5: product Gauss rule with m nodes per factor, m the least
+    # integer with m^(n-1) >= count^2; it integrates even polynomials of
+    # degree < 2 m exactly, so the constant and both moments hold to rounding
     from ringmod import sphere_area
+    for n in (4, 5):
+        for hemisphere in (True, False):
+            area = sphere_area(n) / (2.0 if hemisphere else 1.0)
+            for c, m in zip((8, 16), {4: (4, 7), 5: (3, 4)}[n]):
+                Z, w = bounds._sphere_rule(n, c, hemisphere)
+                assert len(Z) == len(w) == 2 * m ** (n - 1)
+                assert np.allclose(np.linalg.norm(Z, axis=1), 1.0, rtol=0.0, atol=1e-15)
+                if hemisphere:
+                    assert Z[:, -1].min() >= 0.0
+                else:
+                    assert Z[:, -1].min() < 0.0
+                assert w.sum() == pytest.approx(area, rel=1e-12)
+                zn2 = Z[:, -1] ** 2
+                assert w @ zn2 == pytest.approx(area / n, rel=1e-12)
+                assert w @ (Z[:, 0] ** 2 * zn2) == pytest.approx(area / (n * (n + 2)), rel=1e-12)
+    with pytest.raises(ValueError):
+        bounds._sphere_rule(6, 8, True)
+    # the constant through the whole weighted quadrature
     s4 = HalfSemiring(n=4, r0=1.0, r1=E)
     spec = QuadratureSpec(radial=16, angular=8, max_refine=1)
-    val = quad_weighted(ONE, s4, spec)
-    assert val == pytest.approx(sphere_area(4) / 2.0, rel=1e-12)
+    assert quad_weighted(ONE, s4, spec) == pytest.approx(sphere_area(4) / 2.0, rel=1e-12)
+
+
+def test_sphere_rule_size_tracks_n3():
+    # every level of DEFAULT_SPEC: the n = 4, 5 rules stay within 1.3 times
+    # the n = 3 rule at the same count, and each doubling changes the nodes;
+    # the deepest level stays under the 256 x 1e5 points of the Monte Carlo
+    # rule that preceded the product rule
+    for n in (4, 5):
+        for hemisphere in (True, False):
+            sizes = []
+            for k in range(DEFAULT_SPEC.max_refine + 1):
+                c = DEFAULT_SPEC.angular * 2 ** k
+                size = len(bounds._sphere_rule(n, c, hemisphere)[0])
+                assert size <= 1.3 * len(bounds._sphere_rule(3, c, hemisphere)[0])
+                sizes.append(size)
+            assert all(a < b for a, b in zip(sizes, sizes[1:]))
+            assert DEFAULT_SPEC.radial * 2 ** DEFAULT_SPEC.max_refine * sizes[-1] < 256 * 10 ** 5
 
 
 def test_quad_weighted_nonconstant():
@@ -89,6 +131,38 @@ def test_quad_level_evaluated_in_bounded_blocks():
     X = shape.x0 + np.exp(s)[:, None, None] * Z[None, :, :]
     whole = float(ws @ (g(X.reshape(-1, 3)).reshape(len(s), len(Z)) @ wz))
     assert blocked == whole
+
+    # the shell levels of modintbound go through the same blocks
+    class Recording(Linear):
+        def _jacobian(self, x):
+            batches.append(len(x))
+            return super()._jacobian(x)
+
+    mapping = Recording(LINEAR_N4)
+    x0, nr, na = np.zeros(4), 128, 24
+    Z, wz = bounds._sphere_rule(4, na, True)
+    batches.clear()
+    blocked = bounds._modint_once(mapping, x0, 1.0, E, nr, na, False)
+    assert sum(batches) == nr * len(Z) > bounds.QUAD_BLOCK
+    assert max(batches) <= bounds.QUAD_BLOCK
+    s, ws = bounds._gauss(nr, 0.0, 1.0)
+    X = x0 + np.exp(s)[:, None, None] * Z[None, :, :]
+    vals = angular_dilatation_field(mapping, x0)(X.reshape(-1, 4)).reshape(len(s), len(Z))
+    whole = float(ws @ ((vals @ wz) / wz.sum()) ** (1.0 / (1.0 - 4)))
+    assert blocked == whole
+
+    # and so do the half-ball profiles of the Hoelder identity
+    radii, nq = np.array([0.5, 1.0, 2.0]), 48
+    batches.clear()
+    blocked = bounds._omega_profile(mapping, x0, radii, nq, na)
+    assert sum(batches) == len(radii) * nq * len(Z) > bounds.QUAD_BLOCK
+    assert max(batches) <= bounds.QUAD_BLOCK
+    q, wq = bounds._gauss(nq, 0.0, 1.0)
+    X = x0 + radii[:, None, None, None] * q[None, :, None, None] * Z[None, None, :, :]
+    vals = angular_dilatation_field(mapping, x0)(X.reshape(-1, 4)) - 1.0
+    inner = vals.reshape(len(radii), nq, len(Z)) @ wz
+    whole = 2.0 * ((inner * q ** 3.0) @ wq) / bounds.ball_volume(4)
+    assert np.array_equal(blocked, whole)
 
 
 def test_quad_rejects_bad_input():
@@ -216,6 +290,34 @@ def test_psi_jitter_on_singular_node(monkeypatch):
     for dy in (1e-4, -1e-4):
         near = psi_D(RotationTwist(), 1.0, (1.0, dy), full_sphere=True)
         assert value == pytest.approx(near, abs=1e-4)
+
+
+def test_modintbound_linear_map_n4_exact():
+    # the angular dilatation of a linear map, det(A) |A^-T u|^n, is constant
+    # along rays; for n = 4 it is a quartic on the sphere with average
+    # det(A) (tr(M)^2 + 2 tr(M^2)) / (n (n + 2)), M = A^-1 A^-T, which the
+    # product rule integrates exactly, so the bound is log(e/1) psi^(1/(1-n))
+    M = np.linalg.inv(LINEAR_N4) @ np.linalg.inv(LINEAR_N4).T
+    psi = np.linalg.det(LINEAR_N4) * (np.trace(M) ** 2 + 2.0 * np.trace(M @ M)) / 24.0
+    exact = psi ** (1.0 / (1.0 - 4))
+    val, err = bounds.modintbound_with_error(Linear(LINEAR_N4), np.zeros(4), 1.0, E,
+                                             QuadratureSpec(radial=8, angular=8))
+    assert val == pytest.approx(exact, rel=1e-12)
+    assert err <= 1e-12
+
+
+def test_modintbound_error_from_refining_n5():
+    # in n = 5 the same dilatation is (u^T M u)^(5/2), not a polynomial: the
+    # error estimate comes from refining the sphere rule, so it is far above
+    # rounding and covers the distance to a finer reference
+    A = np.eye(5)
+    A[:4, :4] = LINEAR_N4
+    A[4, 0], A[1, 4], A[4, 4] = 0.3, 0.2, 1.2
+    val, err = bounds.modintbound_with_error(Linear(A), np.zeros(5), 1.0, E,
+                                             QuadratureSpec(radial=8, angular=8))
+    ref = bounds.modintbound(Linear(A), np.zeros(5), 1.0, E, QuadratureSpec(radial=8, angular=32))
+    assert err > 1e-12
+    assert abs(val - ref) <= err
 
 
 def test_modintbound_values():
