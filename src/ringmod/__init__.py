@@ -2,6 +2,8 @@
 and the explicit modulus/boundary-regularity bounds, with a verification
 harness driving everything against analytically known test mappings."""
 
+__version__ = "0.1.0"
+
 from .constants import ball_volume, sphere_area
 from .geometry import (
     Annulus,
@@ -78,5 +80,3 @@ from .bounds import (
     quad_weighted,
     separation_bound,
 )
-
-__version__ = "0.1.0"

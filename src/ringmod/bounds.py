@@ -7,10 +7,16 @@ half shapes the spherical part runs over the upper hemisphere and
 nu(S) = (omega_{n-1}/2) log(r1/r0); full rings drop the factor 2 and use the
 whole sphere ("ring variant" of every bound below).
 
-The bound evaluators return a BoundReport carrying both sides, a quadrature
-error estimate from one refinement step, and a verdict; ``violated`` is only
-reported when the gap exceeds the combined error, otherwise a failed
-comparison stays ``inconclusive``.
+Every shell quantity goes through the same two steps: ``_shell_sums``
+evaluates the integrand on blocks of shell points and sums each shell with
+the spherical rule, and ``_refine`` doubles the radial and angular node
+counts up to ``max_refine`` times, stopping once the value changes by at
+most QUAD_RTOL relative; the last change is the error estimate.
+
+The bound evaluators return a BoundReport carrying both sides, that
+quadrature error estimate, and a verdict; ``violated`` is only reported when
+the gap exceeds the combined error, otherwise a failed comparison stays
+``inconclusive``.
 """
 
 from __future__ import annotations
@@ -33,23 +39,24 @@ from .special import constants_for
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor quadrature parameters: log-radial x spherical product rule."""
+    """Tensor quadrature parameters: the starting log-radial and spherical node
+    counts of the product rule, and how often both may be doubled.  The
+    doubling stops early once the value changes by at most QUAD_RTOL
+    relative."""
 
     radial: int = 32
     angular: int = 24
-    rel_tol: float = 1e-7
     max_refine: int = 3
 
     def __post_init__(self):
         if self.radial < 8 or self.angular < 8:
             raise ValueError("quadrature needs at least 8 nodes each way")
-        if not 0.0 < self.rel_tol <= 1e-2:
-            raise ValueError("rel_tol must lie in (0, 1e-2]")
 
 
 DEFAULT_SPEC = QuadratureSpec()
 
-QUAD_BLOCK = 1 << 16      # integrand points per call of g in _shell_values
+QUAD_RTOL = 1e-7          # relative change at which _refine stops doubling
+QUAD_BLOCK = 1 << 16      # integrand points per call of g in _shell_sums
 
 
 @dataclass
@@ -145,49 +152,58 @@ def _check_quad_shape(shape: Shape):
         raise TypeError("weighted quadrature supports annuli and half semirings")
 
 
-def _shell_values(g: Callable, x0: np.ndarray, radius: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Values of g at x0 + radius z, shape (len(radius), len(Z)).
+def _shell_sums(g: Callable, x0: np.ndarray, radii: np.ndarray, rule) -> np.ndarray:
+    """Spherical-rule sums of g over the shells x0 + radius z, one per radius.
 
-    Blocks of points in row-major (radius, direction) order bound the memory;
-    each point is computed as in one whole-level array, so the values are too.
+    ``rule`` is a (directions, weights) pair from ``_sphere_rule``.  Blocks of
+    points in row-major (radius, direction) order bound the memory; each
+    point is computed as in one whole-level array, so the values are too.  A
+    non-finite value raises ValueError.
     """
-    vals = np.empty(len(radius) * len(Z))
+    Z, wz = rule
+    vals = np.empty(len(radii) * len(Z))
     for lo in range(0, len(vals), QUAD_BLOCK):
         idx = np.arange(lo, min(lo + QUAD_BLOCK, len(vals)))
-        X = x0 + radius[idx // len(Z), None] * Z[idx % len(Z)]
+        X = x0 + radii[idx // len(Z), None] * Z[idx % len(Z)]
         vals[idx] = np.asarray(g(X), dtype=float)
-    return vals.reshape(len(radius), len(Z))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("non-finite integrand sample")
+    return vals.reshape(len(radii), len(Z)) @ wz
+
+
+def _refine(level: Callable[[int], float], max_refine: int,
+            rel_tol: float = QUAD_RTOL) -> tuple[float, float]:
+    """(value, error) of ``level(k)``, a rule with its node counts doubled k
+    times: doubles up to max_refine times, stopping once the value changes by
+    at most rel_tol * max(1, |value|); the error is the last change, inf
+    without a doubling."""
+    val, err = level(0), math.inf
+    for k in range(1, max_refine + 1):
+        nxt = level(k)
+        err = abs(nxt - val)
+        val = nxt
+        if err <= rel_tol * max(1.0, abs(val)):
+            break
+    return val, err
 
 
 def _quad_once(g: Callable, shape: Shape, nr: int, na: int) -> float:
-    Z, wz = _sphere_rule(shape.n, na, shape.kind == "semiring")
     s, ws = _gauss(nr, math.log(shape.r0), math.log(shape.r1))
-    vals = _shell_values(g, shape.x0, np.exp(s), Z)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite integrand sample")
-    return float(ws @ (vals @ wz))
+    rule = _sphere_rule(shape.n, na, shape.kind == "semiring")
+    return float(ws @ _shell_sums(g, shape.x0, np.exp(s), rule))
 
 
 def quad_weighted_with_error(g: Callable, shape: Shape,
                              spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float]:
     """Integral of g(x) |x - x0|^(-n) dm over the shape, with error estimate.
 
-    Refines the tensor rule (doubling both directions) until the change is
-    below spec.rel_tol or the refinement cap; the last change is the error
-    estimate.
+    Doubles both node counts of the tensor rule up to spec.max_refine times,
+    stopping once the value changes by at most QUAD_RTOL relative; the error
+    estimate is the last change (inf when spec.max_refine is 0).
     """
     _check_quad_shape(shape)
-    nr, na = spec.radial, spec.angular
-    val = _quad_once(g, shape, nr, na)
-    err = math.inf
-    for _ in range(spec.max_refine):
-        nr, na = 2 * nr, 2 * na
-        nxt = _quad_once(g, shape, nr, na)
-        err = abs(nxt - val)
-        val = nxt
-        if err <= spec.rel_tol * max(1.0, abs(val)):
-            break
-    return val, err
+    return _refine(lambda k: _quad_once(g, shape, spec.radial << k, spec.angular << k),
+                   spec.max_refine)
 
 
 def quad_weighted(g: Callable, shape: Shape, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -207,7 +223,6 @@ def eq1est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
     the verdict checks lower <= image_mo / mo S <= upper within the combined
     error estimates.
     """
-    _check_quad_shape(shape)
     n = shape.n
     nu = nu_measure(shape)
     I_d, e_d = quad_weighted_with_error(angular_dilatation_field(mapping, shape.x0), shape, spec)
@@ -245,7 +260,6 @@ def eq2est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
     The lower inequality always applies; the upper one is only claimed when
     mo S >= mo f(S), otherwise it is reported inconclusive.
     """
-    _check_quad_shape(shape)
     pref = (2.0 if shape.kind == "semiring" else 1.0) / sphere_area(shape.n)
     d_field = angular_dilatation_field(mapping, shape.x0)
     t_field = normal_dilatation_field(mapping, shape.x0)
@@ -306,20 +320,18 @@ def psi_D(mapping: Mapping, t: float, x0, spec: QuadratureSpec = DEFAULT_SPEC,
     Z, wz = _sphere_rule(n, spec.angular, hemisphere=not full_sphere)
     g = angular_dilatation_field(mapping, x0)
     try:
-        vals = g(x0 + t * Z)
+        total = _shell_sums(g, x0, np.array([t]), (Z, wz))
     except (MapDomainError, ValueError):
         # one deterministic jitter when a node lands on an irregular point
-        Zj = _sphere_jitter(Z, n, not full_sphere)
-        vals = g(x0 + t * Zj)
-    return float(np.dot(vals, wz) / wz.sum())
+        total = _shell_sums(g, x0, np.array([t]), (_sphere_jitter(Z, n, not full_sphere), wz))
+    return float(total[0] / wz.sum())
 
 
 def _modint_once(mapping, x0, r, R, nr, na_spec, full_sphere):
     n = len(x0)
     s, ws = _gauss(nr, math.log(r), math.log(R))
     Z, wz = _sphere_rule(n, na_spec, hemisphere=not full_sphere)
-    vals = _shell_values(angular_dilatation_field(mapping, x0), x0, np.exp(s), Z)
-    psi = (vals @ wz) / wz.sum()
+    psi = _shell_sums(angular_dilatation_field(mapping, x0), x0, np.exp(s), (Z, wz)) / wz.sum()
     return float(ws @ psi ** (1.0 / (1.0 - n)))
 
 
@@ -331,17 +343,9 @@ def modintbound_with_error(mapping: Mapping, x0, r: float, R: float,
     if not 0 < r < R:
         raise ValueError("need 0 < r < R")
     x0 = np.asarray(x0, dtype=float)
-    nr, na = spec.radial, spec.angular
-    val = _modint_once(mapping, x0, r, R, nr, na, full_sphere)
-    err = math.inf
-    for _ in range(spec.max_refine):
-        nr, na = 2 * nr, 2 * na
-        nxt = _modint_once(mapping, x0, r, R, nr, na, full_sphere)
-        err = abs(nxt - val)
-        val = nxt
-        if err <= spec.rel_tol * max(1.0, abs(val)):
-            break
-    return val, err
+    return _refine(lambda k: _modint_once(mapping, x0, r, R, spec.radial << k,
+                                          spec.angular << k, full_sphere),
+                   spec.max_refine)
 
 
 def modintbound(mapping: Mapping, x0, r: float, R: float,
@@ -377,12 +381,11 @@ class DominatingFactor:
         return cls(family="linear", gamma=gamma)
 
     @classmethod
-    def power(cls, coeff: float, alpha: float, t0: float | None = None) -> "DominatingFactor":
+    def power(cls, coeff: float, alpha: float) -> "DominatingFactor":
         if coeff <= 0 or alpha <= 0:
             raise ValueError("power factor needs c > 0 and alpha > 0")
         # exp(c t^alpha) convex needs c*alpha*t^alpha >= 1-alpha
-        t_min = 0.0 if alpha >= 1 else ((1.0 - alpha) / (coeff * alpha)) ** (1.0 / alpha)
-        t0 = t_min if t0 is None else max(t0, t_min)
+        t0 = 0.0 if alpha >= 1 else ((1.0 - alpha) / (coeff * alpha)) ** (1.0 / alpha)
         return cls(family="power", coeff=coeff, alpha=alpha, t0=t0)
 
     @classmethod
@@ -490,17 +493,11 @@ def dominated_modulus_bound(m: float, big_m: float, r0: float, n: int,
     def integrand(t):
         return 1.0 / factor.inverse(n * t + sigma) ** expo
 
-    nr = 96
-    t, w = _gauss(nr, 1.0 / n, m)
-    val = float(w @ integrand(t))
-    for _ in range(3):
-        nr *= 2
-        t, w = _gauss(nr, 1.0 / n, m)
-        nxt = float(w @ integrand(t))
-        done = abs(nxt - val) <= 1e-12 * max(1.0, abs(nxt))
-        val = nxt
-        if done:
-            break
+    def level(k):
+        t, w = _gauss(96 << k, 1.0 / n, m)
+        return float(w @ integrand(t))
+
+    val, _ = _refine(level, 3, rel_tol=1e-12)
 
     closed = None
     constants: dict = {"sigma": sigma}
@@ -545,21 +542,19 @@ class LipschitzConstants:
     conservative: bool         # True when built from the A_n upper bound
 
 
-def lipschitz_constants(a_n: float, big_m: float, R: float, n: int,
-                        conservative: bool | None = None) -> LipschitzConstants:
-    """Local Lipschitz constants of the extended boundary map."""
+def lipschitz_constants(a_n: float, big_m: float, R: float, n: int) -> LipschitzConstants:
+    """Local Lipschitz constants of the extended boundary map; conservative for
+    n >= 3, where only an upper bound of A_n is known."""
     if R <= 0:
         raise ValueError("R must be positive")
     if big_m < 0:
         raise ValueError("M must be nonnegative")
     bump = 2.0 * big_m / sphere_area(n)
-    if conservative is None:
-        conservative = n >= 3
     return LipschitzConstants(
         c1=math.exp(a_n + bump) / R,
         c2=math.exp(a_n) / R,
         admissible_radius=R * math.exp(-a_n - bump),
-        conservative=conservative,
+        conservative=n >= 3,
     )
 
 
@@ -576,13 +571,11 @@ def _omega_profile(mapping: Mapping, t_pt: np.ndarray, radii: np.ndarray,
     integrand is bounded, so plain Gauss in q suffices.
     """
     n = len(t_pt)
-    Z, wz = _sphere_rule(n, na, hemisphere=True)
     q, wq = _gauss(nq, 0.0, 1.0)
     g = angular_dilatation_field(mapping, t_pt)
-    # values at t + radii[i]*q[j]*Z[k]
-    vals = _shell_values(g, t_pt, np.outer(radii, q).ravel(), Z)
-    vals = vals.reshape(len(radii), len(q), len(Z)) - 1.0
-    inner = vals @ wz                      # (s, q) surface integrals on unit shells
+    # (s, q) surface integrals of D - 1 on the shells of radius s*q about t
+    inner = _shell_sums(lambda X: g(X) - 1.0, t_pt, np.outer(radii, q).ravel(),
+                        _sphere_rule(n, na, hemisphere=True)).reshape(len(radii), len(q))
     radial = (inner * (q ** (n - 1.0))) @ wq
     return 2.0 * radial / ball_volume(n)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import Mapping, jacobian
+from .maps import Mapping
 
 
 class IrregularPointError(ValueError):
@@ -191,7 +191,22 @@ class DilatationSample:
         }
 
 
-def directional_sample(mapping: Mapping, x, x0, jacobian_mode: str = "analytic") -> DilatationSample:
+def _frame(mapping: Mapping, x0: np.ndarray, X: np.ndarray):
+    """Unit directions u = (X - x0)/|X - x0|, Jacobians A and determinants J at
+    the points X; refuses X = x0 (ValueError) and every J that is not positive
+    and finite (IrregularPointError)."""
+    diff = X - x0
+    d = np.linalg.norm(diff, axis=-1, keepdims=True)
+    if np.any(d == 0.0):
+        raise ValueError("x and x0 must be distinct")
+    A = mapping.jacobian(X)
+    J = np.linalg.det(A)
+    if not np.all((J > 0.0) & (J < np.inf)):
+        raise IrregularPointError("irregular point: Jacobian determinant not positive and finite")
+    return diff / d, A, J
+
+
+def directional_sample(mapping: Mapping, x, x0) -> DilatationSample:
     """Evaluate every dilatation of ``mapping`` at x relative to x0.
 
     Requires x != x0 and a regular, orientation-preserving point (J > 0);
@@ -201,14 +216,8 @@ def directional_sample(mapping: Mapping, x, x0, jacobian_mode: str = "analytic")
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     n = x.shape[-1]
-    d = np.linalg.norm(x - x0)
-    if d == 0.0:
-        raise ValueError("x and x0 must be distinct")
-    u = (x - x0) / d
-    A, J = jacobian(mapping, x, mode=jacobian_mode)
+    u, A, J = _frame(mapping, x0, x)
     J = float(J)
-    if not np.isfinite(J) or J <= 0.0:
-        raise IrregularPointError(f"irregular point: det = {J}")
     mn = min_directional_stretch(A, u)
     mx = max_directional_stretch(A, u)
     return DilatationSample(
@@ -230,14 +239,8 @@ def angular_dilatation_field(mapping: Mapping, x0):
 
     def field(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        n = X.shape[-1]
-        diff = X - x0
-        u = diff / np.linalg.norm(diff, axis=-1, keepdims=True)
-        A = mapping.jacobian(X)
-        J = np.linalg.det(A)
-        if np.any(J <= 0):
-            raise IrregularPointError("irregular point inside the integration region")
-        return J / _min_stretch_batch(A, u) ** n
+        u, A, J = _frame(mapping, x0, X)
+        return J / _min_stretch_batch(A, u) ** X.shape[-1]
 
     return field
 
@@ -254,12 +257,7 @@ def normal_dilatation_field(mapping: Mapping, x0):
     def field(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         n = X.shape[-1]
-        diff = X - x0
-        u = diff / np.linalg.norm(diff, axis=-1, keepdims=True)
-        A = mapping.jacobian(X)
-        J = np.linalg.det(A)
-        if np.any(J <= 0):
-            raise IrregularPointError("irregular point inside the integration region")
+        u, A, J = _frame(mapping, x0, X)
         mx = np.concatenate([_max_stretch_batch(A[s:s + _FIELD_BLOCK], u[s:s + _FIELD_BLOCK])
                              for s in range(0, len(u), _FIELD_BLOCK)])
         return (mx ** n / J) ** (1.0 / (n - 1.0))

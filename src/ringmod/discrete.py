@@ -393,35 +393,24 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
 # image grids
 # ---------------------------------------------------------------------------
 
-def _circular_unwrap(angles: np.ndarray, reference: float) -> float:
-    """Circular mean of ``angles`` unwrapped near ``reference``."""
-    z = np.exp(1j * angles).mean()
-    mean = math.atan2(z.imag, z.real)
-    k = round((reference - mean) / (2.0 * math.pi))
-    return mean + 2.0 * math.pi * k
-
-
-def _angular_drift(mapping: Mapping, shape: Annulus, K: int, samples: int = 64) -> np.ndarray:
+def _angular_drift(mapping: Mapping, shape: Annulus, K: int) -> np.ndarray:
     """Per-layer mean rotation of the image of each circle about the image center.
 
     Pre-rotating layer k by -drift[k] makes the image grid of a rotation-like
     map stay orthogonal (a sheared image grid systematically underestimates
     the modulus).  For maps without angular drift this is ~0 and harmless.
+    Each layer's circular mean angle is unwrapped onto its predecessor by a
+    running count of whole turns.
     """
     radii = np.exp(np.linspace(math.log(shape.r0), math.log(shape.r1), K))
-    th = np.arange(samples) * (2.0 * math.pi / samples)
+    th = np.arange(64) * (2.0 * math.pi / 64)
     ring = np.stack([np.cos(th), np.sin(th)], axis=1)
-    img_inner = mapping(shape.center + radii[0] * ring)
-    center_img = img_inner.mean(axis=0)
-    drift = np.zeros(K)
-    prev = 0.0
-    for k in range(K):
-        pts = mapping(shape.center + radii[k] * ring)
-        rel = pts - center_img
-        dang = np.arctan2(rel[:, 1], rel[:, 0]) - th
-        prev = _circular_unwrap(dang, prev)
-        drift[k] = prev
-    return drift
+    pts = mapping(shape.center + radii[:, None, None] * ring)      # (K, 64, 2)
+    rel = pts - pts[0].mean(axis=0)
+    z = np.exp(1j * (np.arctan2(rel[..., 1], rel[..., 0]) - th)).mean(axis=1)
+    mean = np.arctan2(z.imag, z.real)
+    turns = np.concatenate([[0.0], np.cumsum(np.round(-np.diff(mean) / (2.0 * math.pi)))])
+    return mean + 2.0 * math.pi * turns
 
 
 def build_image_grid(mapping: Mapping, shape: Shape, resolution: tuple[int, int]) -> GridGraph:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from . import __version__
 from . import bounds as bd
 from . import discrete, geometry, maps, special
 from .dilatation import (
@@ -35,8 +36,6 @@ from .dilatation import (
     max_directional_stretch,
     min_directional_stretch,
 )
-
-__version__ = "0.1.0"
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,7 @@ def _gap2(t: float) -> float:
     return mo_teichmuller2(t) - math.log(t)
 
 
-def compute_A2(grid_points: int = 161) -> A2Result:
+def compute_A2() -> A2Result:
     """Numerically maximize mo_teichmuller2(t) - log t over t in (1, inf).
 
     The substitution t = 1 + e^s with s in [-40, 40] compactifies the search;
@@ -105,7 +105,7 @@ def compute_A2(grid_points: int = 161) -> A2Result:
     maximum sits at the open boundary t -> 1+, where the gap tends to pi;
     that boundary supremum is reported with ``attained_at_boundary`` set.
     """
-    s_lo, s_hi = -40.0, 40.0
+    s_lo, s_hi, grid_points = -40.0, 40.0, 161
     ss = [s_lo + i * (s_hi - s_lo) / (grid_points - 1) for i in range(grid_points)]
     vals = [_gap2(1.0 + math.exp(s)) for s in ss]
     i = max(range(grid_points), key=vals.__getitem__)

@@ -112,6 +112,32 @@ def test_quad_weighted_nonconstant():
     assert val == pytest.approx(PI / 2.0, abs=1e-9)
 
 
+def test_quad_refinement_stops_at_tolerance_or_cap():
+    shape = HalfSemiring(n=2, r0=1.0, r1=E)
+    levels = []
+
+    def counted(g):
+        def wrapped(X):
+            levels.append(len(X))
+            return g(X)
+        return wrapped
+
+    # no doubling leaves no error estimate
+    val, err = bounds.quad_weighted_with_error(counted(ONE), shape, QuadratureSpec(max_refine=0))
+    assert val == pytest.approx(PI) and err == math.inf and len(levels) == 1
+    # a constant is exact at every level, so one doubling settles it
+    levels.clear()
+    val, err = bounds.quad_weighted_with_error(counted(ONE), shape)
+    assert val == pytest.approx(PI) and err <= bounds.QUAD_RTOL * PI and len(levels) == 2
+    # a jump in the angle keeps changing the value, so every doubling runs
+    levels.clear()
+    jump = counted(lambda X: (X[:, 1] > X[:, 0]).astype(float))
+    val, err = bounds.quad_weighted_with_error(jump, shape)
+    assert len(levels) == 1 + DEFAULT_SPEC.max_refine
+    assert bounds.QUAD_RTOL * val < err < 1e-2
+    assert val == pytest.approx(0.75 * PI, abs=1e-2)
+
+
 def test_quad_level_evaluated_in_bounded_blocks():
     shape = HalfSemiring(n=3, r0=1.0, r1=E)
     nr, na = 64, 48
@@ -171,8 +197,6 @@ def test_quad_rejects_bad_input():
         quad_weighted(ONE, ApollonianSemiring(n=2, r0=0.1, r1=1.0))
     with pytest.raises(ValueError):
         QuadratureSpec(radial=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.5)
     with pytest.raises(ValueError):
         quad_weighted(lambda X: np.full(len(X), np.nan),
                       HalfSemiring(n=2, r0=1.0, r1=E))

@@ -13,8 +13,10 @@ from ringmod import (
     matrix_dilatations,
     max_directional_stretch,
     min_directional_stretch,
+    psi_D,
 )
-from ringmod.dilatation import normal_dilatation_field
+from ringmod.bounds import modintbound_with_error
+from ringmod.dilatation import angular_dilatation_field, normal_dilatation_field
 from ringmod.harness import _dual_max_stretch
 
 SQ2 = math.sqrt(2.0)
@@ -225,6 +227,19 @@ def test_irregular_points_refused():
     flip = Linear(matrix=np.diag([1.0, -1.0]))    # orientation-reversing
     with pytest.raises(IrregularPointError):
         directional_sample(flip, np.array([1.0, 0.5]), np.zeros(2))
+    # at |x| = 1e3 the Jacobian of x -> |x|^399 x overflows and its determinant is NaN
+    steep, x, x0 = RadialStretch(a=400.0), np.array([600.0, 800.0]), np.zeros(2)
+    assert np.isnan(np.linalg.det(steep.jacobian(x)))
+    with pytest.raises(IrregularPointError):
+        directional_sample(steep, x, x0)
+    with pytest.raises(IrregularPointError):
+        angular_dilatation_field(steep, x0)(x[None])
+    with pytest.raises(IrregularPointError):
+        normal_dilatation_field(steep, x0)(x[None])
+    with pytest.raises(IrregularPointError):
+        psi_D(steep, 1e3, x0)
+    with pytest.raises(IrregularPointError):
+        modintbound_with_error(steep, x0, 1e3, 2e3)
 
 
 @pytest.mark.parametrize("n", [2, 3])
