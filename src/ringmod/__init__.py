@@ -22,7 +22,6 @@ from .maps import (
     Mapping,
     RadialStretch,
     RotationTwist,
-    jacobian,
     parse_map,
     parse_vector,
 )

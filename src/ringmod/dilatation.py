@@ -20,6 +20,10 @@ dilatations D = J / min^n and T = (max^n / J)^(1/(n-1)).  Both can be < 1,
 unlike the classical coefficients.  Both stretches are exact: the minimum in
 the closed form above, the maximum from the real roots of a secular
 polynomial plus the hard-case branch, with no sampling and no iteration.
+
+Every function takes stacks: matrices A of shape (..., n, n), directions u
+and points x of shape (..., n).  Results have the batch shape, and a single
+input gives numpy scalars.
 """
 
 from __future__ import annotations
@@ -37,22 +41,22 @@ class IrregularPointError(ValueError):
 
 @dataclass(frozen=True)
 class MatrixDilatations:
-    norm: float       # largest singular value
-    small: float      # smallest singular value
-    det_abs: float
-    inner: float      # |det| / small^n
-    outer: float      # norm^n / |det|
-    linear: float     # norm / small
+    norm: np.ndarray      # largest singular value
+    small: np.ndarray     # smallest singular value
+    det_abs: np.ndarray
+    inner: np.ndarray     # |det| / small^n
+    outer: np.ndarray     # norm^n / |det|
+    linear: np.ndarray    # norm / small
 
 
 def matrix_dilatations(A) -> MatrixDilatations:
-    """All dilatation coefficients of an invertible matrix."""
+    """All dilatation coefficients of invertible matrices A: (..., n, n)."""
     A = np.asarray(A, dtype=float)
     n = A.shape[-1]
     sv = np.linalg.svd(A, compute_uv=False)
-    big, small = float(sv[0]), float(sv[-1])
-    det = float(np.prod(sv))
-    if big == 0.0 or small < 1e-13 * big:
+    big, small = sv[..., 0], sv[..., -1]
+    det = np.prod(sv, axis=-1)
+    if np.any((big == 0.0) | (small < 1e-13 * big)):
         raise IrregularPointError("matrix is singular")
     return MatrixDilatations(
         norm=big,
@@ -64,17 +68,15 @@ def matrix_dilatations(A) -> MatrixDilatations:
     )
 
 
-def min_directional_stretch(A, u) -> float:
+def min_directional_stretch(A, u):
     """min over |h| = 1 of |Ah| / |h.u|, in closed form 1/|A^{-T} u|.
 
     Substituting g = Ah and Cauchy-Schwarz on h.u = g.(A^{-T}u) shows the
     minimum equals 1/|A^{-T}u|, attained at h parallel to A^{-1}A^{-T}u.
     Directions with h.u = 0 give +inf and never attain the minimum.
     """
-    A = np.asarray(A, dtype=float)
-    u = np.asarray(u, dtype=float)
     try:
-        return float(_min_stretch_batch(A[None], u[None])[0])
+        return _min_stretch_batch(np.asarray(A, dtype=float), np.asarray(u, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise IrregularPointError("matrix is singular") from exc
 
@@ -84,23 +86,36 @@ def _min_stretch_batch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     return 1.0 / np.linalg.norm(v, axis=-1)
 
 
-def max_directional_stretch(A, u) -> float:
+def max_directional_stretch(A, u):
     """max over |h| = 1 of |Ah| * |h.u| for a unit vector u, exactly.
 
     The stationary points on the sphere are enumerated in closed form (see
-    ``_max_stretch_batch``).  The value also equals
+    ``_max_stretch_block``).  The value also equals
     min over k > 0 of lambda_max(A^T A / k + k u u^T) / 2: AM-GM gives
     |Ah| |h.u| <= h^T (A^T A / k + k u u^T) h / 2, and equality holds for the
     best k because the joint numerical range of two quadratic forms is convex
     (Brickman 1961).  The tests use this dual as an independent upper bound.
     """
-    A = np.asarray(A, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return float(_max_stretch_batch(A[None], u[None])[0])
+    return _max_stretch_batch(np.asarray(A, dtype=float), np.asarray(u, dtype=float))
+
+
+# points per call of the maximal-stretch kernel, which needs about 2.5 kB per
+# point at n = 3; a fixed block keeps fine quadrature levels within memory
+_BLOCK = 4096
 
 
 def _max_stretch_batch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """max_directional_stretch for A: (N, n, n) and unit u: (N, n).
+    """max_directional_stretch for A: (..., n, n) and unit u: (..., n) of the
+    same batch shape, in blocks of ``_BLOCK`` points."""
+    n = u.shape[-1]
+    A, U = A.reshape(-1, n, n), u.reshape(-1, n)
+    mx = np.concatenate([_max_stretch_block(A[s:s + _BLOCK], U[s:s + _BLOCK])
+                         for s in range(0, len(U), _BLOCK)])
+    return mx.reshape(u.shape[:-1])[()]
+
+
+def _max_stretch_block(A: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The maximal stretch for A: (N, n, n) and unit u: (N, n).
 
     With B = A^T A = V diag(beta) V^T and y = V^T u, the squared objective
     (h^T B h)(h.u)^2 is stationary on the sphere where (beta_i - alpha) h_i
@@ -158,37 +173,22 @@ def _best_candidate(H: np.ndarray, beta: np.ndarray, y: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class DilatationSample:
-    """All dilatation data of a map at x relative to the reference point x0."""
+    """All dilatation data of a map at points x relative to reference points x0;
+    u has the shape of x, the numbers and ``matrix`` fields its batch shape."""
 
     x: np.ndarray
     x0: np.ndarray
     u: np.ndarray
-    min_stretch: float        # min |Ah|/|h.u|
-    max_stretch: float        # max |Ah| |h.u|
-    angular: float            # D = J / min_stretch^n
-    normal: float             # T = (max_stretch^n / J)^(1/(n-1))
-    jac_det: float
+    min_stretch: np.ndarray   # min |Ah|/|h.u|
+    max_stretch: np.ndarray   # max |Ah| |h.u|
+    angular: np.ndarray       # D = J / min_stretch^n
+    normal: np.ndarray        # T = (max_stretch^n / J)^(1/(n-1))
+    jac_det: np.ndarray
     matrix: MatrixDilatations
 
     def to_json(self) -> dict:
-        return {
-            "x": list(self.x),
-            "x0": list(self.x0),
-            "u": list(self.u),
-            "min_stretch": self.min_stretch,
-            "max_stretch": self.max_stretch,
-            "angular": self.angular,
-            "normal": self.normal,
-            "jac_det": self.jac_det,
-            "matrix": {
-                "norm": self.matrix.norm,
-                "small": self.matrix.small,
-                "det_abs": self.matrix.det_abs,
-                "inner": self.matrix.inner,
-                "outer": self.matrix.outer,
-                "linear": self.matrix.linear,
-            },
-        }
+        return {key: {k: v.tolist() for k, v in vars(value).items()} if key == "matrix"
+                else value.tolist() for key, value in vars(self).items()}
 
 
 def _frame(mapping: Mapping, x0: np.ndarray, X: np.ndarray):
@@ -207,7 +207,8 @@ def _frame(mapping: Mapping, x0: np.ndarray, X: np.ndarray):
 
 
 def directional_sample(mapping: Mapping, x, x0) -> DilatationSample:
-    """Evaluate every dilatation of ``mapping`` at x relative to x0.
+    """Evaluate every dilatation of ``mapping`` at points x: (..., n) relative
+    to x0, one reference point or one per point.
 
     Requires x != x0 and a regular, orientation-preserving point (J > 0);
     anything else raises IrregularPointError rather than extending the
@@ -217,7 +218,6 @@ def directional_sample(mapping: Mapping, x, x0) -> DilatationSample:
     x0 = np.asarray(x0, dtype=float)
     n = x.shape[-1]
     u, A, J = _frame(mapping, x0, x)
-    J = float(J)
     mn = min_directional_stretch(A, u)
     mx = max_directional_stretch(A, u)
     return DilatationSample(
@@ -245,11 +245,6 @@ def angular_dilatation_field(mapping: Mapping, x0):
     return field
 
 
-# points per call of the maximal-stretch kernel, which needs about 2.5 kB per
-# point at n = 3; a fixed block keeps fine quadrature levels within memory
-_FIELD_BLOCK = 4096
-
-
 def normal_dilatation_field(mapping: Mapping, x0):
     """Vectorized x -> T(x, x0); uses the exact batched maximal stretch."""
     x0 = np.asarray(x0, dtype=float)
@@ -258,8 +253,6 @@ def normal_dilatation_field(mapping: Mapping, x0):
         X = np.asarray(X, dtype=float)
         n = X.shape[-1]
         u, A, J = _frame(mapping, x0, X)
-        mx = np.concatenate([_max_stretch_batch(A[s:s + _FIELD_BLOCK], u[s:s + _FIELD_BLOCK])
-                             for s in range(0, len(u), _FIELD_BLOCK)])
-        return (mx ** n / J) ** (1.0 / (n - 1.0))
+        return (_max_stretch_batch(A, u) ** n / J) ** (1.0 / (n - 1.0))
 
     return field

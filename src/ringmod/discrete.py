@@ -68,10 +68,10 @@ class GridGraph:
             raise ValueError("source and sink sets must be nonempty")
         if set(self.source.tolist()) & set(self.sink.tolist()):
             raise ValueError("source and sink sets must be disjoint")
-        if np.any(self.lengths <= 0):
-            raise ValueError("every edge length must be positive")
-        if np.any(self.weights <= 0):
-            raise ValueError("every edge weight must be positive")
+        if not np.all(np.isfinite(self.lengths) & (self.lengths > 0)):
+            raise ValueError("every edge length must be positive and finite")
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
+            raise ValueError("every edge weight must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -217,6 +217,9 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None,
     if mapping is not None:
         pts = mapping(pts)
         crn = mapping(crn.reshape(-1, 2)).reshape(crn.shape)
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(crn))):
+            raise ValueError(f"{mapping.describe()} maps grid nodes or cell corners of the shape "
+                             "to non-finite points")
     return _grid_graph(shape, ids, pts, edges, _shoelace(crn))
 
 

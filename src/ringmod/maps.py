@@ -46,15 +46,13 @@ class Mapping:
         self._check_domain(x)
         return self._jacobian(x)
 
-    def jacobian_fd(self, x, h: float | None = None) -> np.ndarray:
-        """Central-difference Jacobian; componentwise error O(h^2)."""
+    def jacobian_fd(self, x) -> np.ndarray:
+        """Central-difference Jacobian with step h = FD_STEP_SCALE * max(1, |x|);
+        componentwise error O(h^2)."""
         x = _as_points(x)
         self._check_domain(x)
         n = x.shape[-1]
-        if h is None:
-            h = FD_STEP_SCALE * max(1.0, float(np.max(np.linalg.norm(x.reshape(-1, n), axis=-1))))
-        if h <= 0:
-            raise ValueError("finite-difference step must be positive")
+        h = FD_STEP_SCALE * max(1.0, float(np.max(np.linalg.norm(x.reshape(-1, n), axis=-1))))
         cols = []
         for i in range(n):
             e = np.zeros(n)
@@ -234,21 +232,6 @@ class Composition(Mapping):
 
     def describe(self):
         return "compose:" + ";".join(m.describe() for m in self.stages)
-
-
-def jacobian(mapping: Mapping, x, mode: str = "analytic", h: float | None = None):
-    """Jacobian matrix and determinant at x.
-
-    mode 'analytic' uses the exact derivative, 'fd' central differences with
-    step h (default FD_STEP_SCALE * max(1, |x|)).
-    """
-    if mode == "analytic":
-        J = mapping.jacobian(x)
-    elif mode == "fd":
-        J = mapping.jacobian_fd(x, h=h)
-    else:
-        raise ValueError(f"unknown jacobian mode {mode!r}")
-    return J, np.linalg.det(J)
 
 
 def parse_vector(text: str) -> np.ndarray:

@@ -252,3 +252,46 @@ def test_normal_field_matches_pointwise(mapping, n):
     field = normal_dilatation_field(mapping, x0)(X)
     pointwise = [directional_sample(mapping, x, x0).normal for x in X]
     np.testing.assert_allclose(field, pointwise, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batched_calls_match_single_calls(n):
+    rng = np.random.default_rng(60 + n)
+    count = 4100                                   # more than one block of the max-stretch kernel
+    A = rng.standard_normal((count, n, n))
+    u = rng.standard_normal((count, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    md = matrix_dilatations(A)
+    single = [matrix_dilatations(a) for a in A]
+    for name in ("norm", "small", "det_abs", "inner", "outer", "linear"):
+        assert np.array_equal(getattr(md, name), [getattr(m, name) for m in single])
+    for fn in (min_directional_stretch, max_directional_stretch):
+        batched = fn(A, u)
+        assert batched.shape == (count,)
+        assert np.array_equal(batched, [fn(a, v) for a, v in zip(A, u)])
+        assert np.array_equal(fn(A[:35].reshape(5, 7, n, n), u[:35].reshape(5, 7, n)),
+                              batched[:35].reshape(5, 7))
+        assert isinstance(fn(A[0], u[0]), np.float64)
+    assert np.array_equal(matrix_dilatations(A[:35].reshape(5, 7, n, n)).inner,
+                          md.inner[:35].reshape(5, 7))
+
+    for mapping in (RotationTwist(), RadialStretch(a=0.6)):
+        X = rng.standard_normal((50, n))
+        X0 = X + 0.3 * rng.standard_normal((50, n))
+        batch = directional_sample(mapping, X, X0).to_json()
+        points = [directional_sample(mapping, x, x0).to_json() for x, x0 in zip(X, X0)]
+        for key, value in batch.items():
+            parts = value.items() if key == "matrix" else [(key, value)]
+            for name, got in parts:
+                expected = [p["matrix"][name] if key == "matrix" else p[name] for p in points]
+                np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0, err_msg=name)
+
+    # one singular matrix or irregular point anywhere in a batch is refused
+    A[1234] = 0.0
+    with pytest.raises(IrregularPointError):
+        matrix_dilatations(A)
+    with pytest.raises(IrregularPointError):
+        min_directional_stretch(A, u)
+    X = np.concatenate([rng.standard_normal((9, n)), np.full((1, n), 1e3)])
+    with pytest.raises(IrregularPointError):
+        directional_sample(RadialStretch(a=400.0), X, np.zeros(n))

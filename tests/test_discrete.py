@@ -263,6 +263,14 @@ def test_image_twist_matches_direct():
     assert img.mo == pytest.approx(1.0, rel=0.02)
 
 
+def test_image_grid_refuses_overflowing_map():
+    # |x|^399 x overflows at |x| = 1e3, so every mapped node is inf
+    steep = RadialStretch(a=400.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="radial:a=400.*non-finite"):
+        image_modulus(steep, HalfSemiring(n=2, r0=1e3, r1=2e3), (8, 17))
+
+
 def test_disconnected_graph_rejected():
     g = GridGraph(
         nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
@@ -304,5 +312,12 @@ def test_graph_validation():
                   lengths=np.array([1.0]), weights=np.array([1.0]),
                   source=np.array([0]), sink=np.array([0]),
                   p=2.0, dim=2, kind="ring", resolution=(1, 1))
+    for bad in (np.nan, np.inf):
+        for lengths, weights in (([bad], [1.0]), ([1.0], [bad])):
+            with pytest.raises(ValueError, match="finite"):
+                GridGraph(nodes=np.zeros((2, 2)), edges=np.array([[0, 1]]),
+                          lengths=np.array(lengths), weights=np.array(weights),
+                          source=np.array([0]), sink=np.array([1]),
+                          p=2.0, dim=2, kind="ring", resolution=(1, 1))
     with pytest.raises(ValueError, match="exponent"):
         modulus_connect(single_edge_graph(p=1.5))

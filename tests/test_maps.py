@@ -10,7 +10,6 @@ from ringmod import (
     MapDomainError,
     RadialStretch,
     RotationTwist,
-    jacobian,
     parse_map,
 )
 
@@ -50,15 +49,16 @@ def test_fd_matches_analytic(mapping):
         x = rng.standard_normal(2)
         if np.linalg.norm(x) < 0.3:
             continue
-        J, _ = jacobian(mapping, x)
-        Jf, _ = jacobian(mapping, x, mode="fd")
+        J = mapping.jacobian(x)
+        Jf = mapping.jacobian_fd(x)
         assert np.abs(J - Jf).max() <= 1e-4 * max(1.0, np.abs(J).max())
 
 
 def test_radial_stretch_jacobian_structure():
     a = 0.6
     x = np.array([0.0, 1.0])
-    J, det = jacobian(RadialStretch(a=a), x)
+    J = RadialStretch(a=a).jacobian(x)
+    det = np.linalg.det(J)
     sv = np.linalg.svd(J, compute_uv=False)
     assert sorted(sv) == pytest.approx(sorted([a, 1.0]))
     assert det == pytest.approx(a)
@@ -67,7 +67,7 @@ def test_radial_stretch_jacobian_structure():
 def test_composition_chain_rule():
     comp = Composition(stages=(RadialStretch(a=0.7), RotationTwist()))
     x = np.array([0.8, -0.4])
-    J, _ = jacobian(comp, x)
+    J = comp.jacobian(x)
     J1 = RadialStretch(a=0.7).jacobian(x)
     y = RadialStretch(a=0.7)(x)
     J2 = RotationTwist().jacobian(y)
