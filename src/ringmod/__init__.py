@@ -58,12 +58,9 @@ from .discrete import (
 )
 from .bounds import (
     BoundReport,
-    ContinuityBound,
-    DominatedBound,
     DominatingFactor,
     LipschitzConstants,
     QuadratureSpec,
-    TrendReport,
     boundary_estimate,
     continuity_bounds,
     dominated_modulus_bound,

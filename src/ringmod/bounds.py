@@ -13,10 +13,12 @@ the spherical rule, and ``_refine`` doubles the radial and angular node
 counts up to ``max_refine`` times, stopping once the value changes by at
 most QUAD_RTOL relative; the last change is the error estimate.
 
-The bound evaluators return a BoundReport carrying both sides, that
-quadrature error estimate, and a verdict; ``violated`` is only reported when
-the gap exceeds the combined error, otherwise a failed comparison stays
-``inconclusive``.
+Every bound evaluator returns a BoundReport carrying the bound (and, for a
+two-sided check, the other side), the error estimate from refining, and a
+verdict.  One rule judges every checked side: a side that fails by
+``excess`` with combined error ``err`` is ``inconclusive`` when err is not
+finite, ``holds`` when excess <= err + VERDICT_FLOOR and ``violated``
+otherwise; a report takes its worst side.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from scipy.special import roots_jacobi
 
 from .constants import ball_volume, sphere_area
 from .dilatation import angular_dilatation_field, normal_dilatation_field
-from .geometry import Annulus, HalfSemiring, Shape, exact_modulus
+from .geometry import Annulus, HalfSemiring, Shape, exact_modulus, span_area
 from .maps import Mapping, MapDomainError
 from .special import constants_for
 
@@ -57,6 +59,10 @@ DEFAULT_SPEC = QuadratureSpec()
 
 QUAD_RTOL = 1e-7          # relative change at which _refine stops doubling
 QUAD_BLOCK = 1 << 16      # integrand points per call of g in _shell_sums
+# absolute slack of every verdict: sharp cases sit exactly on a bound, and
+# when two quadrature levels agree to the last bit the error estimate is 0,
+# so rounding alone would otherwise decide the verdict
+VERDICT_FLOOR = 1e-10
 
 
 @dataclass
@@ -67,7 +73,7 @@ class BoundReport:
     left: float | None
     right: float | list | None
     error: float
-    verdict: str                      # holds / violated / inconclusive / not-checked
+    verdict: str          # holds / violated / inconclusive / not-checked / extends
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -80,6 +86,22 @@ class BoundReport:
             "details": {k: (list(v) if isinstance(v, np.ndarray) else v)
                         for k, v in self.details.items()},
         }
+
+
+_SEVERITY = ("holds", "inconclusive", "violated")
+
+
+def _side_verdict(excess: float, err: float) -> str:
+    """Verdict of one side of an inequality that fails by ``excess`` (at most
+    0 when it holds exactly), with combined error ``err``."""
+    if not math.isfinite(err):
+        return "inconclusive"
+    return "holds" if excess <= err + VERDICT_FLOOR else "violated"
+
+
+def _worst(*verdicts: str) -> str:
+    """The verdict of a report: the worst of its sides."""
+    return max(verdicts, key=_SEVERITY.index)
 
 
 @lru_cache(maxsize=64)
@@ -143,8 +165,7 @@ def _sphere_rule(n: int, count: int, hemisphere: bool):
 
 def nu_measure(shape: Shape) -> float:
     """Total mass of |x - x0|^(-n) dm over the shape."""
-    half = 0.5 if shape.kind == "semiring" else 1.0
-    return half * sphere_area(shape.n) * exact_modulus(shape)
+    return span_area(shape.kind, shape.n) * exact_modulus(shape)
 
 
 def _check_quad_shape(shape: Shape):
@@ -240,13 +261,8 @@ def eq1est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
         ratio = image_mo / exact_modulus(shape)
         ratio_err = image_mo_error / exact_modulus(shape)
         details["ratio"] = ratio
-        # absolute floor: sharp cases sit exactly on a bound, and when two
-        # quadrature levels agree to the last bit the error estimate is zero,
-        # so rounding alone would decide the verdict
-        floor = 1e-9 * max(1.0, abs(ratio))
-        ok_low = ratio >= lower - err_lower - ratio_err - floor
-        ok_high = ratio <= upper + err_upper + ratio_err + floor
-        verdict = "holds" if (ok_low and ok_high) else "violated"
+        verdict = _worst(_side_verdict(lower - ratio, err_lower + ratio_err),
+                         _side_verdict(ratio - upper, err_upper + ratio_err))
     return BoundReport("eq1est", lower, upper, err_lower + err_upper, verdict, details)
 
 
@@ -260,7 +276,7 @@ def eq2est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
     The lower inequality always applies; the upper one is only claimed when
     mo S >= mo f(S), otherwise it is reported inconclusive.
     """
-    pref = (2.0 if shape.kind == "semiring" else 1.0) / sphere_area(shape.n)
+    pref = 1.0 / span_area(shape.kind, shape.n)
     d_field = angular_dilatation_field(mapping, shape.x0)
     t_field = normal_dilatation_field(mapping, shape.x0)
     I_t, e_t = quad_weighted_with_error(lambda X: t_field(X) - 1.0, shape, spec)
@@ -274,21 +290,12 @@ def eq2est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
     else:
         diff = exact_modulus(shape) - image_mo
         details["difference"] = diff
-        floor = 1e-9 * max(1.0, abs(diff))
-        lower_ok = diff >= lower - pref * e_t - image_mo_error - floor
-        details["lower_verdict"] = "holds" if lower_ok else "violated"
-        if diff >= -image_mo_error - floor:
-            upper_ok = diff <= upper + pref * e_d + image_mo_error + floor
-            details["upper_verdict"] = "holds" if upper_ok else "violated"
+        details["lower_verdict"] = _side_verdict(lower - diff, pref * e_t + image_mo_error)
+        if diff >= -image_mo_error - VERDICT_FLOOR:
+            details["upper_verdict"] = _side_verdict(diff - upper, pref * e_d + image_mo_error)
         else:
-            upper_ok = True
             details["upper_verdict"] = "inconclusive"
-        if not (lower_ok and upper_ok):
-            verdict = "violated"
-        elif details["upper_verdict"] == "inconclusive":
-            verdict = "inconclusive"
-        else:
-            verdict = "holds"
+        verdict = _worst(details["lower_verdict"], details["upper_verdict"])
     return BoundReport("eq2est", lower, upper, err, verdict, details)
 
 
@@ -453,16 +460,22 @@ def is_divergence_type(factor: DominatingFactor, n: int) -> str:
     return "inconclusive"
 
 
-@dataclass(frozen=True)
-class DominatedBound:
-    value: float                # quadrature of the lower-bound integral
-    closed_form: float | None   # exact value for linear factors
-    sigma: float
-    constants: dict
+def _bound_constants(n: int, big_m: float, r0: float, gamma: float | None = None) -> dict:
+    """sigma = log(2 n M / (omega_{n-1} r0^n)) and, for a linear factor of
+    slope gamma, C2 = gamma^(1/(n-1))/n (n = 2) or
+    C1 = (n-1) gamma^(1/(n-1)) / (n (n-2)) and mu = (n-2)/(n-1) (n >= 3)."""
+    out = {"sigma": math.log(2.0 * n * big_m / (sphere_area(n) * r0 ** n))}
+    if gamma is not None:
+        g = gamma ** (1.0 / (n - 1.0))
+        if n == 2:
+            out["c2"] = g / n
+        else:
+            out.update(c1=(n - 1.0) * g / (n * (n - 2.0)), mu=(n - 2.0) / (n - 1.0))
+    return out
 
 
 def dominated_modulus_bound(m: float, big_m: float, r0: float, n: int,
-                            factor: DominatingFactor) -> DominatedBound:
+                            factor: DominatingFactor) -> BoundReport:
     """Lower bound for the image modulus under an exponential-mean constraint.
 
     Integrates 1 / H^{-1}(n t + sigma)^(1/(n-1)) over t in [1/n, m] with
@@ -473,7 +486,8 @@ def dominated_modulus_bound(m: float, big_m: float, r0: float, n: int,
         n >= 3: C1 * ((n m + sigma)^mu - (1 + sigma)^mu),
                 C1 = (n-1) gamma^(1/(n-1)) / (n (n-2)),  mu = (n-2)/(n-1),
 
-    which is also returned for cross-checking the quadrature.
+    which is reported as the right side for cross-checking the quadrature on
+    the left.  The error is the last change of the Gauss refinement.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
@@ -481,11 +495,10 @@ def dominated_modulus_bound(m: float, big_m: float, r0: float, n: int,
         raise ValueError(f"need m > 1/n, got m = {m}")
     if big_m <= 0 or r0 <= 0:
         raise ValueError("need M > 0 and r0 > 0")
-    arg = 2.0 * n * big_m / (sphere_area(n) * r0 ** n)
-    if arg <= 0:
-        raise ValueError("sigma undefined: nonpositive log argument")
-    sigma = math.log(arg)
-    if factor.family == "linear" and 1.0 + sigma <= 0:
+    linear = factor.family == "linear"
+    consts = _bound_constants(n, big_m, r0, factor.gamma if linear else None)
+    sigma = consts["sigma"]
+    if linear and 1.0 + sigma <= 0:
         raise ValueError("integrand undefined: n t + sigma must stay positive")
 
     expo = 1.0 / (n - 1.0)
@@ -497,22 +510,16 @@ def dominated_modulus_bound(m: float, big_m: float, r0: float, n: int,
         t, w = _gauss(96 << k, 1.0 / n, m)
         return float(w @ integrand(t))
 
-    val, _ = _refine(level, 3, rel_tol=1e-12)
+    val, err = _refine(level, 3, rel_tol=1e-12)
 
     closed = None
-    constants: dict = {"sigma": sigma}
-    if factor.family == "linear":
-        g = factor.gamma ** expo
-        if n == 2:
-            c2 = g / n
-            closed = c2 * math.log((n * m + sigma) / (1.0 + sigma))
-            constants.update(c2=c2)
-        else:
-            mu = (n - 2.0) / (n - 1.0)
-            c1 = (n - 1.0) * g / (n * (n - 2.0))
-            closed = c1 * ((n * m + sigma) ** mu - (1.0 + sigma) ** mu)
-            constants.update(c1=c1, mu=mu)
-    return DominatedBound(value=val, closed_form=closed, sigma=sigma, constants=constants)
+    if linear and n == 2:
+        closed = consts["c2"] * math.log((n * m + sigma) / (1.0 + sigma))
+    elif linear:
+        mu = consts["mu"]
+        closed = consts["c1"] * ((n * m + sigma) ** mu - (1.0 + sigma) ** mu)
+    return BoundReport("domfac", val, closed, err, "not-checked",
+                       {**consts, "divergence": is_divergence_type(factor, n)})
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +561,7 @@ def lipschitz_constants(a_n: float, big_m: float, R: float, n: int) -> Lipschitz
         c1=math.exp(a_n + bump) / R,
         c2=math.exp(a_n) / R,
         admissible_radius=R * math.exp(-a_n - bump),
-        conservative=n >= 3,
+        conservative=not constants_for(n).a_is_exact,
     )
 
 
@@ -588,8 +595,9 @@ def holder_identity_check(mapping: Mapping, t_pt, r: float, R: float,
 
     where P is the nu-average of the angular dilatation over S(t; r, R) and
     omega(s) the normalized half-ball average of (angular - 1) at radius s.
-    Both sides are evaluated by quadrature at two refinement levels; the
-    verdict is ``holds`` when they agree within the combined error.
+    Each side is refined on its own: the left through
+    ``quad_weighted_with_error``, the right by doubling the (s, q, z) rule of
+    the omega profile; the verdict compares their gap with the summed error.
     """
     if not 0 < r < R:
         raise ValueError("need 0 < r < R")
@@ -598,23 +606,21 @@ def holder_identity_check(mapping: Mapping, t_pt, r: float, R: float,
         raise ValueError("reference point must lie on the boundary hyperplane")
     n = len(t_pt)
     shape = HalfSemiring(n=n, r0=r, r1=R, center=t_pt)
+    nu, log_ratio = nu_measure(shape), math.log(R / r)
+    P_int, P_err = quad_weighted_with_error(angular_dilatation_field(mapping, t_pt), shape, spec)
+    lhs = (P_int / nu - 1.0) * log_ratio
 
-    def both_sides(nr, na, nq):
-        P_int = _quad_once(angular_dilatation_field(mapping, t_pt), shape, nr, na)
-        P = P_int / nu_measure(shape)
-        lhs = (P - 1.0) * math.log(R / r)
+    def rhs_level(k):
+        nr, na = spec.radial << k, spec.angular << k
         s_nodes, ws = _gauss(nr, math.log(r), math.log(R))
-        omega_mid = _omega_profile(mapping, t_pt, np.exp(s_nodes), nq, na)
-        omega_ends = _omega_profile(mapping, t_pt, np.array([R, r]), nq, na)
-        rhs = (omega_ends[0] - omega_ends[1]) / n + float(ws @ omega_mid)
-        return lhs, rhs
+        omega_mid = _omega_profile(mapping, t_pt, np.exp(s_nodes), nr, na)
+        omega_ends = _omega_profile(mapping, t_pt, np.array([R, r]), nr, na)
+        return (omega_ends[0] - omega_ends[1]) / n + float(ws @ omega_mid)
 
-    lhs1, rhs1 = both_sides(spec.radial, spec.angular, spec.radial)
-    lhs2, rhs2 = both_sides(2 * spec.radial, 2 * spec.angular, 2 * spec.radial)
-    err = abs(lhs2 - lhs1) + abs(rhs2 - rhs1) + 1e-10
-    gap = abs(lhs2 - rhs2)
-    verdict = "holds" if gap <= err else ("violated" if gap > 2.0 * err else "inconclusive")
-    return BoundReport("holder-identity", lhs2, rhs2, err, verdict,
+    rhs, rhs_err = _refine(rhs_level, spec.max_refine)
+    err = P_err / nu * log_ratio + rhs_err
+    gap = abs(lhs - rhs)
+    return BoundReport("holder-identity", lhs, rhs, err, _side_verdict(gap, err),
                        details={"gap": gap})
 
 
@@ -622,22 +628,15 @@ def holder_identity_check(mapping: Mapping, t_pt, r: float, R: float,
 # modulus of continuity at the boundary
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContinuityBound:
-    value: float               # bound on |f(x1)-f(x0)| (n=2) or log|f(x1)-f(x0)| (n>=3)
-    is_log_bound: bool
-    constants: dict
-    conservative: bool
-
-
 def continuity_bounds(n: int, gamma: float, big_m: float, r0: float,
-                      dist: float, separation: float) -> ContinuityBound:
+                      dist: float, separation: float) -> BoundReport:
     """Explicit modulus-of-continuity bound for a linear dominating factor.
 
     n = 2 bounds the displacement by alpha * (log(r0/d))^(-C2); n >= 3 bounds
     its logarithm by -beta * (log(r0/d))^mu + delta, with d = |x1 - x0| and
     the constants assembled from gamma, M, r0 and A_n (upper bound used for
-    n >= 3, which only enlarges the constants).
+    n >= 3, which only enlarges the constants).  n >= 3 needs 1 + sigma > 0.
+    The bound is a closed form, so its error is 0.
     """
     if not 0 < separation < r0:
         raise ValueError("need 0 < |x1 - x0| < r0")
@@ -645,48 +644,38 @@ def continuity_bounds(n: int, gamma: float, big_m: float, r0: float,
         raise ValueError("gamma, M and dist must be positive")
     sc = constants_for(n)
     a = sc.a_value
-    sigma = math.log(2.0 * n * big_m / (sphere_area(n) * r0 ** n))
-    g = gamma ** (1.0 / (n - 1.0))
+    c = _bound_constants(n, big_m, r0, gamma)
     L = math.log(r0 / separation)
+    details = {**c, "a_n": a, "is_log_bound": n >= 3, "conservative": not sc.a_is_exact}
     if n == 2:
-        c2 = g / n
+        c2 = c["c2"]
         alpha = dist * math.exp(a - c2 * math.log(n))
-        return ContinuityBound(
-            value=alpha * L ** (-c2),
-            is_log_bound=False,
-            constants={"alpha": alpha, "c2": c2, "sigma": sigma, "a_n": a},
-            conservative=not sc.a_is_exact,
-        )
-    mu = (n - 2.0) / (n - 1.0)
-    c1 = (n - 1.0) * g / (n * (n - 2.0))
-    beta = c1 * n ** mu
-    delta = a + c1 * (1.0 + sigma) ** mu + math.log(dist)
-    return ContinuityBound(
-        value=-beta * L ** mu + delta,
-        is_log_bound=True,
-        constants={"beta": beta, "delta": delta, "c1": c1, "mu": mu, "sigma": sigma, "a_n": a},
-        conservative=not sc.a_is_exact,
-    )
+        details["alpha"] = alpha
+        value = alpha * L ** (-c2)
+    else:
+        c1, mu, sigma = c["c1"], c["mu"], c["sigma"]
+        if 1.0 + sigma <= 0:
+            raise ValueError(f"need 1 + sigma > 0 for n >= 3, got sigma = {sigma}")
+        beta = c1 * n ** mu
+        delta = a + c1 * (1.0 + sigma) ** mu + math.log(dist)
+        details.update(beta=beta, delta=delta)
+        value = -beta * L ** mu + delta
+    return BoundReport("continuity", value, None, 0.0, "not-checked", details)
 
 
 # ---------------------------------------------------------------------------
 # behavior at infinity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrendReport:
-    radii: tuple
-    values: tuple
-    verdict: str               # extends / inconclusive
-
-
 def infinity_check(field_or_map, r0: float, radii, n: int | None = None,
-                   spec: QuadratureSpec = DEFAULT_SPEC, x0=None) -> TrendReport:
+                   spec: QuadratureSpec = DEFAULT_SPEC, x0=None) -> BoundReport:
     """Decay test of (log R)^(-2) * integral of (D - 1) d nu over S(0; r0, R).
 
     Accepts either a mapping (its angular dilatation about x0 is used) or a
-    raw scalar field x -> D(x).  Verdict ``extends`` needs the sequence to be
-    decreasing with final value below 1e-2; anything else is inconclusive.
+    raw scalar field x -> D(x).  The report's left side is the value at the
+    last radius and its error that radius's quadrature error over (log R)^2.
+    Verdict ``extends`` needs the sequence to be decreasing with final value
+    below 1e-2 and a finite error; anything else is inconclusive.
     """
     radii = list(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])) or not radii:
@@ -710,8 +699,10 @@ def infinity_check(field_or_map, r0: float, radii, n: int | None = None,
         if R <= r0:
             raise ValueError("all radii must exceed r0")
         shape = HalfSemiring(n=n, r0=r0, r1=R, center=x0)
-        I, _ = quad_weighted_with_error(lambda X: np.asarray(field(X)) - 1.0, shape, spec)
+        I, e = quad_weighted_with_error(lambda X: np.asarray(field(X)) - 1.0, shape, spec)
         vals.append(I / math.log(R) ** 2)
+    err = e / math.log(radii[-1]) ** 2
     decreasing = all(b < a + 1e-12 for a, b in zip(vals, vals[1:]))
-    verdict = "extends" if (decreasing and abs(vals[-1]) < 1e-2) else "inconclusive"
-    return TrendReport(radii=tuple(radii), values=tuple(vals), verdict=verdict)
+    extends = decreasing and abs(vals[-1]) < 1e-2 and math.isfinite(err)
+    return BoundReport("infinity", vals[-1], None, err, "extends" if extends else "inconclusive",
+                       details={"values": vals, "radii": radii})

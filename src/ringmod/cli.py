@@ -133,26 +133,17 @@ def _cmd_bounds(args) -> int:
         rep = bd.BoundReport("modintbound", val, None, err, "not-checked",
                              details={"r": shape.r0, "R": shape.r1})
     elif args.which == "domfac":
-        H = bd.DominatingFactor.linear(args.gamma)
-        res = bd.dominated_modulus_bound(args.m, args.M, args.r0, args.n, H)
-        rep = bd.BoundReport("domfac", res.value, res.closed_form,
-                             abs(res.value - (res.closed_form or res.value)), "not-checked",
-                             details={"sigma": res.sigma, **res.constants,
-                                      "divergence": bd.is_divergence_type(H, args.n)})
+        rep = bd.dominated_modulus_bound(args.m, args.M, args.r0, args.n,
+                                         bd.DominatingFactor.linear(args.gamma))
     elif args.which == "holder":
         if shape is None:
             raise ValueError("holder needs --shape (a half semiring)")
         rep = bd.holder_identity_check(mapping, shape.x0, shape.r0, shape.r1, spec)
     elif args.which == "infinity":
         radii = [float(v) for v in args.radii.split(",")]
-        trend = bd.infinity_check(mapping, args.r0, radii, n=args.n)
-        rep = bd.BoundReport("infinity", trend.values[-1], None, 0.0, trend.verdict,
-                             details={"values": list(trend.values), "radii": list(trend.radii)})
+        rep = bd.infinity_check(mapping, args.r0, radii, n=args.n)
     elif args.which == "continuity":
-        res = bd.continuity_bounds(args.n, args.gamma, args.M, args.r0, args.dist, args.d)
-        rep = bd.BoundReport("continuity", res.value, None, 0.0, "not-checked",
-                             details={"is_log_bound": res.is_log_bound,
-                                      "conservative": res.conservative, **res.constants})
+        rep = bd.continuity_bounds(args.n, args.gamma, args.M, args.r0, args.dist, args.d)
     elif args.which == "separation":
         val = bd.separation_bound(args.mo, args.n)
         details = {}
@@ -169,11 +160,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = harness.HarnessConfig(tol_scale=args.tol_scale, jobs=args.jobs)
     agg = harness.run_all(tag=args.filter, config=cfg)
-    text = harness.report_to_json(agg)
-    print(text, end="")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(agg, args)
     if args.csv:
         cols, rows = harness.report_rows(agg)
         harness.emit_csv(args.csv, cols, rows)

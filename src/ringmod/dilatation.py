@@ -109,6 +109,8 @@ def _max_stretch_batch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     same batch shape, in blocks of ``_BLOCK`` points."""
     n = u.shape[-1]
     A, U = A.reshape(-1, n, n), u.reshape(-1, n)
+    if len(U) == 0:
+        return np.empty(u.shape[:-1])
     mx = np.concatenate([_max_stretch_block(A[s:s + _BLOCK], U[s:s + _BLOCK])
                          for s in range(0, len(U), _BLOCK)])
     return mx.reshape(u.shape[:-1])[()]

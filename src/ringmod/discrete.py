@@ -39,8 +39,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import cg
 
-from .constants import sphere_area
-from .geometry import Annulus, ApollonianSemiring, HalfSemiring, Shape
+from .geometry import Annulus, ApollonianSemiring, HalfSemiring, Shape, span_area
 from .maps import Identity, Mapping
 
 
@@ -88,16 +87,11 @@ class ModulusEstimate:
 def mo_from_gamma(m_gamma: float, kind: str, n: int) -> float:
     """Ring/semiring modulus from the connecting-family modulus.
 
-    Rings use (omega_{n-1} / M)^(1/(n-1)); semirings carry the reflection
-    factor 2 next to M.
+    mo = (span_area / M)^(1/(n-1)), the inverse of ``gamma_family_modulus``.
     """
     if m_gamma <= 0:
         raise ValueError(f"connecting-family modulus must be positive, got {m_gamma}")
-    if kind == "ring":
-        return (sphere_area(n) / m_gamma) ** (1.0 / (n - 1.0))
-    if kind == "semiring":
-        return (sphere_area(n) / (2.0 * m_gamma)) ** (1.0 / (n - 1.0))
-    raise ValueError(f"unknown shape kind {kind!r}")
+    return (span_area(kind, n) / m_gamma) ** (1.0 / (n - 1.0))
 
 
 # ---------------------------------------------------------------------------

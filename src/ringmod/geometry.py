@@ -22,101 +22,95 @@ from .constants import sphere_area
 from .maps import parse_vector
 
 
-def _freeze(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float).copy()
+def _read_vector(v, n: int, name: str) -> np.ndarray:
+    """A read-only float copy of v, which must be a finite vector of length n."""
+    v = np.array(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} has wrong dimension")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
     v.setflags(write=False)
     return v
 
 
 @dataclass(frozen=True, eq=False)
-class Annulus:
-    """Spherical ring {r0 <= |x - center| <= r1} in R^n."""
+class _ShapeBase:
+    """Dimension n >= 2 and radii 0 < r0 < r1 < inf, shared by every shape."""
 
     n: int
     r0: float
     r1: float
-    center: np.ndarray = None
-
-    kind = "ring"
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("dimension must be >= 2")
-        if not (0 < self.r0 < self.r1 < math.inf):
-            raise ValueError(f"need 0 < r0 < r1, got ({self.r0}, {self.r1})")
-        c = np.zeros(self.n) if self.center is None else np.asarray(self.center, float)
-        if c.shape != (self.n,):
-            raise ValueError("center has wrong dimension")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("center must be finite")
-        object.__setattr__(self, "center", _freeze(c))
-
-    @property
-    def x0(self) -> np.ndarray:
-        return self.center
-
-
-@dataclass(frozen=True, eq=False)
-class HalfSemiring:
-    """Half ring {x in H^n : r0 <= |x - x0| <= r1}, x0 on the boundary plane.
-
-    The upper half-space H^n is {x : x_n >= 0}; x0 must have last
-    coordinate exactly 0.
-    """
-
-    n: int
-    r0: float
-    r1: float
-    center: np.ndarray = None
-
-    kind = "semiring"
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("dimension must be >= 2")
-        if not (0 < self.r0 < self.r1 < math.inf):
-            raise ValueError(f"need 0 < r0 < r1, got ({self.r0}, {self.r1})")
-        c = np.zeros(self.n) if self.center is None else np.asarray(self.center, float)
-        if c.shape != (self.n,):
-            raise ValueError("center has wrong dimension")
-        if c[-1] != 0.0:
-            raise ValueError("semiring center must lie on the boundary hyperplane x_n = 0")
-        object.__setattr__(self, "center", _freeze(c))
-
-    @property
-    def x0(self) -> np.ndarray:
-        return self.center
-
-
-@dataclass(frozen=True, eq=False)
-class ApollonianSemiring:
-    """Region of the unit ball between two Apollonian spheres about +/- xi.
-
-    The level sets |x - xi| / |x + xi| = const for |xi| = 1 foliate the ball;
-    the shape collects levels in [r0, r1] with 0 < r0 < r1 < inf.
-    """
-
-    n: int
-    r0: float
-    r1: float
-    pole: np.ndarray = None
-
-    kind = "semiring"
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
         if not (0 < self.r0 < self.r1 < math.inf):
             raise ValueError(f"need 0 < r0 < r1 < inf, got ({self.r0}, {self.r1})")
-        p = np.zeros(self.n) if self.pole is None else np.asarray(self.pole, float)
-        if self.pole is None:
-            p[0] = 1.0
-        if p.shape != (self.n,):
-            raise ValueError("pole has wrong dimension")
+
+
+@dataclass(frozen=True, eq=False)
+class Annulus(_ShapeBase):
+    """Spherical ring {r0 <= |x - center| <= r1} in R^n."""
+
+    center: np.ndarray = None
+
+    kind = "ring"
+
+    def __post_init__(self):
+        super().__post_init__()
+        c = np.zeros(self.n) if self.center is None else self.center
+        object.__setattr__(self, "center", _read_vector(c, self.n, "center"))
+
+    @property
+    def x0(self) -> np.ndarray:
+        return self.center
+
+
+@dataclass(frozen=True, eq=False)
+class HalfSemiring(_ShapeBase):
+    """Half ring {x in H^n : r0 <= |x - x0| <= r1}, x0 on the boundary plane.
+
+    The upper half-space H^n is {x : x_n >= 0}; x0 must have last
+    coordinate exactly 0.
+    """
+
+    center: np.ndarray = None
+
+    kind = "semiring"
+
+    def __post_init__(self):
+        super().__post_init__()
+        c = np.zeros(self.n) if self.center is None else self.center
+        c = _read_vector(c, self.n, "center")
+        if c[-1] != 0.0:
+            raise ValueError("semiring center must lie on the boundary hyperplane x_n = 0")
+        object.__setattr__(self, "center", c)
+
+    @property
+    def x0(self) -> np.ndarray:
+        return self.center
+
+
+@dataclass(frozen=True, eq=False)
+class ApollonianSemiring(_ShapeBase):
+    """Region of the unit ball between two Apollonian spheres about +/- xi.
+
+    The level sets |x - xi| / |x + xi| = const for |xi| = 1 foliate the ball;
+    the shape collects levels in [r0, r1] with 0 < r0 < r1 < inf.
+    """
+
+    pole: np.ndarray = None
+
+    kind = "semiring"
+
+    def __post_init__(self):
+        super().__post_init__()
+        p = np.eye(self.n)[0] if self.pole is None else self.pole
+        p = _read_vector(p, self.n, "pole")
         nrm = np.linalg.norm(p)
         if abs(nrm - 1.0) > 1e-6:
             raise ValueError(f"pole must lie on the unit sphere, |xi| = {nrm}")
-        object.__setattr__(self, "pole", _freeze(p / nrm))
+        object.__setattr__(self, "pole", _read_vector(p / nrm, self.n, "pole"))
 
     @property
     def x0(self) -> np.ndarray:
@@ -131,15 +125,21 @@ def exact_modulus(shape: Shape) -> float:
     return math.log(shape.r1 / shape.r0)
 
 
-def gamma_family_modulus(shape: Shape) -> float:
-    """Exact modulus of the family of curves connecting the two boundaries.
+def span_area(kind: str, n: int) -> float:
+    """Area of the sphere of directions a shape of this kind covers:
+    omega_{n-1} for rings, omega_{n-1}/2 for semirings, which are half rings
+    (up to a Moebius map for the Apollonian kind)."""
+    if kind == "ring":
+        return sphere_area(n)
+    if kind == "semiring":
+        return sphere_area(n) / 2.0
+    raise ValueError(f"unknown shape kind {kind!r}")
 
-    Rings give omega_{n-1} * (log(r1/r0))^(1-n); the semiring kinds carry the
-    extra factor 1/2 from reflecting across the flat boundary.
-    """
-    m = exact_modulus(shape)
-    half = 0.5 if shape.kind == "semiring" else 1.0
-    return half * sphere_area(shape.n) * m ** (1 - shape.n)
+
+def gamma_family_modulus(shape: Shape) -> float:
+    """Exact modulus of the family of curves connecting the two boundaries:
+    span_area * (log(r1/r0))^(1-n)."""
+    return span_area(shape.kind, shape.n) * exact_modulus(shape) ** (1 - shape.n)
 
 
 def _parse_kv(body: str):

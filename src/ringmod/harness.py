@@ -391,11 +391,11 @@ def _sc_domfac(cfg):
             H = bd.DominatingFactor.linear(gamma)
             for m in (1.0, 10.0, 100.0):
                 res = bd.dominated_modulus_bound(m, math.pi, 1.0, n, H)
-                worst = max(worst, abs(res.value - res.closed_form) / abs(res.closed_form))
+                worst = max(worst, abs(res.left - res.right) / abs(res.right))
     out.append(_close("closed-form-reldev-27grid", worst, 0.0, 1e-8, "derived", cfg))
     H1 = bd.DominatingFactor.linear(1.0)
-    lo = bd.dominated_modulus_bound(10.0, math.pi, 1.0, 2, H1).value
-    hi = bd.dominated_modulus_bound(1e4, math.pi, 1.0, 2, H1).value
+    lo = bd.dominated_modulus_bound(10.0, math.pi, 1.0, 2, H1).left
+    hi = bd.dominated_modulus_bound(1e4, math.pi, 1.0, 2, H1).left
     out.append(_flag("bound-diverges", hi - lo > 1.0, "literature"))
     return out
 
@@ -424,7 +424,7 @@ def _sc_infinity(cfg):
     radii = [math.exp(5), math.exp(10), math.exp(20), math.exp(40), math.exp(80)]
     rep = bd.infinity_check(maps.RadialStretch(a=0.8), 1.0, radii, n=2)
     out = [_flag("radial-extends", rep.verdict == "extends", "derived")]
-    out.append(_close("radial-last-value", rep.values[-1], 0.25 * math.pi / 80.0, 1e-6,
+    out.append(_close("radial-last-value", rep.left, 0.25 * math.pi / 80.0, 1e-6,
                       "derived", cfg))
 
     def log_field(X):
@@ -434,7 +434,7 @@ def _sc_infinity(cfg):
     out.append(_flag("log-field-inconclusive", rep2.verdict == "inconclusive", "derived"))
     # the tail integral of (log|x|)/|x|^2 makes the normalized values level
     # off at a quarter of the circle length instead of decaying
-    out.append(_close("log-field-limit", rep2.values[-1], math.pi / 2.0,
+    out.append(_close("log-field-limit", rep2.left, math.pi / 2.0,
                       0.05 * math.pi / 2.0, "derived", cfg))
     return out
 
@@ -463,11 +463,11 @@ def _sc_continuity(cfg):
     b3 = bd.continuity_bounds(3, 1.0, math.pi, 1.0, 1.0, 1e-3)
     b2 = bd.continuity_bounds(2, 1.0, math.pi, 1.0, 1.0, 1e-3)
     ds = [1e-2, 1e-4, 1e-8, 1e-16]
-    vals = [bd.continuity_bounds(2, 1.0, math.pi, 1.0, 1.0, d).value for d in ds]
+    vals = [bd.continuity_bounds(2, 1.0, math.pi, 1.0, 1.0, d).left for d in ds]
     return [
-        _close("c2-exponent", b2.constants["c2"], 0.5, 1e-12, "literature", cfg),
-        _close("mu-n3", b3.constants["mu"], 0.5, 1e-12, "derived", cfg),
-        _close("beta-n3", b3.constants["beta"], (2.0 / 3.0) * math.sqrt(3.0), 1e-12,
+        _close("c2-exponent", b2.details["c2"], 0.5, 1e-12, "literature", cfg),
+        _close("mu-n3", b3.details["mu"], 0.5, 1e-12, "derived", cfg),
+        _close("beta-n3", b3.details["beta"], (2.0 / 3.0) * math.sqrt(3.0), 1e-12,
                "derived", cfg),
         _flag("bound-decreasing", all(b < a for a, b in zip(vals, vals[1:])), "trivial"),
     ]
@@ -681,7 +681,7 @@ def sweep(name: str) -> tuple[list[str], list]:
         return ["t", "gap"], rows
     if name == "continuity2":
         ds = np.exp(np.linspace(math.log(1e-9), math.log(0.5), 100))
-        rows = [[float(d), bd.continuity_bounds(2, 1.0, math.pi, 1.0, 1.0, float(d)).value]
+        rows = [[float(d), bd.continuity_bounds(2, 1.0, math.pi, 1.0, 1.0, float(d)).left]
                 for d in ds]
         return ["d", "bound"], rows
     if name == "image-blowup":

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.optimize import minimize_scalar
+
 _AGM_REL_TOL = 1e-15
 _AGM_MAX_ITER = 60
 
@@ -90,7 +92,7 @@ class A2Result:
     value: float
     argmax_t: float
     attained_at_boundary: bool
-    method: str = "grid+golden-section on t = 1 + e^s"
+    method: str = "grid+bounded Brent search on t = 1 + e^s"
 
 
 def _gap2(t: float) -> float:
@@ -101,32 +103,20 @@ def compute_A2() -> A2Result:
     """Numerically maximize mo_teichmuller2(t) - log t over t in (1, inf).
 
     The substitution t = 1 + e^s with s in [-40, 40] compactifies the search;
-    a coarse grid locates the maximum and golden-section refines it.  The
-    maximum sits at the open boundary t -> 1+, where the gap tends to pi;
-    that boundary supremum is reported with ``attained_at_boundary`` set.
+    a coarse grid locates the maximum and scipy's bounded Brent search
+    refines it between the grid neighbours.  The maximum sits at the open
+    boundary t -> 1+, where the gap tends to pi; that boundary supremum is
+    reported with ``attained_at_boundary`` set.
     """
     s_lo, s_hi, grid_points = -40.0, 40.0, 161
     ss = [s_lo + i * (s_hi - s_lo) / (grid_points - 1) for i in range(grid_points)]
     vals = [_gap2(1.0 + math.exp(s)) for s in ss]
     i = max(range(grid_points), key=vals.__getitem__)
 
-    a = ss[max(i - 1, 0)]
-    b = ss[min(i + 1, grid_points - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = _gap2(1.0 + math.exp(c)), _gap2(1.0 + math.exp(d))
-    for _ in range(200):
-        if b - a < 1e-14:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _gap2(1.0 + math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _gap2(1.0 + math.exp(d))
-    s_best = 0.5 * (a + b)
+    res = minimize_scalar(lambda s: -_gap2(1.0 + math.exp(s)), method="bounded",
+                          bounds=(ss[max(i - 1, 0)], ss[min(i + 1, grid_points - 1)]),
+                          options={"xatol": 1e-14})
+    s_best = float(res.x)
     t_best = 1.0 + math.exp(s_best)
     # the interval is open at t = 1; flag a supremum that sits on that edge
     at_boundary = (t_best - 1.0) < 1e-6 or i == 0

@@ -194,11 +194,11 @@ def test_criterion_09_dominating_factor():
         for gamma in (0.5, 1.0, 2.0):
             for m in (1.0, 10.0, 100.0):
                 res = dominated_modulus_bound(m, PI, 1.0, n, DominatingFactor.linear(gamma))
-                worst = max(worst, abs(res.value - res.closed_form) / abs(res.closed_form))
+                worst = max(worst, abs(res.left - res.right) / abs(res.right))
     assert worst < 1e-8
     H = DominatingFactor.linear(1.0)
-    lo = dominated_modulus_bound(10.0, PI, 1.0, 2, H).value
-    hi = dominated_modulus_bound(1e4, PI, 1.0, 2, H).value
+    lo = dominated_modulus_bound(10.0, PI, 1.0, 2, H).left
+    hi = dominated_modulus_bound(1e4, PI, 1.0, 2, H).left
     assert hi - lo > 1.0
     report(9, f"dominating factor: closed form matches quadrature to {worst:.1e} "
               f"over 27 cases; bound grows by {hi - lo:.2f} > 1")
@@ -220,9 +220,9 @@ def test_criterion_11_infinity_check():
     field = lambda X: 1.0 + np.log(np.linalg.norm(X, axis=1))
     rep2 = infinity_check(field, 1.0, [E ** 2, E ** 4, E ** 8], n=2)
     assert rep2.verdict == "inconclusive"
-    assert rep2.values[-1] == pytest.approx(PI / 2.0, rel=0.05)
-    report(11, f"tail trend: radial decays to {rep.values[-1]:.4f} (extends); "
-               f"log field levels at {rep2.values[-1]:.4f} ~ pi/2 (inconclusive)")
+    assert rep2.details["values"][-1] == pytest.approx(PI / 2.0, rel=0.05)
+    report(11, f"tail trend: radial decays to {rep.details['values'][-1]:.4f} (extends); "
+               f"log field levels at {rep2.details['values'][-1]:.4f} ~ pi/2 (inconclusive)")
 
 
 def strip_times(payload):

@@ -407,18 +407,18 @@ def test_dominated_bound_closed_form():
             H = DominatingFactor.linear(gamma)
             for m in (1.0, 10.0, 100.0):
                 res = dominated_modulus_bound(m, PI, 1.0, n, H)
-                assert res.value == pytest.approx(res.closed_form, rel=1e-8)
+                assert res.left == pytest.approx(res.right, rel=1e-8)
 
 
 def test_dominated_bound_constants():
     res = dominated_modulus_bound(10.0, PI, 1.0, 3, DominatingFactor.linear(1.0))
-    assert res.constants["mu"] == pytest.approx(0.5)
-    assert res.constants["c1"] == pytest.approx(2.0 / 3.0)
+    assert res.details["mu"] == pytest.approx(0.5)
+    assert res.details["c1"] == pytest.approx(2.0 / 3.0)
     res2 = dominated_modulus_bound(10.0, PI, 1.0, 2, DominatingFactor.linear(1.0))
-    assert res2.constants["c2"] == pytest.approx(0.5)
+    assert res2.details["c2"] == pytest.approx(0.5)
     # unbounded growth in the shell thickness parameter
-    lo = dominated_modulus_bound(10.0, PI, 1.0, 2, DominatingFactor.linear(1.0)).value
-    hi = dominated_modulus_bound(1e4, PI, 1.0, 2, DominatingFactor.linear(1.0)).value
+    lo = dominated_modulus_bound(10.0, PI, 1.0, 2, DominatingFactor.linear(1.0)).left
+    hi = dominated_modulus_bound(1e4, PI, 1.0, 2, DominatingFactor.linear(1.0)).left
     assert hi - lo > 1.0
     with pytest.raises(ValueError):
         dominated_modulus_bound(0.1, PI, 1.0, 2, DominatingFactor.linear(1.0))
@@ -459,22 +459,54 @@ def test_lipschitz_constants():
 
 def test_continuity_bounds():
     b2 = continuity_bounds(2, 1.0, PI, 1.0, 1.0, 1e-3)
-    assert b2.constants["c2"] == pytest.approx(0.5)
-    assert not b2.is_log_bound
+    assert b2.details["c2"] == pytest.approx(0.5)
+    assert not b2.details["is_log_bound"]
     b3 = continuity_bounds(3, 1.0, PI, 1.0, 1.0, 1e-3)
-    assert b3.is_log_bound
-    assert b3.constants["mu"] == pytest.approx(0.5)
-    assert b3.constants["beta"] == pytest.approx((2.0 / 3.0) * math.sqrt(3.0))
+    assert b3.details["is_log_bound"]
+    assert b3.details["mu"] == pytest.approx(0.5)
+    assert b3.details["beta"] == pytest.approx((2.0 / 3.0) * math.sqrt(3.0))
     ds = [1e-2, 1e-4, 1e-8]
-    vals = [continuity_bounds(2, 1.0, PI, 1.0, 1.0, d).value for d in ds]
+    vals = [continuity_bounds(2, 1.0, PI, 1.0, 1.0, d).left for d in ds]
     assert vals[0] > vals[1] > vals[2]
     with pytest.raises(ValueError):
         continuity_bounds(2, 1.0, PI, 1.0, 1.0, 2.0)   # separation beyond r0
+    with pytest.raises(ValueError):
+        continuity_bounds(3, 1.0, 0.01, 1.0, 1.0, 1e-3)   # 1 + sigma < 0
 
 
 # ---------------------------------------------------------------------------
 # averaged identity and the tail trend
 # ---------------------------------------------------------------------------
+
+def test_unrefined_error_gives_inconclusive():
+    # without a doubling no error is known, so no side can be judged, even
+    # where the comparison fails by far (ratio 5 against a sandwich at 0.8,
+    # defect 0.9 against the bracket [0.2, 0.25])
+    m = RadialStretch(a=0.8)
+    spec = QuadratureSpec(8, 8, max_refine=0)
+    shape = HalfSemiring(n=2, r0=1.0, r1=E)
+    for rep in (eq1est_bounds(m, shape, spec, image_mo=5.0),
+                eq2est_bounds(m, shape, spec, image_mo=0.1),
+                holder_identity_check(m, np.zeros(2), 0.5, 1.0, spec)):
+        assert rep.error == math.inf
+        assert rep.verdict == "inconclusive"
+
+
+def test_every_evaluator_returns_a_bound_report():
+    dom = dominated_modulus_bound(10.0, PI, 1.0, 2, DominatingFactor.linear(1.0))
+    cont = continuity_bounds(2, 1.0, PI, 1.0, 1.0, 1e-3)
+    trend = infinity_check(RadialStretch(a=0.8), 1.0, [E ** 5, E ** 10], n=2)
+    for rep, ident in ((dom, "domfac"), (cont, "continuity"), (trend, "infinity")):
+        assert isinstance(rep, bounds.BoundReport)
+        assert rep.inequality == ident
+        assert rep.to_json()["id"] == ident
+    # the domfac error is the change of the last Gauss doubling
+    assert 0.0 <= dom.error < 1e-12 * dom.left
+    assert dom.details["divergence"] == "divergent"
+    assert cont.error == 0.0 and cont.right is None
+    assert trend.left == trend.details["values"][-1]
+    assert 0.0 <= trend.error < 1e-9
+
 
 def test_holder_identity_trivial_and_constant():
     rep = holder_identity_check(Identity(), np.zeros(2), 0.01, 1.0)
@@ -494,14 +526,14 @@ def test_infinity_trend_extends():
     rep = infinity_check(RadialStretch(a=0.8), 1.0, radii, n=2)
     assert rep.verdict == "extends"
     # closed form: 0.25 * (half circle length) * log(R) / (log R)^2 at r0 = 1
-    assert rep.values[0] == pytest.approx(0.25 * PI / 5.0, rel=1e-6)
-    assert rep.values[-1] < 1e-2
+    assert rep.details["values"][0] == pytest.approx(0.25 * PI / 5.0, rel=1e-6)
+    assert rep.details["values"][-1] < 1e-2
 
 
 def test_infinity_trend_inconclusive():
     field = lambda X: 1.0 + np.log(np.linalg.norm(X, axis=1))
     rep = infinity_check(field, 1.0, [E ** 2, E ** 4, E ** 8], n=2)
     assert rep.verdict == "inconclusive"
-    assert rep.values[-1] == pytest.approx(PI / 2.0, rel=1e-6)
+    assert rep.details["values"][-1] == pytest.approx(PI / 2.0, rel=1e-6)
     with pytest.raises(ValueError):
         infinity_check(field, 1.0, [10.0, 5.0], n=2)

@@ -286,6 +286,16 @@ def test_batched_calls_match_single_calls(n):
                 expected = [p["matrix"][name] if key == "matrix" else p[name] for p in points]
                 np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0, err_msg=name)
 
+    # empty batches give empty results of the batch shape
+    for batch in ((0,), (3, 0)):
+        A0, u0 = np.zeros(batch + (n, n)), np.zeros(batch + (n,))
+        for fn in (min_directional_stretch, max_directional_stretch):
+            assert fn(A0, u0).shape == batch
+        assert matrix_dilatations(A0).inner.shape == batch
+        for mapping in (RotationTwist(), RadialStretch(a=0.6)):
+            assert normal_dilatation_field(mapping, np.zeros(n))(u0).shape == batch
+            assert directional_sample(mapping, u0, np.ones(n)).normal.shape == batch
+
     # one singular matrix or irregular point anywhere in a batch is refused
     A[1234] = 0.0
     with pytest.raises(IrregularPointError):

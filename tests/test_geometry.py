@@ -40,6 +40,12 @@ def test_degenerate_semiring_rejected():
         ApollonianSemiring(n=2, r0=0.1, r1=1.0, pole=np.array([2.0, 0.0]))
     with pytest.raises(ValueError):
         HalfSemiring(n=2, r0=1.0, r1=2.0, center=np.array([0.0, 0.5]))
+    # non-finite vectors are refused by every shape
+    for center in ([math.inf, 0.0], [math.nan, 0.0]):
+        with pytest.raises(ValueError):
+            HalfSemiring(n=2, r0=1.0, r1=2.0, center=center)
+    with pytest.raises(ValueError):
+        ApollonianSemiring(n=2, r0=0.1, r1=1.0, pole=[math.nan, 1.0])
 
 
 def test_gamma_family_values():
