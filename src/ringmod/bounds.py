@@ -368,13 +368,14 @@ def modintbound(mapping: Mapping, x0, r: float, R: float,
 class DominatingFactor:
     """Increasing factor H with exp(H) convex, used to bound exponential means.
 
-    Families: linear H(t) = gamma*t; power H(t) = c*max(t, t0)^alpha with the
-    flatness threshold t0 chosen so exp(H) stays convex; tabulated monotone
-    samples.  ``inverse`` is only defined above H(t0).
+    Families: power H(t) = c*max(t, t0)^alpha with the flatness threshold t0
+    chosen so exp(H) stays convex (``linear(gamma)`` is the power with c =
+    gamma and alpha = 1, where t0 = 0); tabulated monotone samples, held at
+    the first sample below the table.  ``inverse`` is only defined above
+    H(t0), or on the tabulated range.
     """
 
-    family: str                        # linear / power / tabulated
-    gamma: float = 0.0
+    family: str                        # power / tabulated
     coeff: float = 0.0
     alpha: float = 0.0
     t0: float = 0.0
@@ -385,7 +386,7 @@ class DominatingFactor:
     def linear(cls, gamma: float) -> "DominatingFactor":
         if gamma <= 0:
             raise ValueError("linear factor needs gamma > 0")
-        return cls(family="linear", gamma=gamma)
+        return cls.power(gamma, 1.0)
 
     @classmethod
     def power(cls, coeff: float, alpha: float) -> "DominatingFactor":
@@ -405,24 +406,18 @@ class DominatingFactor:
         slopes = np.diff(eh) / np.diff(t)
         if np.any(np.diff(slopes) < -1e-12 * np.abs(slopes[:-1])):
             raise ValueError("tabulated factor fails convexity of exp(H) on the sample grid")
-        return cls(family="tabulated", t0=float(t[0]), table_t=t, table_h=h)
+        return cls(family="tabulated", table_t=t, table_h=h)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if self.family == "linear":
-            return self.gamma * t
         if self.family == "power":
             return self.coeff * np.maximum(t, self.t0) ** self.alpha
-        lo = self.table_h[0]
-        out = np.interp(t, self.table_t, self.table_h)
         if np.any(t > self.table_t[-1]):
             raise ValueError("argument beyond tabulated range")
-        return np.where(t < self.t0, lo, out)
+        return np.interp(t, self.table_t, self.table_h)
 
     def inverse(self, tau):
         tau = np.asarray(tau, dtype=float)
-        if self.family == "linear":
-            return tau / self.gamma
         if self.family == "power":
             if np.any(tau < self.coeff * self.t0 ** self.alpha - 1e-15):
                 raise ValueError("inverse undefined below H(t0)")
@@ -435,15 +430,13 @@ class DominatingFactor:
 def is_divergence_type(factor: DominatingFactor, n: int) -> str:
     """Classify: does the integral of H(t) t^(-n/(n-1)) over [1, inf) diverge?
 
-    Linear factors always diverge; powers diverge exactly when
-    alpha >= 1/(n-1).  Tabulated factors get a numeric growth test on the
-    available range and may come back inconclusive.
+    Powers diverge exactly when alpha >= 1/(n-1), so linear factors
+    (alpha = 1) always do.  Tabulated factors get a numeric growth test on
+    the available range and may come back inconclusive.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
     crit = 1.0 / (n - 1.0)
-    if factor.family == "linear":
-        return "divergent"
     if factor.family == "power":
         return "divergent" if factor.alpha >= crit else "convergent"
     t = factor.table_t
@@ -479,8 +472,8 @@ def dominated_modulus_bound(m: float, big_m: float, r0: float, n: int,
     """Lower bound for the image modulus under an exponential-mean constraint.
 
     Integrates 1 / H^{-1}(n t + sigma)^(1/(n-1)) over t in [1/n, m] with
-    sigma = log(2 n M / (omega_{n-1} r0^n)).  For linear factors the integral
-    has the closed form
+    sigma = log(2 n M / (omega_{n-1} r0^n)).  For linear factors (powers with
+    alpha = 1, slope gamma = c) the integral has the closed form
 
         n = 2:  C2 * log((n m + sigma) / (1 + sigma)),  C2 = gamma^(1/(n-1))/n
         n >= 3: C1 * ((n m + sigma)^mu - (1 + sigma)^mu),
@@ -495,8 +488,8 @@ def dominated_modulus_bound(m: float, big_m: float, r0: float, n: int,
         raise ValueError(f"need m > 1/n, got m = {m}")
     if big_m <= 0 or r0 <= 0:
         raise ValueError("need M > 0 and r0 > 0")
-    linear = factor.family == "linear"
-    consts = _bound_constants(n, big_m, r0, factor.gamma if linear else None)
+    linear = factor.family == "power" and factor.alpha == 1.0
+    consts = _bound_constants(n, big_m, r0, factor.coeff if linear else None)
     sigma = consts["sigma"]
     if linear and 1.0 + sigma <= 0:
         raise ValueError("integrand undefined: n t + sigma must stay positive")
@@ -549,19 +542,22 @@ class LipschitzConstants:
     conservative: bool         # True when built from the A_n upper bound
 
 
-def lipschitz_constants(a_n: float, big_m: float, R: float, n: int) -> LipschitzConstants:
-    """Local Lipschitz constants of the extended boundary map; conservative for
-    n >= 3, where only an upper bound of A_n is known."""
+def lipschitz_constants(big_m: float, R: float, n: int) -> LipschitzConstants:
+    """Local Lipschitz constants of the extended boundary map, with A_n from
+    ``constants_for(n)``; conservative for n >= 3, where only an upper bound
+    of A_n is known."""
     if R <= 0:
         raise ValueError("R must be positive")
     if big_m < 0:
         raise ValueError("M must be nonnegative")
+    sc = constants_for(n)
+    a_n = sc.a_value
     bump = 2.0 * big_m / sphere_area(n)
     return LipschitzConstants(
         c1=math.exp(a_n + bump) / R,
         c2=math.exp(a_n) / R,
         admissible_radius=R * math.exp(-a_n - bump),
-        conservative=not constants_for(n).a_is_exact,
+        conservative=not sc.a_is_exact,
     )
 
 
@@ -598,12 +594,10 @@ def holder_identity_check(mapping: Mapping, t_pt, r: float, R: float,
     Each side is refined on its own: the left through
     ``quad_weighted_with_error``, the right by doubling the (s, q, z) rule of
     the omega profile; the verdict compares their gap with the summed error.
+    The half semiring S(t; r, R) refuses radii outside 0 < r < R and a
+    reference point off the boundary hyperplane.
     """
-    if not 0 < r < R:
-        raise ValueError("need 0 < r < R")
     t_pt = np.asarray(t_pt, dtype=float)
-    if t_pt[-1] != 0.0:
-        raise ValueError("reference point must lie on the boundary hyperplane")
     n = len(t_pt)
     shape = HalfSemiring(n=n, r0=r, r1=R, center=t_pt)
     nu, log_ratio = nu_measure(shape), math.log(R / r)
@@ -667,38 +661,28 @@ def continuity_bounds(n: int, gamma: float, big_m: float, r0: float,
 # behavior at infinity
 # ---------------------------------------------------------------------------
 
-def infinity_check(field_or_map, r0: float, radii, n: int | None = None,
-                   spec: QuadratureSpec = DEFAULT_SPEC, x0=None) -> BoundReport:
-    """Decay test of (log R)^(-2) * integral of (D - 1) d nu over S(0; r0, R).
+def infinity_check(field_or_map, r0: float, radii, x0,
+                   spec: QuadratureSpec = DEFAULT_SPEC) -> BoundReport:
+    """Decay test of (log R)^(-2) * integral of (D - 1) d nu over S(x0; r0, R).
 
     Accepts either a mapping (its angular dilatation about x0 is used) or a
-    raw scalar field x -> D(x).  The report's left side is the value at the
-    last radius and its error that radius's quadrature error over (log R)^2.
-    Verdict ``extends`` needs the sequence to be decreasing with final value
-    below 1e-2 and a finite error; anything else is inconclusive.
+    raw scalar field x -> D(x); the dimension n is len(x0).  Each half
+    semiring S(x0; r0, R) refuses R <= r0 and an x0 off the boundary
+    hyperplane.  The report's left side is the value at the last radius and
+    its error that radius's quadrature error over (log R)^2.  Verdict
+    ``extends`` needs the sequence to be decreasing with final value below
+    1e-2 and a finite error; anything else is inconclusive.
     """
     radii = list(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])) or not radii:
         raise ValueError("radii must be increasing and nonempty")
-    if isinstance(field_or_map, Mapping):
-        if x0 is None:
-            if n is None:
-                raise ValueError("pass n (or x0) when using a mapping")
-            x0 = np.zeros(n)
-        x0 = np.asarray(x0, dtype=float)
-        n = len(x0)
-        field = angular_dilatation_field(field_or_map, x0)
-    else:
-        if n is None:
-            raise ValueError("pass n when using a raw field")
-        field = field_or_map
-        x0 = np.zeros(n) if x0 is None else np.asarray(x0, float)
+    x0 = np.asarray(x0, dtype=float)
+    field = (angular_dilatation_field(field_or_map, x0)
+             if isinstance(field_or_map, Mapping) else field_or_map)
 
     vals = []
     for R in radii:
-        if R <= r0:
-            raise ValueError("all radii must exceed r0")
-        shape = HalfSemiring(n=n, r0=r0, r1=R, center=x0)
+        shape = HalfSemiring(n=len(x0), r0=r0, r1=R, center=x0)
         I, e = quad_weighted_with_error(lambda X: np.asarray(field(X)) - 1.0, shape, spec)
         vals.append(I / math.log(R) ** 2)
     err = e / math.log(radii[-1]) ** 2

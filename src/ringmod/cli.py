@@ -21,6 +21,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import bounds as bd
 from . import discrete, geometry, harness, maps, special
 from .dilatation import directional_sample
@@ -91,10 +93,8 @@ def _cmd_modulus(args) -> int:
     if args.emit_density:
         n = graph.nodes.shape[1]
         cols = [f"x{i+1}_tail" for i in range(n)] + [f"x{i+1}_head" for i in range(n)] + ["rho", "length"]
-        rows = []
-        for eid, (a, b) in enumerate(graph.edges):
-            rows.append(list(graph.nodes[a]) + list(graph.nodes[b])
-                        + [float(est.rho[eid]), float(graph.lengths[eid])])
+        rows = np.hstack([graph.nodes[graph.edges[:, 0]], graph.nodes[graph.edges[:, 1]],
+                          est.rho[:, None], graph.lengths[:, None]])
         harness.emit_csv(args.emit_density, cols, rows)
         payload["density_csv"] = args.emit_density
     _emit(payload, args)
@@ -126,8 +126,8 @@ def _cmd_bounds(args) -> int:
         rep = fn(mapping, shape, spec, image_mo=image_mo,
                  image_mo_error=0.02 * image_mo if image_mo else 0.0)
     elif args.which == "modintbound":
-        if shape is None:
-            raise ValueError("modintbound needs --shape")
+        if not isinstance(shape, (geometry.Annulus, geometry.HalfSemiring)):
+            raise ValueError("modintbound needs --shape annulus:... or semiring:...")
         val, err = bd.modintbound_with_error(mapping, shape.x0, shape.r0, shape.r1, spec,
                                              full_sphere=(shape.kind == "ring"))
         rep = bd.BoundReport("modintbound", val, None, err, "not-checked",
@@ -136,13 +136,15 @@ def _cmd_bounds(args) -> int:
         rep = bd.dominated_modulus_bound(args.m, args.M, args.r0, args.n,
                                          bd.DominatingFactor.linear(args.gamma))
     elif args.which == "holder":
-        if shape is None:
-            raise ValueError("holder needs --shape (a half semiring)")
+        if not isinstance(shape, geometry.HalfSemiring):
+            raise ValueError("holder needs --shape semiring:... (a half semiring)")
         rep = bd.holder_identity_check(mapping, shape.x0, shape.r0, shape.r1, spec)
     elif args.which == "infinity":
         radii = [float(v) for v in args.radii.split(",")]
-        rep = bd.infinity_check(mapping, args.r0, radii, n=args.n)
+        rep = bd.infinity_check(mapping, args.r0, radii, np.zeros(args.n))
     elif args.which == "continuity":
+        if args.dist is None:
+            raise ValueError("continuity needs --dist")
         rep = bd.continuity_bounds(args.n, args.gamma, args.M, args.r0, args.dist, args.d)
     elif args.which == "separation":
         val = bd.separation_bound(args.mo, args.n)

@@ -58,7 +58,6 @@ class GridGraph:
     source: np.ndarray         # node ids on the inner boundary
     sink: np.ndarray           # node ids on the outer boundary
     p: float                   # modulus exponent (ambient dimension for conformal)
-    dim: int
     kind: str                  # "ring" or "semiring" (modulus normalization)
     resolution: tuple
 
@@ -118,7 +117,7 @@ def _grid_graph(shape: Shape, ids: np.ndarray, nodes: np.ndarray, edges: np.ndar
     lengths = np.linalg.norm(nodes[edges[:, 1]] - nodes[edges[:, 0]], axis=1)
     return GridGraph(nodes=nodes, edges=edges, lengths=lengths, weights=weights,
                      source=ids[0].ravel(), sink=ids[-1].ravel(), p=float(shape.n),
-                     dim=shape.n, kind=shape.kind, resolution=ids.shape)
+                     kind=shape.kind, resolution=ids.shape)
 
 
 def _stack_points(*points) -> np.ndarray:
@@ -378,7 +377,7 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     m_gamma = float(np.sum(graph.weights * rho ** p))
     return ModulusEstimate(
         m_gamma=m_gamma,
-        mo=mo_from_gamma(m_gamma, graph.kind, graph.dim),
+        mo=mo_from_gamma(m_gamma, graph.kind, graph.nodes.shape[1]),
         iterations=solves,
         residual=residual,
         resolution=graph.resolution,

@@ -215,10 +215,10 @@ def test_criterion_10_holder_identity():
 
 def test_criterion_11_infinity_check():
     radii = [math.exp(5), math.exp(10), math.exp(20), math.exp(40), math.exp(80)]
-    rep = infinity_check(RadialStretch(a=0.8), 1.0, radii, n=2)
+    rep = infinity_check(RadialStretch(a=0.8), 1.0, radii, np.zeros(2))
     assert rep.verdict == "extends"
     field = lambda X: 1.0 + np.log(np.linalg.norm(X, axis=1))
-    rep2 = infinity_check(field, 1.0, [E ** 2, E ** 4, E ** 8], n=2)
+    rep2 = infinity_check(field, 1.0, [E ** 2, E ** 4, E ** 8], np.zeros(2))
     assert rep2.verdict == "inconclusive"
     assert rep2.details["values"][-1] == pytest.approx(PI / 2.0, rel=0.05)
     report(11, f"tail trend: radial decays to {rep.details['values'][-1]:.4f} (extends); "

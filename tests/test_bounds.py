@@ -30,6 +30,7 @@ from ringmod import (
 from ringmod import bounds
 from ringmod.bounds import DEFAULT_SPEC
 from ringmod.dilatation import angular_dilatation_field
+from ringmod.special import constants_for
 
 E = math.e
 PI = math.pi
@@ -410,6 +411,24 @@ def test_dominated_bound_closed_form():
                 assert res.left == pytest.approx(res.right, rel=1e-8)
 
 
+def test_linear_factor_is_the_power_at_alpha_one():
+    for n in (2, 3):
+        for gamma in (0.5, 2.0):
+            lin = dominated_modulus_bound(10.0, PI, 1.0, n, DominatingFactor.linear(gamma))
+            pw = dominated_modulus_bound(10.0, PI, 1.0, n, DominatingFactor.power(gamma, 1.0))
+            assert pw.right is not None
+            assert (lin.left, lin.right, lin.error) == (pw.left, pw.right, pw.error)
+            assert lin.details["divergence"] == pw.details["divergence"] == "divergent"
+
+
+def test_tabulated_factor_holds_its_first_sample_below_the_table():
+    t = np.linspace(1.0, 4.0, 8)
+    H = DominatingFactor.tabulated(t, 2.0 * t)
+    assert H(0.5) == 2.0 and H(1.0) == 2.0
+    with pytest.raises(ValueError):
+        H(5.0)
+
+
 def test_dominated_bound_constants():
     res = dominated_modulus_bound(10.0, PI, 1.0, 3, DominatingFactor.linear(1.0))
     assert res.details["mu"] == pytest.approx(0.5)
@@ -445,16 +464,24 @@ def test_boundary_estimate():
 
 
 def test_lipschitz_constants():
-    lc = lipschitz_constants(PI, 0.0, 1.0, 2)
+    lc = lipschitz_constants(0.0, 1.0, 2)
     assert lc.c1 == pytest.approx(math.exp(PI))
     assert lc.c2 == pytest.approx(math.exp(PI))
     assert lc.c1 == pytest.approx(23.1407, abs=1e-4)
     assert lc.admissible_radius == pytest.approx(math.exp(-PI))
-    lc2 = lipschitz_constants(PI, 0.0, 2.0, 2)
+    lc2 = lipschitz_constants(0.0, 2.0, 2)
     assert lc2.c1 == pytest.approx(lc.c1 / 2.0)
     assert lc2.c2 == pytest.approx(lc.c2 / 2.0)
-    lc3 = lipschitz_constants(PI, 1.0, 1.0, 2)
+    lc3 = lipschitz_constants(1.0, 1.0, 2)
     assert lc3.c1 > lc3.c2
+
+
+def test_lipschitz_constants_read_a_n_from_the_dimension():
+    R = 2.0
+    lc = lipschitz_constants(0.0, R, 3)
+    assert lc.conservative
+    assert lc.c2 == math.exp(constants_for(3).a_value) / R
+    assert not lipschitz_constants(0.0, R, 2).conservative
 
 
 def test_continuity_bounds():
@@ -495,7 +522,7 @@ def test_unrefined_error_gives_inconclusive():
 def test_every_evaluator_returns_a_bound_report():
     dom = dominated_modulus_bound(10.0, PI, 1.0, 2, DominatingFactor.linear(1.0))
     cont = continuity_bounds(2, 1.0, PI, 1.0, 1.0, 1e-3)
-    trend = infinity_check(RadialStretch(a=0.8), 1.0, [E ** 5, E ** 10], n=2)
+    trend = infinity_check(RadialStretch(a=0.8), 1.0, [E ** 5, E ** 10], np.zeros(2))
     for rep, ident in ((dom, "domfac"), (cont, "continuity"), (trend, "infinity")):
         assert isinstance(rep, bounds.BoundReport)
         assert rep.inequality == ident
@@ -523,17 +550,28 @@ def test_holder_identity_trivial_and_constant():
 
 def test_infinity_trend_extends():
     radii = [math.exp(5), math.exp(10), math.exp(20), math.exp(40), math.exp(80)]
-    rep = infinity_check(RadialStretch(a=0.8), 1.0, radii, n=2)
+    rep = infinity_check(RadialStretch(a=0.8), 1.0, radii, np.zeros(2))
     assert rep.verdict == "extends"
     # closed form: 0.25 * (half circle length) * log(R) / (log R)^2 at r0 = 1
     assert rep.details["values"][0] == pytest.approx(0.25 * PI / 5.0, rel=1e-6)
     assert rep.details["values"][-1] < 1e-2
 
 
+def test_infinity_check_about_a_shifted_center():
+    radii = [math.exp(5), math.exp(10), math.exp(20)]
+    rep = infinity_check(Identity(), 1.0, radii, np.array([3.0, 0.0]))
+    assert rep.verdict == "extends"
+    assert np.allclose(rep.details["values"], 0.0, atol=1e-12)
+    with pytest.raises(ValueError):
+        infinity_check(Identity(), 1.0, [0.5, 2.0], np.zeros(2))   # R <= r0
+    with pytest.raises(ValueError):
+        infinity_check(Identity(), 1.0, radii, np.array([0.0, 1.0]))   # off the plane
+
+
 def test_infinity_trend_inconclusive():
     field = lambda X: 1.0 + np.log(np.linalg.norm(X, axis=1))
-    rep = infinity_check(field, 1.0, [E ** 2, E ** 4, E ** 8], n=2)
+    rep = infinity_check(field, 1.0, [E ** 2, E ** 4, E ** 8], np.zeros(2))
     assert rep.verdict == "inconclusive"
     assert rep.details["values"][-1] == pytest.approx(PI / 2.0, rel=1e-6)
     with pytest.raises(ValueError):
-        infinity_check(field, 1.0, [10.0, 5.0], n=2)
+        infinity_check(field, 1.0, [10.0, 5.0], np.zeros(2))

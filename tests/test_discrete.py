@@ -34,7 +34,6 @@ def single_edge_graph(length=1.0, weight=None, p=2.0):
         source=np.array([0]),
         sink=np.array([1]),
         p=p,
-        dim=2,
         kind="ring",
         resolution=(1, 1),
     )
@@ -62,7 +61,7 @@ def chain_graph(chains, p):
         edges=np.array(edges), lengths=lengths,
         weights=np.array(sigma) * lengths ** p,
         source=np.array(source), sink=np.array(sink),
-        p=p, dim=2, kind="ring", resolution=(len(chains), 1),
+        p=p, kind="ring", resolution=(len(chains), 1),
     )
 
 
@@ -100,7 +99,7 @@ def test_series_and_parallel_edges():
             weights=np.ones(2),
             source=np.array([0]),
             sink=np.array([2]),
-            p=p, dim=2, kind="ring", resolution=(2, 1),
+            p=p, kind="ring", resolution=(2, 1),
         )
         est = modulus_connect(g)
         assert est.m_gamma == pytest.approx(2.0 ** (1.0 - p), abs=1e-5)
@@ -112,7 +111,7 @@ def test_series_and_parallel_edges():
             weights=np.ones(2),
             source=np.array([0, 2]),
             sink=np.array([1, 3]),
-            p=p, dim=2, kind="ring", resolution=(1, 2),
+            p=p, kind="ring", resolution=(1, 2),
         )
         est = modulus_connect(g)
         assert est.m_gamma == pytest.approx(2.0, abs=1e-4)
@@ -279,7 +278,7 @@ def test_disconnected_graph_rejected():
         weights=np.ones(2),
         source=np.array([0]),
         sink=np.array([3]),
-        p=2.0, dim=2, kind="ring", resolution=(1, 1),
+        p=2.0, kind="ring", resolution=(1, 1),
     )
     with pytest.raises(ValueError, match="disconnected"):
         modulus_connect(g)
@@ -306,18 +305,18 @@ def test_graph_validation():
         GridGraph(nodes=np.zeros((2, 2)), edges=np.array([[0, 1]]),
                   lengths=np.array([0.0]), weights=np.array([1.0]),
                   source=np.array([0]), sink=np.array([1]),
-                  p=2.0, dim=2, kind="ring", resolution=(1, 1))
+                  p=2.0, kind="ring", resolution=(1, 1))
     with pytest.raises(ValueError):
         GridGraph(nodes=np.zeros((2, 2)), edges=np.array([[0, 1]]),
                   lengths=np.array([1.0]), weights=np.array([1.0]),
                   source=np.array([0]), sink=np.array([0]),
-                  p=2.0, dim=2, kind="ring", resolution=(1, 1))
+                  p=2.0, kind="ring", resolution=(1, 1))
     for bad in (np.nan, np.inf):
         for lengths, weights in (([bad], [1.0]), ([1.0], [bad])):
             with pytest.raises(ValueError, match="finite"):
                 GridGraph(nodes=np.zeros((2, 2)), edges=np.array([[0, 1]]),
                           lengths=np.array(lengths), weights=np.array(weights),
                           source=np.array([0]), sink=np.array([1]),
-                          p=2.0, dim=2, kind="ring", resolution=(1, 1))
+                          p=2.0, kind="ring", resolution=(1, 1))
     with pytest.raises(ValueError, match="exponent"):
         modulus_connect(single_edge_graph(p=1.5))

@@ -165,6 +165,25 @@ def test_cli_bounds_not_checked(capsys):
         assert json.loads(capsys.readouterr().out)["verdict"] == "not-checked"
 
 
+def test_cli_bounds_holder_needs_a_half_semiring(capsys):
+    assert main(["bounds", "holder", "--shape", "annulus:n=2,r0=0.5,r1=1"]) == 2
+    assert "semiring" in capsys.readouterr().err
+
+
+def test_cli_bounds_modintbound_needs_a_shell(capsys):
+    # an Apollonian shape is no shell about its pole; its x0, r0 and r1 would
+    # give the shell bound log(r1/r0) of a different set
+    assert main(["bounds", "modintbound",
+                 "--shape", "apollonian:n=2,r0=0.1,r1=1,xi=1,0"]) == 2
+    err = capsys.readouterr().err
+    assert "annulus" in err and "semiring" in err
+
+
+def test_cli_bounds_continuity_needs_dist(capsys):
+    assert main(["bounds", "continuity", "--n", "2"]) == 2
+    assert "--dist" in capsys.readouterr().err
+
+
 def test_cli_bounds_eq1est(capsys):
     code = main(["bounds", "eq1est", "--map", "radial:a=0.8",
                  "--shape", "semiring:n=2,r=1,R=2.718281828459045"])
