@@ -63,6 +63,8 @@ QUAD_BLOCK = 1 << 16      # integrand points per call of g in _shell_sums
 # when two quadrature levels agree to the last bit the error estimate is 0,
 # so rounding alone would otherwise decide the verdict
 VERDICT_FLOOR = 1e-10
+# rounding error of a quadrature side relative to its magnitude (8 ulps)
+_SIDE_ROUNDING = 8.0 * float(np.finfo(float).eps)
 
 
 @dataclass
@@ -612,7 +614,9 @@ def holder_identity_check(mapping: Mapping, t_pt, r: float, R: float,
         return (omega_ends[0] - omega_ends[1]) / n + float(ws @ omega_mid)
 
     rhs, rhs_err = _refine(rhs_level, spec.max_refine)
-    err = P_err / nu * log_ratio + rhs_err
+    # where both refinement levels agree to rounding (a constant dilatation)
+    # their change understates the error, so the rounding of the sides is added
+    err = P_err / nu * log_ratio + rhs_err + _SIDE_ROUNDING * (abs(lhs) + abs(rhs))
     gap = abs(lhs - rhs)
     return BoundReport("holder-identity", lhs, rhs, err, _side_verdict(gap, err),
                        details={"gap": gap})

@@ -86,6 +86,7 @@ def _cmd_modulus(args) -> int:
         "m_gamma": est.m_gamma,
         "mo": est.mo,
         "iterations": est.iterations,
+        "cg_iterations": est.cg_iterations,
         "residual": est.residual,
         "resolution": list(est.resolution),
         "n_paths": est.n_paths,

@@ -14,7 +14,12 @@ the minimum of sum_e sigma_e |dphi_e|^p with sigma_e = w_e / len_e^p over
 potentials phi = 0 on the source and 1 on the sink, and the extremal
 density is rho_e = |dphi_e| / len_e.  ``modulus_connect`` finds that
 potential with one Jacobi-preconditioned conjugate-gradient solve for p = 2
-and with Newton's method, one such solve per step, for p > 2.
+and with Newton's method, one such solve per step, for p > 2.  Every solve
+starts from the Galerkin solution over potentials constant on the hop levels
+from the source (the radial shells of a product grid; Nicolaides, "Deflation
+of conjugate gradients", 1987), a tridiagonal system with one unknown per
+level.  On aligned grids the potential is constant on the shells, so CG
+starts converged; elsewhere it removes only what varies along a shell.
 
 Grids are structured log-polar (log-spherical for n = 3) products aligned
 with the shapes, which keeps level sets of the extremal potentials along
@@ -36,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import cg
+from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.linalg import cg, spsolve
 
 from .geometry import Annulus, ApollonianSemiring, HalfSemiring, Shape, span_area
 from .maps import Identity, Mapping
@@ -77,6 +82,7 @@ class ModulusEstimate:
     m_gamma: float             # estimated modulus of the connecting family
     mo: float                  # derived ring/semiring modulus
     iterations: int            # linear solves: 1 for p = 2, 1 + Newton steps for p > 2
+    cg_iterations: int         # CG iterations summed over those solves
     residual: float            # net flux at free nodes relative to that at source and sink
     resolution: tuple
     n_paths: int = 0           # no paths are enumerated; kept for perfbench, which reads it
@@ -304,6 +310,28 @@ def _free_nodes(graph: GridGraph, fixed: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.isin(label, label[fixed]) & ~fixed)
 
 
+def _level_prolongation(graph: GridGraph, free: np.ndarray) -> sp.csr_matrix:
+    """0/1 prolongation (free nodes x levels) from the hop levels of the free nodes.
+
+    A node's level is its hop distance from the source set through nodes off
+    the sink (one BFS from a hub joined to every source node); free nodes the
+    source cannot reach without the sink share the level inf.  On a product
+    grid whose first axis is radial the levels are the radial shells.
+    """
+    N = len(graph.nodes)
+    is_sink = np.zeros(N, dtype=bool)
+    is_sink[graph.sink] = True
+    edges = graph.edges[~is_sink[graph.edges].any(axis=1)]
+    hub = np.full(len(graph.source), N)
+    adj = sp.csr_matrix((np.ones(len(edges) + len(hub)),
+                         (np.concatenate([edges[:, 0], hub]),
+                          np.concatenate([edges[:, 1], graph.source]))), shape=(N + 1, N + 1))
+    hops = dijkstra(adj, directed=False, indices=N, unweighted=True)[free]
+    levels, level = np.unique(hops, return_inverse=True)
+    return sp.csr_matrix((np.ones(len(free)), (np.arange(len(free)), level)),
+                         shape=(len(free), len(levels)))
+
+
 def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     """Discrete p-modulus of the source-to-sink path family, as a p-capacity.
 
@@ -312,9 +340,14 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     and 1 on the sink, and rho = |dphi| / len is the extremal density.  p = 2
     is one Jacobi-preconditioned CG solve of the weighted Laplacian; p > 2
     runs Newton with backtracking on F from the p = 2 potential, one CG
-    solve per step.  rho has rho-length >= 1 on every source-sink path by
-    telescoping, so it is admissible without rescaling and m_gamma = F(phi)
-    is an upper bound on the graph modulus.  Deterministic.
+    solve per step.  Every CG solve starts from the Galerkin solution over
+    potentials constant on the hop levels of ``_level_prolongation`` (the
+    radial shells of a product grid): x0 = P (P^T L P)^-1 P^T rhs, the
+    level-constant vector of least energy error, so CG only has to remove
+    what varies within a level.  rho has rho-length >= 1 on every
+    source-sink path by telescoping, so it is admissible without rescaling
+    and m_gamma = F(phi) is an upper bound on the graph modulus.
+    Deterministic.
     """
     p = graph.p
     if p < 2:
@@ -327,14 +360,24 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
                          (np.tile(np.arange(E), 2), graph.edges.T.ravel())), shape=(E, N))
     inc_free = inc[:, free]
     inc_free_t = inc_free.T.tocsr()
+    prolong = _level_prolongation(graph, free)
+    prolong_t = prolong.T.tocsr()
     sigma = graph.weights / graph.lengths ** p
+    cg_steps = 0
+
+    def count(_):
+        nonlocal cg_steps
+        cg_steps += 1
 
     def solve(c, rhs):
-        """Jacobi-preconditioned CG on the free-node Laplacian with edge weights c."""
+        """Jacobi-preconditioned CG on the free-node Laplacian with edge weights c,
+        started from the Galerkin solution over level-constant potentials."""
         if not len(free):
             return rhs
         L = inc_free_t @ sp.diags(c) @ inc_free
-        x, info = cg(L, rhs, rtol=_CG_RTOL, atol=0.0, M=sp.diags(1.0 / L.diagonal()))
+        x0 = prolong @ spsolve((prolong_t @ L @ prolong).tocsc(), prolong_t @ rhs)
+        x, info = cg(L, rhs, x0=x0, rtol=_CG_RTOL, atol=0.0, M=sp.diags(1.0 / L.diagonal()),
+                     callback=count)
         if info != 0:
             raise ConvergenceError(f"conjugate gradients did not converge (info={info})")
         return x
@@ -379,6 +422,7 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
         m_gamma=m_gamma,
         mo=mo_from_gamma(m_gamma, graph.kind, graph.nodes.shape[1]),
         iterations=solves,
+        cg_iterations=cg_steps,
         residual=residual,
         resolution=graph.resolution,
         rho=rho,

@@ -548,6 +548,16 @@ def test_holder_identity_trivial_and_constant():
         holder_identity_check(Identity(), np.array([0.0, 1.0]), 0.1, 1.0)
 
 
+def test_holder_error_covers_rounding():
+    # a constant angular dilatation: both refinement levels of each side
+    # agree to rounding, and their change (4.5e-16 here) alone is below the
+    # gap of 5.0e-16 between the sides
+    rep = holder_identity_check(RadialStretch(a=0.7628473750715437), np.zeros(2),
+                                0.8552157598941496, 2.6224481633044454)
+    assert 0.0 < rep.details["gap"] <= rep.error < 1e-14
+    assert rep.verdict == "holds"
+
+
 def test_infinity_trend_extends():
     radii = [math.exp(5), math.exp(10), math.exp(20), math.exp(40), math.exp(80)]
     rep = infinity_check(RadialStretch(a=0.8), 1.0, radii, np.zeros(2))

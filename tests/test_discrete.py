@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.linalg import spsolve
 
 from ringmod import (
     Annulus,
@@ -12,6 +13,7 @@ from ringmod import (
     GridGraph,
     HalfSemiring,
     Identity,
+    Linear,
     RadialStretch,
     RotationTwist,
     build_grid,
@@ -82,6 +84,24 @@ def shortest_rho_length(g, rho):
     return dist[t]
 
 
+def direct_m_gamma(g):
+    """p-energy of the potential of one direct sparse solve of the reduced
+    Laplacian with conductances sigma = w / len^p (the p-capacity for p = 2)."""
+    N, p = len(g.nodes), g.p
+    sigma = g.weights / g.lengths ** p
+    i, j = g.edges.T
+    L = sp.coo_matrix((np.concatenate([sigma, sigma, -sigma, -sigma]),
+                       (np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i]))),
+                      shape=(N, N)).tocsr()
+    fixed = np.zeros(N, dtype=bool)
+    fixed[g.source] = fixed[g.sink] = True
+    free = np.flatnonzero(~fixed)
+    phi = np.zeros(N)
+    phi[g.sink] = 1.0
+    phi[free] = spsolve(L[free][:, free].tocsc(), -(L[free] @ phi))
+    return float(sigma @ np.abs(phi[j] - phi[i]) ** p)
+
+
 def test_single_edge():
     est = modulus_connect(single_edge_graph())
     assert est.m_gamma == pytest.approx(1.0, abs=1e-5)
@@ -122,10 +142,50 @@ def test_series_and_parallel_edges():
         exact = sum(chain_modulus(c, p) for c in chains)
         assert est.m_gamma == pytest.approx(exact, rel=1e-9)
         assert est.residual <= 1e-8
+        # chains of unequal lengths mix them on the hop levels, so CG iterates
+        assert est.cg_iterations > 0
         if p == 2.0:
             assert est.iterations == 1
         else:
             assert est.iterations > 2
+
+
+def test_sink_only_component():
+    # nodes 3 and 4 hang off the sink: the source reaches them only through
+    # the sink, so they share the hop level inf, take the sink's potential
+    # and carry no energy
+    for p in (2.0, 3.0):
+        g = GridGraph(
+            nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]),
+            edges=np.array([[0, 1], [1, 2], [2, 3], [3, 4]]),
+            lengths=np.ones(4),
+            weights=np.ones(4),
+            source=np.array([0]),
+            sink=np.array([2]),
+            p=p, kind="ring", resolution=(5, 1),
+        )
+        est = modulus_connect(g)
+        assert est.m_gamma == pytest.approx(2.0 ** (1.0 - p), rel=1e-12)
+        np.testing.assert_allclose(est.rho, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+        assert est.residual <= 1e-8
+
+
+def test_level_start_matches_direct_solve():
+    # grids whose potential is not constant on the radial shells (Apollonian,
+    # a sheared image) and a 3D grid, whose radial p = 2 potential is also
+    # the p = 3 minimizer, against one direct sparse solve
+    shear = Linear(np.array([[1.0, 0.6], [0.0, 1.0]]))
+    for g in (build_grid(ApollonianSemiring(n=2, r0=0.1, r1=1.0), 16, 33),
+              discrete.build_image_grid(shear, HalfSemiring(n=2, r0=1.0, r1=E), (16, 33)),
+              build_grid(Annulus(n=3, r0=1.0, r1=E), 8, 8)):
+        assert modulus_connect(g).m_gamma == pytest.approx(direct_m_gamma(g), rel=1e-10)
+
+
+def test_aligned_annulus_needs_no_cg_iterations():
+    est = modulus_connect(build_grid(Annulus(n=2, r0=1.0, r1=E), 64, 256))
+    assert est.iterations == 1
+    assert est.cg_iterations <= 2
+    assert est.residual <= 1e-8
 
 
 def test_mo_from_gamma():
@@ -217,6 +277,15 @@ def test_refinement_errors_decrease():
         est = modulus_connect(g)
         rels.append(abs(est.m_gamma - TWO_PI) / TWO_PI)
     assert rels[0] > rels[1] > rels[2]
+
+
+def test_three_dimensional_refinement_order():
+    # m_gamma against 4 pi on Annulus(3, 1, e): the error falls by about 4
+    # per doubling, the h^2 order a Richardson estimate assumes
+    errs = [abs(modulus_connect(build_grid(Annulus(n=3, r0=1.0, r1=E), k, k)).m_gamma
+                - 4 * math.pi) for k in (16, 32, 64)]
+    ratios = [errs[0] / errs[1], errs[1] / errs[2]]
+    assert all(3.5 < r < 4.5 for r in ratios), ratios
 
 
 def test_symmetry_principle():

@@ -123,6 +123,8 @@ def test_cli_modulus_with_density(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["m_gamma"] == pytest.approx(2 * math.pi, rel=0.02)
+    # the potential of an aligned annulus is constant on the shells, where CG starts
+    assert out["iterations"] == 1 and out["cg_iterations"] <= 2
     lines = dens.read_text().strip().split("\n")
     assert lines[0] == "x1_tail,x2_tail,x1_head,x2_head,rho,length"
     # every data cell must be a plain parseable float
