@@ -8,18 +8,24 @@ components is approximated by the convex program
 
 where ``len_e`` is the Euclidean edge length (line-integral weight) and
 ``w_e`` is the measure weight of the flow tube the edge represents, so the
-objective is a Riemann sum of the p-energy.  On a finite graph this modulus
-equals the p-capacity (Duffin, "The extremal length of a network", 1962):
-the minimum of sum_e sigma_e |dphi_e|^p with sigma_e = w_e / len_e^p over
-potentials phi = 0 on the source and 1 on the sink, and the extremal
-density is rho_e = |dphi_e| / len_e.  ``modulus_connect`` finds that
-potential with one Jacobi-preconditioned conjugate-gradient solve for p = 2
-and with Newton's method, one such solve per step, for p > 2.  Every solve
-starts from the Galerkin solution over potentials constant on the hop levels
-from the source (the radial shells of a product grid; Nicolaides, "Deflation
-of conjugate gradients", 1987), a tridiagonal system with one unknown per
-level.  On aligned grids the potential is constant on the shells, so CG
-starts converged; elsewhere it removes only what varies along a shell.
+objective is a Riemann sum of the p-energy.  On a finite graph with positive
+weights this modulus equals the p-capacity (Duffin, "The extremal length of
+a network", 1962): the minimum of sum_e sigma_e |dphi_e|^p with
+sigma_e = w_e / len_e^p over potentials phi = 0 on the source and 1 on the
+sink, and the extremal density is rho_e = |dphi_e| / len_e.  That reading
+holds on the 3D grids.  Planar grids carry the P1 (piecewise-linear)
+conductances of a triangulation, which are signed on sheared meshes; there
+the minimum is the P1 Dirichlet energy, and rho stays admissible by
+telescoping, but is no longer the density of a path family.
+
+``modulus_connect`` finds the potential with one Jacobi-preconditioned
+conjugate-gradient solve for p = 2 and with Newton's method, one such solve
+per step, for p > 2.  Every solve starts from the Galerkin solution over
+potentials constant on the hop levels from the source (the radial shells of
+a product grid; Nicolaides, "Deflation of conjugate gradients", 1987), a
+tridiagonal system with one unknown per level.  On aligned grids the
+potential is constant on the shells, so CG starts converged; elsewhere it
+removes only what varies along a shell.
 
 Grids are structured log-polar (log-spherical for n = 3) products aligned
 with the shapes, which keeps level sets of the extremal potentials along
@@ -27,11 +33,13 @@ grid lines and the discretization error small.  Builders are array code over
 the product index grid: node ids form an array with the radial axis first,
 one helper pairs every node with its neighbour along each axis (only the
 angular or azimuthal axis wraps), the first and last radial layers are the
-source and sink, and edge lengths are chords.  Image grids push nodes
-through a mapping, recompute edge lengths as image chords and tube weights
-as image cell areas; for full rings the grid is pre-rotated layer by layer
-to follow the map's angular drift, so that the image grid stays close to
-orthogonal.
+source and sink, and edge lengths are chords.  Planar grids are built from
+node positions alone: each quad gets its local Delaunay diagonal and every
+edge the cotangent weight of the triangles beside it (Pinkall and Polthier,
+"Computing discrete minimal surfaces and their conjugates", 1993), which is
+consistent on any shape-regular mesh.  An image grid is the same grid with
+its nodes pushed through the map, so no map needs special treatment.  The
+3D grids are orthogonal and keep two-point tube weights.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.sparse.linalg import cg, spsolve
 
 from .geometry import Annulus, ApollonianSemiring, HalfSemiring, Shape, span_area
-from .maps import Identity, Mapping
+from .maps import Mapping
 
 
 class ConvergenceError(RuntimeError):
@@ -54,7 +62,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(eq=False)
 class GridGraph:
-    """Weighted discretization of a shape with two marked boundary node sets."""
+    """Weighted discretization of a shape with two marked boundary node sets.
+
+    ``weights / lengths^p`` are the edge conductances.  Weights must be
+    finite; where p != 2 they must also be positive, as Newton needs a convex
+    energy.  At p = 2 the energy is quadratic and signed conductances, such as
+    the P1 cotangent weights of a sheared planar mesh, are allowed.
+    """
 
     nodes: np.ndarray          # (N, n)
     edges: np.ndarray          # (E, 2) int
@@ -73,8 +87,11 @@ class GridGraph:
             raise ValueError("source and sink sets must be disjoint")
         if not np.all(np.isfinite(self.lengths) & (self.lengths > 0)):
             raise ValueError("every edge length must be positive and finite")
-        if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
-            raise ValueError("every edge weight must be positive and finite")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("every edge weight must be finite")
+        if self.p != 2.0 and not np.all(self.weights > 0):
+            raise ValueError("every edge weight must be positive unless p = 2, "
+                             "where the energy is quadratic")
 
 
 @dataclass(frozen=True)
@@ -126,62 +143,16 @@ def _grid_graph(shape: Shape, ids: np.ndarray, nodes: np.ndarray, edges: np.ndar
                      kind=shape.kind, resolution=ids.shape)
 
 
-def _stack_points(*points) -> np.ndarray:
-    """(..., len(points), 2) array of (r, theta) pairs broadcast together."""
-    return np.stack([np.stack(np.broadcast_arrays(r, t), axis=-1) for r, t in points], axis=-2)
-
-
-def _polar_template(K: int, M: int, r0: float, r1: float, wrap: bool, span: float,
-                    offsets: np.ndarray | None):
-    """Log-polar product grid in (r, theta) parameters.
-
-    Returns the node-id array (K, M), node parameters (K*M, 2), the edge list
-    (all radial edges, then all angular ones, each in (k, m) order) and the
-    per-edge flow-tube corner parameters (E, 4, 2).  ``offsets`` rotates
-    every layer k by offsets[k].
-    """
-    radii = np.exp(np.linspace(math.log(r0), math.log(r1), K))
-    if wrap:
-        theta = np.arange(M) * (span / M)
-        dth = span / M
-    else:
-        theta = np.linspace(0.0, span, M)
-        dth = span / (M - 1)
-    off = np.zeros((K, 1)) if offsets is None else np.asarray(offsets, float)[:, None]
-    ids = np.arange(K * M).reshape(K, M)
-    params = _stack_points((radii[:, None], theta + off)).reshape(-1, 2)
-    edges = _grid_edges(ids, 1 if wrap else None)
-
-    r_half = np.sqrt(radii[:-1] * radii[1:])
-    r_lo = np.concatenate([[radii[0]], r_half])[:, None]
-    r_hi = np.concatenate([r_half, [radii[-1]]])[:, None]
-
-    # radial tubes span half an angular step either side, clipped to the span
-    tm, tp = theta - dth / 2, theta + dth / 2
-    if not wrap:
-        tm, tp = np.maximum(tm, 0.0), np.minimum(tp, span)
-    ra, rb, oa, ob = radii[:-1, None], radii[1:, None], off[:-1], off[1:]
-    radial = _stack_points((ra, tm + oa), (ra, tp + oa), (rb, tp + ob), (rb, tm + ob))
-    # angular tubes span the radial half steps about their layer
-    t0 = theta if wrap else theta[:-1]
-    t0, t1 = t0 + off, t0 + dth + off
-    angular = _stack_points((r_lo, t0), (r_lo, t1), (r_hi, t1), (r_hi, t0))
-    corners = np.concatenate([radial.reshape(-1, 4, 2), angular.reshape(-1, 4, 2)])
-    return ids, params, edges, corners
-
-
-def _shoelace(quads: np.ndarray) -> np.ndarray:
-    x, y = quads[..., 0], quads[..., 1]
-    return 0.5 * np.abs(np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1))
-
-
-def _embed_2d(params: np.ndarray) -> np.ndarray:
-    r, t = params[..., 0], params[..., 1]
-    return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+def _cot(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Cotangent of the angle at v of each triangle (u, v, w) of complex points:
+    conj(u - v) (w - v) has the dot product as real and the cross product as
+    imaginary part."""
+    z = np.conj(u - v) * (w - v)
+    return z.real / np.abs(z.imag)
 
 
 def _apollonian_embed(pole: np.ndarray):
-    """Conformal chart of the Apollonian semiring in the plane.
+    """Conformal chart of the Apollonian semiring in the complex plane.
 
     The Moebius map z -> pole * (1 + w)/(1 - w) carries the half-annulus
     {r0 <= |w| <= r1, Re w <= 0} onto the region of the unit disk between two
@@ -189,37 +160,67 @@ def _apollonian_embed(pole: np.ndarray):
     """
     xi = complex(pole[0], pole[1])
 
-    def chart(x: np.ndarray) -> np.ndarray:
-        w = (x[..., 0] + 1j * x[..., 1]) * 1j     # rotate half-plane Re<=0 onto param span
-        z = xi * (1.0 + w) / (1.0 - w)
-        return np.stack([z.real, z.imag], axis=-1)
+    def chart(z: np.ndarray) -> np.ndarray:
+        w = z * 1j                                # rotate half-plane Re<=0 onto param span
+        return xi * (1.0 + w) / (1.0 - w)
 
     return chart
 
 
-def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None,
-              offsets: np.ndarray | None) -> GridGraph:
+def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGraph:
+    """Log-polar product grid, through the shape's chart and then ``mapping``,
+    with the P1 conductances of its triangulation.
+
+    Each quad (k, m), (k+1, m), (k+1, m+1), (k, m+1) is split along the
+    diagonal of larger cotangent weight (the local Delaunay choice).  Every
+    triangle adds half the cotangent of each of its angles to the conductance
+    of the opposite edge (Pinkall and Polthier 1993), so the edge energy
+    sum_e sigma_e dphi_e^2 is the Dirichlet energy of the piecewise-linear
+    potential.  Edges are the radial ones, the angular ones, then one
+    diagonal per quad, each block in (k, m) order; weights = sigma * len^2.
+    """
     if isinstance(shape, ApollonianSemiring):
         wrap, chart = False, _apollonian_embed(shape.pole)
     elif isinstance(shape, (Annulus, HalfSemiring)):
-        wrap, center = isinstance(shape, Annulus), shape.center
+        wrap, center = isinstance(shape, Annulus), complex(*shape.center)
 
-        def chart(x):
-            return x + center
+        def chart(z):
+            return z + center
     else:
         raise TypeError(f"unsupported shape {type(shape).__name__}")
 
-    span = 2.0 * math.pi if wrap else math.pi
-    ids, params, edges, corners = _polar_template(K, M, shape.r0, shape.r1, wrap, span, offsets)
-    pts = chart(_embed_2d(params))
-    crn = chart(_embed_2d(corners))
+    radii = np.exp(np.linspace(math.log(shape.r0), math.log(shape.r1), K))
+    theta = np.arange(M) * (2.0 * math.pi / M) if wrap else np.linspace(0.0, math.pi, M)
+    z = chart(radii[:, None] * np.exp(1j * theta))                  # (K, M) complex nodes
+    pts = np.stack([z.real, z.imag], axis=-1).reshape(-1, 2)
     if mapping is not None:
         pts = mapping(pts)
-        crn = mapping(crn.reshape(-1, 2)).reshape(crn.shape)
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(crn))):
-            raise ValueError(f"{mapping.describe()} maps grid nodes or cell corners of the shape "
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"{mapping.describe()} maps grid nodes of the shape "
                              "to non-finite points")
-    return _grid_graph(shape, ids, pts, edges, _shoelace(crn))
+        z = (pts[:, 0] + 1j * pts[:, 1]).reshape(K, M)
+
+    ids = np.arange(K * M).reshape(K, M)
+    Q = M if wrap else M - 1                      # quads per radial step
+    nxt = np.roll(ids, -1, axis=1)[:, :Q]        # one angular step on
+    zn = np.roll(z, -1, axis=1)[:, :Q]
+    a, b, c, d = z[:-1, :Q], z[1:, :Q], zn[1:], zn[:-1]
+    angle = [_cot(d, a, b), _cot(a, b, c), _cot(b, c, d), _cot(c, d, a)]
+    ac = angle[1] + angle[3] >= angle[0] + angle[2]      # split along a-c, else b-d
+    # each side ab, bc, cd, da takes the cotangent at the corner opposite it
+    # in its triangle, the first of the pair for an a-c split
+    s_ab, s_bc, s_cd, s_da = (_cot(u, np.where(ac, o_ac, o_bd), w) for u, w, o_ac, o_bd in
+                              ((a, b, c, d), (b, c, a, d), (c, d, a, b), (d, a, c, b)))
+    pad = ((0, 0), (0, M - Q))        # a semiring layer has one radial edge more than quads
+    sigma = 0.5 * np.concatenate([
+        (np.pad(s_ab, pad) + np.roll(np.pad(s_cd, pad), 1, axis=1)).ravel(),
+        (np.pad(s_da, ((0, 1), (0, 0))) + np.pad(s_bc, ((1, 0), (0, 0)))).ravel(),
+        np.where(ac, angle[1] + angle[3], angle[0] + angle[2]).ravel()])
+    diagonal = np.where(ac[..., None], np.stack([ids[:-1, :Q], nxt[1:]], axis=-1),
+                        np.stack([ids[1:, :Q], nxt[:-1]], axis=-1))
+    edges = np.concatenate([_grid_edges(ids, 1 if wrap else None), diagonal.reshape(-1, 2)])
+    chord = z.ravel()[edges[:, 1]] - z.ravel()[edges[:, 0]]
+    return _grid_graph(shape, ids, pts, edges, sigma * np.abs(chord) ** 2)
 
 
 def _build_3d(shape: Shape, K: int, J: int) -> GridGraph:
@@ -279,7 +280,7 @@ def build_grid(shape: Shape, radial_cells: int, angular_cells: int) -> GridGraph
     if radial_cells < 8 or angular_cells < 8:
         raise ValueError("resolution too small: need at least 8 cells each way")
     if shape.n == 2:
-        return _build_2d(shape, radial_cells, angular_cells, None, None)
+        return _build_2d(shape, radial_cells, angular_cells, None)
     if shape.n == 3:
         return _build_3d(shape, radial_cells, angular_cells)
     raise NotImplementedError("grids are implemented for n in {2, 3}")
@@ -345,9 +346,12 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     radial shells of a product grid): x0 = P (P^T L P)^-1 P^T rhs, the
     level-constant vector of least energy error, so CG only has to remove
     what varies within a level.  rho has rho-length >= 1 on every
-    source-sink path by telescoping, so it is admissible without rescaling
-    and m_gamma = F(phi) is an upper bound on the graph modulus.
-    Deterministic.
+    source-sink path by telescoping, so it is admissible without rescaling.
+    With positive weights (the 3D grids) m_gamma = F(phi) is an upper bound
+    on the graph modulus; on planar grids it is the P1 Dirichlet energy of
+    the piecewise-linear potential.  Signed conductances are accepted as long
+    as every free node has a positive Laplacian diagonal, which the Jacobi
+    preconditioner needs; otherwise ValueError.  Deterministic.
     """
     p = graph.p
     if p < 2:
@@ -375,6 +379,8 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
         if not len(free):
             return rhs
         L = inc_free_t @ sp.diags(c) @ inc_free
+        if np.any(L.diagonal() <= 0):
+            raise ValueError("a free node has a non-positive Laplacian diagonal")
         x0 = prolong @ spsolve((prolong_t @ L @ prolong).tocsc(), prolong_t @ rhs)
         x, info = cg(L, rhs, x0=x0, rtol=_CG_RTOL, atol=0.0, M=sp.diags(1.0 / L.diagonal()),
                      callback=count)
@@ -433,42 +439,19 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
 # image grids
 # ---------------------------------------------------------------------------
 
-def _angular_drift(mapping: Mapping, shape: Annulus, K: int) -> np.ndarray:
-    """Per-layer mean rotation of the image of each circle about the image center.
-
-    Pre-rotating layer k by -drift[k] makes the image grid of a rotation-like
-    map stay orthogonal (a sheared image grid systematically underestimates
-    the modulus).  For maps without angular drift this is ~0 and harmless.
-    Each layer's circular mean angle is unwrapped onto its predecessor by a
-    running count of whole turns.
-    """
-    radii = np.exp(np.linspace(math.log(shape.r0), math.log(shape.r1), K))
-    th = np.arange(64) * (2.0 * math.pi / 64)
-    ring = np.stack([np.cos(th), np.sin(th)], axis=1)
-    pts = mapping(shape.center + radii[:, None, None] * ring)      # (K, 64, 2)
-    rel = pts - pts[0].mean(axis=0)
-    z = np.exp(1j * (np.arctan2(rel[..., 1], rel[..., 0]) - th)).mean(axis=1)
-    mean = np.arctan2(z.imag, z.real)
-    turns = np.concatenate([[0.0], np.cumsum(np.round(-np.diff(mean) / (2.0 * math.pi)))])
-    return mean + 2.0 * math.pi * turns
-
-
 def build_image_grid(mapping: Mapping, shape: Shape, resolution: tuple[int, int]) -> GridGraph:
     """Grid of the image of ``shape`` under ``mapping``.
 
-    Every grid node is pushed through the map, edge lengths become image chord
-    lengths and tube weights image cell areas.  Planar shapes only; the map
-    must be nonsingular on the closed shape.
+    Every grid node is pushed through the map, and the conductances are the
+    P1 cotangent weights of the image triangulation (see ``_build_2d``).
+    Planar shapes only; the map must be nonsingular on the closed shape.
     """
     if shape.n != 2:
         raise NotImplementedError("image grids are implemented for n = 2")
     K, M = resolution
     if K < 8 or M < 8:
         raise ValueError("resolution too small: need at least 8 cells each way")
-    offsets = None
-    if isinstance(shape, Annulus) and not isinstance(mapping, Identity):
-        offsets = -_angular_drift(mapping, shape, K)
-    return _build_2d(shape, K, M, mapping, offsets)
+    return _build_2d(shape, K, M, mapping)
 
 
 def image_modulus(mapping: Mapping, shape: Shape, resolution: tuple[int, int]) -> ModulusEstimate:

@@ -120,6 +120,13 @@ def _close(name, actual, expected, tol, provenance, cfg: HarnessConfig) -> Check
     return CheckResult(name, expected, float(actual), tol_eff, provenance, ok)
 
 
+def _in_bracket(name, actual, lo, hi, tol, provenance, cfg: HarnessConfig) -> CheckResult:
+    """Check that ``actual`` lies within ``tol`` of the interval [lo, hi]."""
+    tol_eff = tol / cfg.tol_scale
+    ok = math.isfinite(actual) and lo - tol_eff <= actual <= hi + tol_eff
+    return CheckResult(name, f"[{lo}, {hi}]", float(actual), tol_eff, provenance, ok)
+
+
 def _flag(name, condition: bool, provenance, expected="true") -> CheckResult:
     return CheckResult(name, expected, "true" if condition else "false", 0.0, provenance, bool(condition))
 
@@ -535,15 +542,25 @@ def _sc_solver_symmetry(cfg):
     return [_close("half-vs-full-reldev", rel, 0.0, 0.03, "derived", cfg)]
 
 
-@_register("solver-image-invariance", ("solver",), "twist image matches the direct ring estimate")
+@_register("solver-image-invariance", ("solver",),
+           "twist image matches the direct ring estimate; sheared images meet certified brackets")
 def _sc_solver_image(cfg):
     shape = geometry.Annulus(n=2, r0=1.0, r1=math.e)
+    half = geometry.HalfSemiring(n=2, r0=1.0, r1=math.e)
     direct = discrete.modulus_connect(discrete.build_grid(shape, 64, 256))
     img = discrete.image_modulus(maps.RotationTwist(), shape, (64, 256))
     rel = abs(img.mo - direct.mo) / direct.mo
+    # brackets from conforming P1 energies of the connecting and the conjugate
+    # problem on nested polygons; the twisted semiring is the parallelogram
+    # {0 <= s <= 1, 0 <= phi - 2 s <= pi} in log-polar coordinates
+    shear = discrete.image_modulus(maps.Linear(np.array([[1.0, 0.6], [0.0, 1.0]])), shape,
+                                   (32, 128))
+    twisted = discrete.image_modulus(maps.RotationTwist(), half, (64, 129))
     return [
         _close("image-vs-direct-reldev", rel, 0.0, 0.01, "derived", cfg),
         _close("image-mo", img.mo, 1.0, 0.02, "derived", cfg),
+        _in_bracket("shear-image-mo", shear.mo, 0.881555, 0.881637, 5e-3, "derived", cfg),
+        _in_bracket("twisted-semiring-mo", twisted.mo, 1.69068, 1.69821, 5e-3, "derived", cfg),
     ]
 
 

@@ -198,16 +198,34 @@ def test_mo_from_gamma():
         mo_from_gamma(1.0, "blob", 2)
 
 
+def assert_quad_diagonals(g, quads):
+    """The last (K - 1) * quads edges are one diagonal per quad (k, m), (k+1, m),
+    (k+1, m+1), (k, m+1), in (k, m) order, joining opposite corners."""
+    K, M = g.resolution
+    k, m = np.divmod(np.arange((K - 1) * quads), quads)
+
+    def pair(k0, m0, k1, m1):
+        return np.sort(np.stack([k0 * M + m0 % M, k1 * M + m1 % M], axis=1), axis=1)
+
+    diag = np.sort(g.edges[-len(k):], axis=1)
+    ac = np.all(diag == pair(k, m, k + 1, m + 1), axis=1)
+    bd = np.all(diag == pair(k + 1, m, k, m + 1), axis=1)
+    assert np.all(ac | bd)
+
+
 def test_build_grid_structure():
+    # planar grids: radial, angular, then one diagonal per quad
     g = build_grid(Annulus(n=2, r0=1.0, r1=E), 16, 64)
     assert len(g.nodes) == 16 * 64
-    assert len(g.edges) == 15 * 64 + 16 * 64
+    assert len(g.edges) == 15 * 64 + 16 * 64 + 15 * 64
     assert len(g.source) == 64 and len(g.sink) == 64
     assert not set(g.source) & set(g.sink)
+    assert_quad_diagonals(g, 64)
     g = build_grid(HalfSemiring(n=2, r0=1.0, r1=E), 16, 33)
     assert len(g.nodes) == 16 * 33
-    assert len(g.edges) == 15 * 33 + 16 * 32
+    assert len(g.edges) == 15 * 33 + 16 * 32 + 15 * 32
     assert len(g.source) == 33 and len(g.sink) == 33
+    assert_quad_diagonals(g, 32)
     # semiring nodes stay in the closed upper half plane
     assert g.nodes[:, 1].min() >= -1e-12
     with pytest.raises(ValueError):
@@ -236,6 +254,46 @@ def test_build_grid_structure():
         layer = np.minimum(tail[radial, 0], head[radial, 0])
         sums = np.bincount(layer, weights=g.weights[radial], minlength=K - 1)
         np.testing.assert_allclose(sums, c * r_half ** 2 * np.diff(radii), rtol=1e-12, atol=0)
+
+
+def shoelace(xy):
+    x, y = xy[:, 0], xy[:, 1]
+    return 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def boundary_area(g):
+    """Area inside the boundary polygon of a planar product grid: the outer
+    layer less the inner one for a ring, one closed loop for a semiring."""
+    K, M = g.resolution
+    ids = np.arange(K * M).reshape(K, M)
+    if g.kind == "ring":
+        return shoelace(g.nodes[ids[-1]]) - shoelace(g.nodes[ids[0]])
+    loop = np.concatenate([ids[0], ids[1:, -1], ids[-1, -2::-1], ids[-2:0:-1, 0]])
+    return shoelace(g.nodes[loop])
+
+
+SHEAR = Linear(np.array([[1.0, 0.6], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_grid(Annulus(n=2, r0=1.0, r1=E), 16, 64),
+    lambda: build_grid(HalfSemiring(n=2, r0=0.5, r1=2.0, center=np.array([0.3, 0.0])), 16, 33),
+    lambda: build_grid(ApollonianSemiring(n=2, r0=0.1, r1=1.0), 16, 33),
+    lambda: discrete.build_image_grid(RotationTwist(), Annulus(n=2, r0=1.0, r1=E), (16, 64)),
+    lambda: discrete.build_image_grid(RotationTwist(), HalfSemiring(n=2, r0=1.0, r1=E), (16, 33)),
+    lambda: discrete.build_image_grid(SHEAR, Annulus(n=2, r0=1.0, r1=E), (16, 64)),
+    lambda: discrete.build_image_grid(SHEAR, HalfSemiring(n=2, r0=1.0, r1=E), (16, 33)),
+], ids=["aligned-ring", "aligned-semiring", "apollonian", "twist-ring", "twist-semiring",
+        "shear-ring", "shear-semiring"])
+def test_planar_patch(build):
+    g = build()
+    # the edge energy of a linear potential a.x is the P1 Dirichlet energy
+    # |a|^2 area, whatever the mesh's shear or the signs of its conductances
+    sigma = g.weights / g.lengths ** 2
+    dx = g.nodes[g.edges[:, 1]] - g.nodes[g.edges[:, 0]]
+    area = boundary_area(g)
+    for a in (np.array([1.0, 0.0]), np.array([0.3, -1.7])):
+        assert sigma @ (dx @ a) ** 2 == pytest.approx((a @ a) * area, rel=1e-12)
 
 
 def test_apollonian_grid_in_unit_ball():
@@ -331,6 +389,25 @@ def test_image_twist_matches_direct():
     assert img.mo == pytest.approx(1.0, rel=0.02)
 
 
+def test_linear_images_within_certified_brackets():
+    # brackets from conforming P1 energies of the connecting and the
+    # conjugate problem on nested polygonal rings at 128x512
+    ring = Annulus(n=2, r0=1.0, r1=E)
+    for matrix, (lo, hi) in ((np.diag([2.0, 1.0]), (0.843596, 0.843679)),
+                             (np.array([[1.0, 0.6], [0.0, 1.0]]), (0.881555, 0.881637))):
+        mo = image_modulus(Linear(matrix), ring, (64, 256)).mo
+        assert lo * (1.0 - 2e-4) <= mo <= hi * (1.0 + 2e-4), (matrix.tolist(), mo)
+
+
+def test_twisted_semiring_within_certified_bracket():
+    # in log-polar coordinates the image is the parallelogram
+    # {0 <= s <= 1, 0 <= phi - 2 s <= pi}, certified at 129x385; its corners
+    # slow convergence (the error falls by about 2.4 per doubling), so the
+    # grid value trails the bracket by about 3e-3
+    mo = image_modulus(RotationTwist(), HalfSemiring(n=2, r0=1.0, r1=E), (64, 129)).mo
+    assert 1.69068 - 5e-3 <= mo <= 1.69821 + 5e-3, mo
+
+
 def test_image_grid_refuses_overflowing_map():
     # |x|^399 x overflows at |x| = 1e3, so every mapped node is inf
     steep = RadialStretch(a=400.0)
@@ -389,3 +466,14 @@ def test_graph_validation():
                           p=2.0, kind="ring", resolution=(1, 1))
     with pytest.raises(ValueError, match="exponent"):
         modulus_connect(single_edge_graph(p=1.5))
+    # Newton needs a convex energy: no non-positive weight where p > 2
+    with pytest.raises(ValueError, match="positive"):
+        single_edge_graph(weight=-1.0, p=3.0)
+    # p = 2 takes signed conductances, but the Jacobi preconditioner needs a
+    # positive Laplacian diagonal at every free node; node 1 has 1 - 1 = 0
+    g = GridGraph(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+                  edges=np.array([[0, 1], [1, 2]]), lengths=np.ones(2),
+                  weights=np.array([1.0, -1.0]), source=np.array([0]), sink=np.array([2]),
+                  p=2.0, kind="ring", resolution=(3, 1))
+    with pytest.raises(ValueError, match="diagonal"):
+        modulus_connect(g)
