@@ -244,7 +244,7 @@ def eq1est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
     lower = (nu-average of the angular dilatation)^(1/(1-n)),
     upper = nu-average of the normal dilatation.  When ``image_mo`` is given
     the verdict checks lower <= image_mo / mo S <= upper within the combined
-    error estimates.
+    error estimates, and the reported error includes image_mo_error / mo S.
     """
     n = shape.n
     nu = nu_measure(shape)
@@ -255,6 +255,7 @@ def eq1est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
     upper = avg_t
     err_lower = abs(lower / avg_d) * (e_d / nu) / (n - 1.0)
     err_upper = e_t / nu
+    error = err_lower + err_upper
     details = {"avg_angular": avg_d, "avg_normal": avg_t,
                "err_lower": err_lower, "err_upper": err_upper}
     if image_mo is None:
@@ -262,10 +263,11 @@ def eq1est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
     else:
         ratio = image_mo / exact_modulus(shape)
         ratio_err = image_mo_error / exact_modulus(shape)
-        details["ratio"] = ratio
+        details.update(ratio=ratio, image_mo_error=image_mo_error)
+        error += ratio_err
         verdict = _worst(_side_verdict(lower - ratio, err_lower + ratio_err),
                          _side_verdict(ratio - upper, err_upper + ratio_err))
-    return BoundReport("eq1est", lower, upper, err_lower + err_upper, verdict, details)
+    return BoundReport("eq1est", lower, upper, error, verdict, details)
 
 
 def eq2est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT_SPEC,
@@ -276,7 +278,8 @@ def eq2est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
     upper = +pref * integral of (angular - 1) d nu,
     with pref = 2/omega_{n-1} on half shapes and 1/omega_{n-1} on rings.
     The lower inequality always applies; the upper one is only claimed when
-    mo S >= mo f(S), otherwise it is reported inconclusive.
+    mo S >= mo f(S), otherwise it is reported inconclusive.  With
+    ``image_mo`` the reported error includes ``image_mo_error``.
     """
     pref = 1.0 / span_area(shape.kind, shape.n)
     d_field = angular_dilatation_field(mapping, shape.x0)
@@ -291,7 +294,8 @@ def eq2est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
         verdict = "inconclusive"
     else:
         diff = exact_modulus(shape) - image_mo
-        details["difference"] = diff
+        details.update(difference=diff, image_mo_error=image_mo_error)
+        err += image_mo_error
         details["lower_verdict"] = _side_verdict(lower - diff, pref * e_t + image_mo_error)
         if diff >= -image_mo_error - VERDICT_FLOOR:
             details["upper_verdict"] = _side_verdict(diff - upper, pref * e_d + image_mo_error)

@@ -20,9 +20,11 @@ telescoping, but is no longer the density of a path family.
 
 ``modulus_connect`` finds the potential with one Jacobi-preconditioned
 conjugate-gradient solve for p = 2 and with Newton's method, one such solve
-per step, for p > 2.  Every solve starts from the Galerkin solution over
-potentials constant on the hop levels from the source (the radial shells of
-a product grid; Nicolaides, "Deflation of conjugate gradients", 1987), a
+per step, for p > 2.  One BFS from the source through nodes off the sink
+finds the free nodes (those it reaches; the others take the sink's potential
+and carry no energy) and their hop levels.  Every solve starts from the
+Galerkin solution over potentials constant on the levels (the radial shells
+of a product grid; Nicolaides, "Deflation of conjugate gradients", 1987), a
 tridiagonal system with one unknown per level.  On aligned grids the
 potential is constant on the shells, so CG starts converged; elsewhere it
 removes only what varies along a shell.
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import cg, spsolve
 
 from .geometry import Annulus, ApollonianSemiring, HalfSemiring, Shape, span_area
@@ -296,41 +298,35 @@ _NEWTON_CAP = 50       # Newton steps before ConvergenceError
 _WEIGHT_FLOOR = 1e-12  # Hessian weights floored at this multiple of their maximum
 
 
-def _free_nodes(graph: GridGraph, fixed: np.ndarray) -> np.ndarray:
-    """Nodes off the source and sink in components that touch either.
-
-    Components touching neither carry no energy (their potential stays 0);
-    dropping them keeps the reduced Laplacian nonsingular.
-    """
-    N = len(graph.nodes)
-    adj = sp.coo_matrix((np.ones(len(graph.edges)), (graph.edges[:, 0], graph.edges[:, 1])),
-                        shape=(N, N))
-    _, label = connected_components(adj, directed=False)
-    if not np.intersect1d(label[graph.source], label[graph.sink]).size:
-        raise ValueError("graph is disconnected between source and sink")
-    return np.flatnonzero(np.isin(label, label[fixed]) & ~fixed)
-
-
-def _level_prolongation(graph: GridGraph, free: np.ndarray) -> sp.csr_matrix:
-    """0/1 prolongation (free nodes x levels) from the hop levels of the free nodes.
+def _level_prolongation(graph: GridGraph) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Free nodes and the 0/1 prolongation (free nodes x levels) of their hop levels.
 
     A node's level is its hop distance from the source set through nodes off
-    the sink (one BFS from a hub joined to every source node); free nodes the
-    source cannot reach without the sink share the level inf.  On a product
-    grid whose first axis is radial the levels are the radial shells.
+    the sink (one BFS from a hub joined to every source node).  The free
+    nodes are the nodes off the source and sink that this BFS reaches; every
+    other node off the source and sink touches at most the sink.  The graph
+    is disconnected between source and sink exactly when no sink edge has
+    its other end reached.  On a product grid whose first axis is radial the
+    levels are the radial shells.
     """
     N = len(graph.nodes)
     is_sink = np.zeros(N, dtype=bool)
     is_sink[graph.sink] = True
-    edges = graph.edges[~is_sink[graph.edges].any(axis=1)]
+    at_sink = is_sink[graph.edges]
+    edges = graph.edges[~at_sink.any(axis=1)]
     hub = np.full(len(graph.source), N)
     adj = sp.csr_matrix((np.ones(len(edges) + len(hub)),
                          (np.concatenate([edges[:, 0], hub]),
                           np.concatenate([edges[:, 1], graph.source]))), shape=(N + 1, N + 1))
-    hops = dijkstra(adj, directed=False, indices=N, unweighted=True)[free]
-    levels, level = np.unique(hops, return_inverse=True)
-    return sp.csr_matrix((np.ones(len(free)), (np.arange(len(free)), level)),
-                         shape=(len(free), len(levels)))
+    hops = dijkstra(adj, directed=False, indices=N, unweighted=True)[:N]
+    reached = np.isfinite(hops)
+    if not reached[graph.edges[at_sink[:, ::-1]]].any():
+        raise ValueError("graph is disconnected between source and sink")
+    reached[graph.source] = False
+    free = np.flatnonzero(reached)
+    levels, level = np.unique(hops[free], return_inverse=True)
+    return free, sp.csr_matrix((np.ones(len(free)), (np.arange(len(free)), level)),
+                               shape=(len(free), len(levels)))
 
 
 def modulus_connect(graph: GridGraph) -> ModulusEstimate:
@@ -338,10 +334,11 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
 
     With sigma = w / len^p the modulus is the minimum of
     F(phi) = sum_e sigma_e |dphi_e|^p over potentials phi = 0 on the source
-    and 1 on the sink, and rho = |dphi| / len is the extremal density.  p = 2
-    is one Jacobi-preconditioned CG solve of the weighted Laplacian; p > 2
-    runs Newton with backtracking on F from the p = 2 potential, one CG
-    solve per step.  Every CG solve starts from the Galerkin solution over
+    and 1 on the sink, and rho = |dphi| / len is the extremal density.  The
+    unknowns are the nodes the source reaches without crossing the sink; the
+    others take the sink's potential.  p = 2 is one Jacobi-preconditioned CG
+    solve of the weighted Laplacian; p > 2 runs Newton with backtracking on F
+    from the p = 2 potential, one CG solve per step.  Every CG solve starts from the Galerkin solution over
     potentials constant on the hop levels of ``_level_prolongation`` (the
     radial shells of a product grid): x0 = P (P^T L P)^-1 P^T rhs, the
     level-constant vector of least energy error, so CG only has to remove
@@ -359,12 +356,11 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     E, N = len(graph.edges), len(graph.nodes)
     fixed = np.zeros(N, dtype=bool)
     fixed[graph.source] = fixed[graph.sink] = True
-    free = _free_nodes(graph, fixed)
+    free, prolong = _level_prolongation(graph)
     inc = sp.csr_matrix((np.repeat([-1.0, 1.0], E),
                          (np.tile(np.arange(E), 2), graph.edges.T.ravel())), shape=(E, N))
     inc_free = inc[:, free]
     inc_free_t = inc_free.T.tocsr()
-    prolong = _level_prolongation(graph, free)
     prolong_t = prolong.T.tocsr()
     sigma = graph.weights / graph.lengths ** p
     cg_steps = 0
@@ -391,8 +387,8 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     def energy(x):
         return float(sigma @ np.abs(inc @ x) ** p)
 
-    phi = np.zeros(N)
-    phi[graph.sink] = 1.0
+    phi = np.ones(N)          # nodes the source does not reach take the sink's potential
+    phi[graph.source] = phi[free] = 0.0
     phi[free] = solve(sigma, -(inc_free_t @ (sigma * (inc @ phi))))
     solves = 1
     while True:

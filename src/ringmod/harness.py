@@ -500,7 +500,7 @@ def _sc_solver_annulus(cfg):
     g = discrete.build_grid(geometry.Annulus(n=2, r0=1.0, r1=math.e), 64, 256)
     est = discrete.modulus_connect(g)
     rel = abs(est.m_gamma - 2.0 * math.pi) / (2.0 * math.pi)
-    return [_close("annulus-64x256-reldev", rel, 0.0, 0.02, "derived", cfg)]
+    return [_close("annulus-64x256-reldev", rel, 0.0, 1e-3, "derived", cfg)]
 
 
 @_register("solver-semiring", ("solver",), "half ring estimate against the closed form")
@@ -508,7 +508,7 @@ def _sc_solver_semiring(cfg):
     g = discrete.build_grid(geometry.HalfSemiring(n=2, r0=1.0, r1=math.e), 64, 129)
     est = discrete.modulus_connect(g)
     rel = abs(est.m_gamma - math.pi) / math.pi
-    return [_close("semiring-64x129-reldev", rel, 0.0, 0.02, "literature", cfg)]
+    return [_close("semiring-64x129-reldev", rel, 0.0, 1e-3, "literature", cfg)]
 
 
 @_register("solver-apollonian", ("solver",), "bipolar-chart estimate against the closed form")
@@ -516,7 +516,7 @@ def _sc_solver_apollonian(cfg):
     g = discrete.build_grid(geometry.ApollonianSemiring(n=2, r0=0.1, r1=1.0), 64, 129)
     est = discrete.modulus_connect(g)
     rel = abs(est.mo - math.log(10.0)) / math.log(10.0)
-    return [_close("apollonian-mo-reldev", rel, 0.0, 0.03, "literature", cfg)]
+    return [_close("apollonian-mo-reldev", rel, 0.0, 1e-3, "literature", cfg)]
 
 
 @_register("solver-refinement", ("solver",), "error decreases under grid refinement")
@@ -528,7 +528,7 @@ def _sc_solver_refine(cfg):
         rels.append(abs(est.m_gamma - 2.0 * math.pi) / (2.0 * math.pi))
     return [
         _flag("refinement-decreasing", rels[0] > rels[1] > rels[2], "derived"),
-        _close("finest-reldev", rels[2], 0.0, 0.02, "derived", cfg),
+        _close("finest-reldev", rels[2], 0.0, 1e-3, "derived", cfg),
     ]
 
 
@@ -539,7 +539,7 @@ def _sc_solver_symmetry(cfg):
     ea = discrete.modulus_connect(ga)
     es = discrete.modulus_connect(gs)
     rel = abs(es.m_gamma - ea.m_gamma / 2.0) / (ea.m_gamma / 2.0)
-    return [_close("half-vs-full-reldev", rel, 0.0, 0.03, "derived", cfg)]
+    return [_close("half-vs-full-reldev", rel, 0.0, 1e-9, "derived", cfg)]
 
 
 @_register("solver-image-invariance", ("solver",),
@@ -557,8 +557,8 @@ def _sc_solver_image(cfg):
                                    (32, 128))
     twisted = discrete.image_modulus(maps.RotationTwist(), half, (64, 129))
     return [
-        _close("image-vs-direct-reldev", rel, 0.0, 0.01, "derived", cfg),
-        _close("image-mo", img.mo, 1.0, 0.02, "derived", cfg),
+        _close("image-vs-direct-reldev", rel, 0.0, 1e-3, "derived", cfg),
+        _close("image-mo", img.mo, 1.0, 1e-3, "derived", cfg),
         _in_bracket("shear-image-mo", shear.mo, 0.881555, 0.881637, 5e-3, "derived", cfg),
         _in_bracket("twisted-semiring-mo", twisted.mo, 1.69068, 1.69821, 5e-3, "derived", cfg),
     ]
@@ -573,10 +573,10 @@ def _sc_solver_ratio(cfg):
     rep = bd.eq1est_bounds(maps.RadialStretch(a=a), shape,
                            image_mo=est.mo, image_mo_error=0.02 * est.mo)
     return [
-        _close("image-ratio", ratio, a, 0.02 * a, "derived", cfg),
+        _close("image-ratio", ratio, a, 1e-3, "derived", cfg),
         _flag("sandwich-holds", rep.verdict == "holds", "derived"),
         _close("identity-image", discrete.image_modulus(
-            maps.Identity(), shape, (48, 97)).mo, 1.0, 0.02, "trivial", cfg),
+            maps.Identity(), shape, (48, 97)).mo, 1.0, 1e-3, "trivial", cfg),
     ]
 
 

@@ -30,6 +30,7 @@ from ringmod import (
 from ringmod import bounds
 from ringmod.bounds import DEFAULT_SPEC
 from ringmod.dilatation import angular_dilatation_field
+from ringmod.geometry import exact_modulus
 from ringmod.special import constants_for
 
 E = math.e
@@ -274,6 +275,27 @@ def test_modintbound_stays_below_image_estimate():
     est2 = image_modulus(RotationTwist(), ring, (32, 128))
     lower2 = modintbound(RotationTwist(), np.zeros(2), 1.0, E, full_sphere=True)
     assert lower2 <= est2.mo + 0.02 * est2.mo
+
+
+def test_image_error_is_reported():
+    # the twisted semiring's image modulus with the CLI's 2 percent error: the
+    # verdict allows that error, so the reported error must include it
+    shape = HalfSemiring(n=2, r0=1.0, r1=E)
+    image_mo = 1.685
+    image_mo_error = 0.02 * image_mo
+    rep = eq1est_bounds(RotationTwist(), shape, image_mo=image_mo, image_mo_error=image_mo_error)
+    assert rep.details["image_mo_error"] == image_mo_error
+    assert rep.error >= 0.02 * rep.details["ratio"]
+    assert rep.error == pytest.approx(rep.details["err_lower"] + rep.details["err_upper"]
+                                      + image_mo_error / exact_modulus(shape), rel=1e-12)
+    rep2 = eq2est_bounds(RotationTwist(), shape, image_mo=image_mo, image_mo_error=image_mo_error)
+    assert rep2.details["image_mo_error"] == image_mo_error
+    assert rep2.error == pytest.approx(rep2.details["err_lower"] + rep2.details["err_upper"]
+                                       + image_mo_error, rel=1e-12)
+    # without an image the error is the quadrature error alone
+    bare = eq1est_bounds(RotationTwist(), shape)
+    assert "image_mo_error" not in bare.details
+    assert bare.error == bare.details["err_lower"] + bare.details["err_upper"]
 
 
 def test_eq2est_expanding_map_inconclusive_upper():

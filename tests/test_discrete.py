@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,8 +153,8 @@ def test_series_and_parallel_edges():
 
 def test_sink_only_component():
     # nodes 3 and 4 hang off the sink: the source reaches them only through
-    # the sink, so they share the hop level inf, take the sink's potential
-    # and carry no energy
+    # the sink, so they are not free, take the sink's potential and carry no
+    # energy
     for p in (2.0, 3.0):
         g = GridGraph(
             nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]),
@@ -168,6 +169,15 @@ def test_sink_only_component():
         assert est.m_gamma == pytest.approx(2.0 ** (1.0 - p), rel=1e-12)
         np.testing.assert_allclose(est.rho, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
         assert est.residual <= 1e-8
+        # a triangle 5, 6, 7 touching neither the source nor the sink is left
+        # out of the solve and carries no energy either
+        est_isolated = modulus_connect(replace(
+            g, nodes=np.vstack([g.nodes, [[0.0, 1.0], [1.0, 1.0], [0.0, 2.0]]]),
+            edges=np.vstack([g.edges, [[5, 6], [6, 7], [7, 5]]]),
+            lengths=np.ones(7), weights=np.ones(7)))
+        assert est_isolated.m_gamma == est.m_gamma
+        np.testing.assert_array_equal(est_isolated.rho[2:], 0.0)
+        assert est_isolated.residual <= 1e-8
 
 
 def test_level_start_matches_direct_solve():
