@@ -162,20 +162,27 @@ def parse_shape(spec: str) -> Shape:
     """Parse the shape mini-language.
 
     Forms: 'annulus:n=<int>,r0=<f>,r1=<f>[,c=<vec>]',
-    'semiring:n=<int>,r=<f>,R=<f>[,x0=<vec>]',
-    'apollonian:n=<int>,r0=<f>,r1=<f>,xi=<vec>'.  Vectors are comma-separated
-    floats and must come last.
+    'semiring:n=<int>,r0=<f>,r1=<f>[,x0=<vec>]',
+    'apollonian:n=<int>,r0=<f>,r1=<f>,xi=<vec>'.  A semiring also takes
+    r and R as aliases of r0 and r1, but not a radius under both names.
+    Vectors are comma-separated floats and must come last.
     """
     spec = spec.strip()
     head, _, body = spec.partition(":")
     kv = _parse_kv(body)
+    if head == "semiring":
+        for key, alias in (("r0", "r"), ("r1", "R")):
+            if alias in kv:
+                if key in kv:
+                    raise ValueError(f"shape spec {spec!r} gives both {key} and its alias {alias}")
+                kv[key] = kv.pop(alias)
     try:
         if head == "annulus":
             c = parse_vector(kv["c"]) if "c" in kv else None
             return Annulus(n=int(kv["n"]), r0=float(kv["r0"]), r1=float(kv["r1"]), center=c)
         if head == "semiring":
             c = parse_vector(kv["x0"]) if "x0" in kv else None
-            return HalfSemiring(n=int(kv["n"]), r0=float(kv["r"]), r1=float(kv["R"]), center=c)
+            return HalfSemiring(n=int(kv["n"]), r0=float(kv["r0"]), r1=float(kv["r1"]), center=c)
         if head == "apollonian":
             p = parse_vector(kv["xi"]) if "xi" in kv else None
             return ApollonianSemiring(n=int(kv["n"]), r0=float(kv["r0"]), r1=float(kv["r1"]), pole=p)

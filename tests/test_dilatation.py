@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from ringmod import (
     Identity,
@@ -148,6 +149,65 @@ def test_max_stretch_never_below_sampling():
         assert exact == pytest.approx(_dual_max_stretch(A, u), rel=1e-12)
         if closed is not None:
             assert exact == pytest.approx(closed, rel=1e-12)
+
+
+def _dual_objective(A, u, s):
+    return np.linalg.eigvalsh(A.T @ A * math.exp(-s) + np.outer(u, u) * math.exp(s))[-1] / 2.0
+
+
+def _scalar_dual(A, u):
+    """The dual by scipy's scalar golden section, one case at a time."""
+    return minimize_scalar(lambda s: _dual_objective(A, u, s), bracket=(-1.0, 1.0),
+                           method="golden", tol=1e-15).fun
+
+
+def test_batched_dual_matches_scalar_golden_section():
+    # the draws of the dilatation-chains scenario
+    rng = np.random.default_rng(41)
+    for n in (2, 3):
+        rng.standard_normal((20_000, n))        # the sampled directions
+        draws = rng.standard_normal((100, n * n + n))
+        As, us = draws[:, :n * n].reshape(100, n, n), draws[:, n * n:]
+        us /= np.linalg.norm(us, axis=1, keepdims=True)
+        dual = _dual_max_stretch(As, us)
+        assert dual.shape == (100,)
+        for A, u, d in zip(As, us, dual):
+            assert d == pytest.approx(_scalar_dual(A, u), rel=1e-13)
+    # near-hard sweep: u on an eigen-axis, so the kink sits at the minimum
+    rng = np.random.default_rng(9)
+    As = np.array([np.diag(rng.uniform(0.2, 3.0, 4))
+                   + 10.0 ** rng.uniform(-12, -7) * rng.standard_normal((4, 4)) for _ in range(100)])
+    us = np.eye(4)[rng.integers(4, size=100)]
+    for A, u, d in zip(As, us, _dual_max_stretch(As, us)):
+        assert d == pytest.approx(_scalar_dual(A, u), rel=1e-13)
+
+
+def test_dual_single_case_is_scalar_entry_of_stack():
+    rng = np.random.default_rng(5)
+    As = rng.standard_normal((2, 3, 3, 3))
+    us = rng.standard_normal((2, 3, 3))
+    us /= np.linalg.norm(us, axis=-1, keepdims=True)
+    stacked = _dual_max_stretch(As, us)
+    assert stacked.shape == (2, 3)
+    one = _dual_max_stretch(As[1, 2], us[1, 2])
+    assert isinstance(one, np.floating) and np.ndim(one) == 0
+    assert one == stacked[1, 2]
+
+
+def test_dual_bracket_holds_the_minimiser():
+    # f is convex in s, so f at both ends of [log(sigma/2), log(2 sigma)] at
+    # least f(log sigma) puts a minimiser inside
+    rng = np.random.default_rng(6)
+    for n in (2, 3, 4):
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(50):
+                A = scale * rng.standard_normal((n, n))
+                u = rng.standard_normal(n)
+                u /= np.linalg.norm(u)
+                sigma = np.linalg.norm(A, 2)
+                mid = _dual_objective(A, u, math.log(sigma))
+                assert _dual_objective(A, u, math.log(sigma / 2.0)) >= mid
+                assert _dual_objective(A, u, math.log(2.0 * sigma)) >= mid
 
 
 def test_directional_sample_identity():

@@ -90,3 +90,19 @@ def test_parse_shape():
         parse_shape("torus:n=2")
     with pytest.raises(ValueError):
         parse_shape("annulus:n=2,r0=1")
+
+
+def test_parse_semiring_radius_aliases():
+    canonical = parse_shape("semiring:n=2,r0=1,r1=2.718281828,x0=0.5,0")
+    alias = parse_shape("semiring:n=2,r=1,R=2.718281828,x0=0.5,0")
+    for s in (canonical, alias):
+        assert isinstance(s, HalfSemiring)
+        assert (s.r0, s.r1) == (1.0, 2.718281828)
+        assert np.array_equal(s.center, [0.5, 0.0])
+    assert parse_shape("semiring:n=2,r0=1,R=3").r1 == 3.0
+    with pytest.raises(ValueError, match="both r0 and its alias r"):
+        parse_shape("semiring:n=2,r0=1,r=1,R=3")
+    with pytest.raises(ValueError, match="both r1 and its alias R"):
+        parse_shape("semiring:n=2,r=1,r1=3,R=3")
+    with pytest.raises(ValueError, match="missing key 'r1'"):
+        parse_shape("semiring:n=2,r0=1")
