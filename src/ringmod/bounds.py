@@ -11,7 +11,10 @@ Every shell quantity goes through the same two steps: ``_shell_sums``
 evaluates the integrand on blocks of shell points and sums each shell with
 the spherical rule, and ``_refine`` doubles the radial and angular node
 counts up to ``max_refine`` times, stopping once the value changes by at
-most QUAD_RTOL relative; the last change is the error estimate.
+most QUAD_RTOL relative; the last change is the error estimate.  A value
+whose last change still exceeds the tolerance stopped at its cap
+(``_capped``); the eq1est, eq2est, Hoelder and domfac reports say so in
+``details["capped"]``.
 
 Every bound evaluator returns a BoundReport carrying the bound (and, for a
 two-sided check, the other side), the error estimate from refining, and a
@@ -194,20 +197,27 @@ def _shell_sums(g: Callable, x0: np.ndarray, radii: np.ndarray, rule) -> np.ndar
     return vals.reshape(len(radii), len(Z)) @ wz
 
 
+def _capped(val: float, err: float, rel_tol: float = QUAD_RTOL) -> bool:
+    """Whether a refined (value, error) missed the stopping tolerance of
+    ``_refine``, i.e. stopped at its cap."""
+    return not err <= rel_tol * max(1.0, abs(val))
+
+
 def _refine(level: Callable[[int], float], max_refine: int,
-            rel_tol: float = QUAD_RTOL) -> tuple[float, float]:
-    """(value, error) of ``level(k)``, a rule with its node counts doubled k
-    times: doubles up to max_refine times, stopping once the value changes by
-    at most rel_tol * max(1, |value|); the error is the last change, inf
-    without a doubling."""
+            rel_tol: float = QUAD_RTOL) -> tuple[float, float, bool]:
+    """(value, error, capped) of ``level(k)``, a rule with its node counts
+    doubled k times: doubles up to max_refine times, stopping once the value
+    changes by at most rel_tol * max(1, |value|); the error is the last
+    change, inf without a doubling, and capped says the tolerance was not met
+    within max_refine doublings."""
     val, err = level(0), math.inf
     for k in range(1, max_refine + 1):
         nxt = level(k)
         err = abs(nxt - val)
         val = nxt
-        if err <= rel_tol * max(1.0, abs(val)):
+        if not _capped(val, err, rel_tol):
             break
-    return val, err
+    return val, err, _capped(val, err, rel_tol)
 
 
 def _quad_once(g: Callable, shape: Shape, nr: int, na: int) -> float:
@@ -222,11 +232,12 @@ def quad_weighted_with_error(g: Callable, shape: Shape,
 
     Doubles both node counts of the tensor rule up to spec.max_refine times,
     stopping once the value changes by at most QUAD_RTOL relative; the error
-    estimate is the last change (inf when spec.max_refine is 0).
+    estimate is the last change (inf when spec.max_refine is 0).  ``_capped``
+    tells whether the result stopped at the cap.
     """
     _check_quad_shape(shape)
     return _refine(lambda k: _quad_once(g, shape, spec.radial << k, spec.angular << k),
-                   spec.max_refine)
+                   spec.max_refine)[:2]
 
 
 def quad_weighted(g: Callable, shape: Shape, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -257,7 +268,8 @@ def eq1est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
     err_upper = e_t / nu
     error = err_lower + err_upper
     details = {"avg_angular": avg_d, "avg_normal": avg_t,
-               "err_lower": err_lower, "err_upper": err_upper}
+               "err_lower": err_lower, "err_upper": err_upper,
+               "capped": _capped(I_d, e_d) or _capped(I_t, e_t)}
     if image_mo is None:
         verdict = "inconclusive"
     else:
@@ -289,7 +301,8 @@ def eq2est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
     lower = -pref * I_t
     upper = pref * I_d
     err = pref * (e_t + e_d)
-    details = {"err_lower": pref * e_t, "err_upper": pref * e_d}
+    details = {"err_lower": pref * e_t, "err_upper": pref * e_d,
+               "capped": _capped(I_t, e_t) or _capped(I_d, e_d)}
     if image_mo is None:
         verdict = "inconclusive"
     else:
@@ -358,7 +371,7 @@ def modintbound_with_error(mapping: Mapping, x0, r: float, R: float,
     x0 = np.asarray(x0, dtype=float)
     return _refine(lambda k: _modint_once(mapping, x0, r, R, spec.radial << k,
                                           spec.angular << k, full_sphere),
-                   spec.max_refine)
+                   spec.max_refine)[:2]
 
 
 def modintbound(mapping: Mapping, x0, r: float, R: float,
@@ -509,7 +522,7 @@ def dominated_modulus_bound(m: float, big_m: float, r0: float, n: int,
         t, w = _gauss(96 << k, 1.0 / n, m)
         return float(w @ integrand(t))
 
-    val, err = _refine(level, 3, rel_tol=1e-12)
+    val, err, capped = _refine(level, 3, rel_tol=1e-12)
 
     closed = None
     if linear and n == 2:
@@ -518,7 +531,7 @@ def dominated_modulus_bound(m: float, big_m: float, r0: float, n: int,
         mu = consts["mu"]
         closed = consts["c1"] * ((n * m + sigma) ** mu - (1.0 + sigma) ** mu)
     return BoundReport("domfac", val, closed, err, "not-checked",
-                       {**consts, "divergence": is_divergence_type(factor, n)})
+                       {**consts, "divergence": is_divergence_type(factor, n), "capped": capped})
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +630,13 @@ def holder_identity_check(mapping: Mapping, t_pt, r: float, R: float,
         omega_ends = _omega_profile(mapping, t_pt, np.array([R, r]), nr, na)
         return (omega_ends[0] - omega_ends[1]) / n + float(ws @ omega_mid)
 
-    rhs, rhs_err = _refine(rhs_level, spec.max_refine)
+    rhs, rhs_err, rhs_capped = _refine(rhs_level, spec.max_refine)
     # where both refinement levels agree to rounding (a constant dilatation)
     # their change understates the error, so the rounding of the sides is added
     err = P_err / nu * log_ratio + rhs_err + _SIDE_ROUNDING * (abs(lhs) + abs(rhs))
     gap = abs(lhs - rhs)
     return BoundReport("holder-identity", lhs, rhs, err, _side_verdict(gap, err),
-                       details={"gap": gap})
+                       details={"gap": gap, "capped": _capped(P_int, P_err) or rhs_capped})
 
 
 # ---------------------------------------------------------------------------

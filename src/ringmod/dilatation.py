@@ -20,6 +20,10 @@ dilatations D = J / min^n and T = (max^n / J)^(1/(n-1)).  Both can be < 1,
 unlike the classical coefficients.  Both stretches are exact: the minimum in
 the closed form above, the maximum from the real roots of a secular
 polynomial plus the hard-case branch, with no sampling and no iteration.
+The polynomial is rooted through one companion matrix per point, shifted to
+the eigenvalue of A^T A whose eigenvector is most nearly orthogonal to u,
+plus one more for each other eigenvector whose component of u is below
+_SHIFT_BELOW in size (see ``_max_stretch_block``).
 
 Every function takes stacks: matrices A of shape (..., n, n), directions u
 and points x of shape (..., n).  Results have the batch shape, and a single
@@ -99,9 +103,15 @@ def max_directional_stretch(A, u):
     return _max_stretch_batch(np.asarray(A, dtype=float), np.asarray(u, dtype=float))
 
 
-# points per call of the maximal-stretch kernel, which needs about 2.5 kB per
-# point at n = 3; a fixed block keeps fine quadrature levels within memory
+# points per call of the maximal-stretch kernel, which peaks at about 1.1 kB
+# per point at n = 3 on random input and 1.7 kB when u is an eigenvector, so
+# that two shifts are rooted (tracemalloc, 4096 points); a fixed block keeps
+# fine quadrature levels within memory
 _BLOCK = 4096
+
+# eigen-components |y_k| of u below which the secular polynomial is also
+# rooted at the shift beta_k; the sweep in ``_max_stretch_block`` shows why
+_SHIFT_BELOW = 1e-2
 
 
 def _max_stretch_batch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -124,46 +134,66 @@ def _max_stretch_block(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     is proportional to y_i, with alpha = 2 h^T B h.  Eliminating h leaves the
     secular equation sum_i y_i^2 (alpha - 2 beta_i) / (beta_i - alpha)^2 = 0,
     a polynomial of degree 2n - 1.  Its roots come from companion-matrix
-    eigenvalues in the shifted variable t = alpha - beta_k, once per k: roots
-    near beta_k (u almost orthogonal to its eigenvector) then keep their
-    relative accuracy, and beta_i - alpha = d_i - t needs no cancelling
-    subtraction.  The hard case alpha = beta_k with y_k = 0 (More & Sorensen
-    1983) has h = gamma z +- tau e_k with z = (B - beta_k)^+ u, where
-    |h| = 1 and h^T B h = beta_k / 2 fix gamma^2 and tau^2; both signs are
-    kept, since a tiny nonzero y_k decides which one is larger.  Every
-    candidate is a unit vector after scaling, so none exceeds the maximum,
-    and the maximizer is among them.
+    eigenvalues in the shifted variable t = alpha - beta_k: roots near beta_k
+    then keep their relative accuracy, and beta_i - alpha = d_i - t needs no
+    cancelling subtraction.  Only a small |y_k| puts roots that near beta_k,
+    so each point is rooted at the shift k of its smallest |y_k|, and again
+    at every other k with |y_k| < _SHIFT_BELOW = 1e-2; every other root is
+    accurate at any shift.  Measured: with the shift taken by a component
+    1000 times smaller, a pole left unshifted at |y_j| = 1e-7, 1e-6, 1e-5,
+    1e-4 and 1e-3 .. 1e-1 gives a relative error of the maximum, against the
+    dual below, of at most 9e-13, 5e-12, 9e-12, 2e-15 and 2e-15 at n = 3 and
+    5e-14, 2e-12, 3e-10, 5e-14 and 2e-15 at n = 4 (400 random B per entry),
+    so 1e-2 keeps two decades between the threshold and the last component
+    size that needs the shift.  On random input that is 1.0003 companion
+    matrices per point at n = 3 and 1.0009 at n = 4, instead of n.
+
+    The hard case alpha = beta_k with y_k = 0 (More & Sorensen 1983) has
+    h = gamma z +- tau e_k with z = (B - beta_k)^+ u, where |h| = 1 and
+    h^T B h = beta_k / 2 fix gamma^2 and tau^2; both signs are kept, since a
+    tiny nonzero y_k decides which one is larger.  Every candidate is a unit
+    vector after scaling, so none exceeds the maximum, and the maximizer is
+    among them.
     """
     beta, V = np.linalg.eigh(np.swapaxes(A, -1, -2) @ A)
     y = np.einsum("nji,nj->ni", V, u)
     N, n = y.shape
     deg = 2 * n - 1
     d = beta[:, None, :] - beta[:, :, None]            # d[:, k, i] = beta_i - beta_k
+    # the (point, shift) pairs that are rooted: the smallest |y_k| of each
+    # point, and every other k with |y_k| below _SHIFT_BELOW
+    ay = np.abs(y)
+    chosen = ay < _SHIFT_BELOW
+    chosen[np.arange(N), ay.argmin(axis=1)] = True
+    pt, k = np.nonzero(chosen)
+    ds, ys = d[pt, k], y[pt]                           # (M, n): d_i = beta_i - beta_k
     # ascending coefficients in t of sum_i y_i^2 (t - beta_k - 2 d_i) prod_{j != i} (d_j - t)^2
-    coef = np.zeros((N, n, deg + 1))
+    coef = np.zeros((len(pt), deg + 1))
     for i in range(n):
-        p = np.zeros((N, n, deg + 1))
-        p[..., 0] = -beta - 2.0 * d[..., i]
-        p[..., 1] = 1.0
+        p = np.zeros((len(pt), deg + 1))
+        p[:, 0] = -beta[pt, k] - 2.0 * ds[:, i]
+        p[:, 1] = 1.0
         for j in range(n):
             if j != i:      # times (d_j - t)^2; the rolled-over top entries are still zero
-                c = d[..., j, None]
+                c = ds[:, j, None]
                 p = c * c * p - 2.0 * c * np.roll(p, 1, axis=-1) + np.roll(p, 2, axis=-1)
-        coef += y[:, None, i, None] ** 2 * p
-    companion = np.zeros((N, n, deg, deg))
-    companion[..., 1:, :-1] = np.eye(deg - 1)
-    companion[..., -1] = -coef[..., :-1] / coef[..., -1:]
-    t = np.linalg.eigvals(companion).real             # (N, k, deg)
+        coef += ys[:, i, None] ** 2 * p
+    companion = np.zeros((len(pt), deg, deg))
+    companion[:, 1:, :-1] = np.eye(deg - 1)
+    companion[:, :, -1] = -coef[:, :-1] / coef[:, -1:]
+    t = np.linalg.eigvals(companion).real             # (M, deg)
 
     # infeasible or degenerate candidates come out non-finite and count as 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        generic = y[:, None, None, :] / (d[:, :, None, :] - t[..., None])
+        generic = np.zeros((N, n))        # best root per (point, shift), 0 if not rooted
+        generic[pt, k] = _best_candidate(ys[:, None, :] / (ds[:, None, :] - t[..., None]),
+                                         beta[pt], ys)
         z = np.where(d != 0.0, y[:, None, :] / d, 0.0)
         gamma = np.sqrt(-beta / (2.0 * np.einsum("nki,ni->nk", z, y)))
         tau = np.sqrt(1.0 - gamma ** 2 * np.einsum("nki,nki->nk", z, z))
         hard = [gamma[..., None] * z + s * tau[..., None] * np.eye(n) for s in (1.0, -1.0)]
-        return np.maximum.reduce([_best_candidate(H, beta, y)
-                                  for H in (generic.reshape(N, -1, n), *hard)])
+        return np.maximum.reduce([generic.max(axis=1),
+                                  *(_best_candidate(H, beta, y) for H in hard)])
 
 
 def _best_candidate(H: np.ndarray, beta: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -541,6 +541,27 @@ def test_unrefined_error_gives_inconclusive():
         assert rep.verdict == "inconclusive"
 
 
+def test_refinement_cap_is_reported():
+    # the n = 3 twist still changes by 3.6e-4 at its one doubling; both
+    # dilatations of a radial stretch are constant and settle at once
+    spec = QuadratureSpec(8, 8, max_refine=1)
+    shape = HalfSemiring(n=3, r0=1.0, r1=E)
+    for evaluator in (eq1est_bounds, eq2est_bounds):
+        twist = evaluator(RotationTwist(), shape, spec)
+        assert twist.details["capped"] is True
+        assert twist.error == pytest.approx(3.6e-4, rel=0.05)
+        assert evaluator(RadialStretch(a=0.8), shape, spec).details["capped"] is False
+    m = RadialStretch(a=0.8)
+    assert holder_identity_check(m, np.zeros(2), 0.5, 1.0).details["capped"] is False
+    unrefined = QuadratureSpec(8, 8, max_refine=0)
+    assert holder_identity_check(m, np.zeros(2), 0.5, 1.0, unrefined).details["capped"] is True
+    dom = dominated_modulus_bound(10.0, PI, 1.0, 2, DominatingFactor.linear(1.0))
+    assert dom.details["capped"] is False
+    # _refine itself: a value that keeps moving stops at the cap
+    assert bounds._refine(lambda k: 2.0 ** -k, 3) == (0.125, 0.125, True)
+    assert bounds._refine(lambda k: 1.0, 3) == (1.0, 0.0, False)
+
+
 def test_every_evaluator_returns_a_bound_report():
     dom = dominated_modulus_bound(10.0, PI, 1.0, 2, DominatingFactor.linear(1.0))
     cont = continuity_bounds(2, 1.0, PI, 1.0, 1.0, 1e-3)

@@ -17,7 +17,7 @@ from ringmod import (
     psi_D,
 )
 from ringmod.bounds import modintbound_with_error
-from ringmod.dilatation import angular_dilatation_field, normal_dilatation_field
+from ringmod.dilatation import _SHIFT_BELOW, angular_dilatation_field, normal_dilatation_field
 from ringmod.harness import _dual_max_stretch
 
 SQ2 = math.sqrt(2.0)
@@ -149,6 +149,59 @@ def test_max_stretch_never_below_sampling():
         assert exact == pytest.approx(_dual_max_stretch(A, u), rel=1e-12)
         if closed is not None:
             assert exact == pytest.approx(closed, rel=1e-12)
+
+
+def _near_hard_window(rng, n, reps):
+    """(A, u) with A^T A = Q diag(beta) Q^T and one or two eigen-components y_j
+    of u set to a size from 1e-12 to 0.3; a second one is 1000 times smaller,
+    so the pole of the larger one is left unshifted when the threshold sits
+    below it."""
+    As, us = [], []
+    for size in (1e-12, 1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 2e-2, 0.1, 0.3):
+        for count in range(1, min(2, n - 1) + 1):
+            for _ in range(reps):
+                Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                beta = rng.uniform(0.05, 9.0, n)
+                y = rng.standard_normal(n)
+                small = rng.choice(n, count, replace=False)
+                rest = np.setdiff1d(np.arange(n), small)
+                y[small] = size * np.sign(y[small]) * np.array([1.0, 1e-3])[:count]
+                y[rest] *= math.sqrt(1.0 - np.sum(y[small] ** 2)) / np.linalg.norm(y[rest])
+                As.append(np.sqrt(beta)[:, None] * Q.T)
+                us.append(Q @ y)
+    return np.array(As), np.array(us)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_max_stretch_near_hard_window(n):
+    # poles with small components on both sides of the shift threshold
+    As, us = _near_hard_window(np.random.default_rng(70 + n), n, 30)
+    exact = max_directional_stretch(As, us)
+    for e, d in zip(exact, _dual_max_stretch(As, us)):
+        assert e == pytest.approx(d, rel=1e-12)
+
+
+def test_max_stretch_roots_one_companion_per_point_and_small_component(monkeypatch):
+    rng = np.random.default_rng(31)
+    A = rng.standard_normal((3000, 3, 3))
+    u = rng.standard_normal((3000, 3))
+    # u near an eigenvector of A^T A: two small components at some points
+    _, V = np.linalg.eigh(np.swapaxes(A[:40], 1, 2) @ A[:40])
+    u[:40] = V[:, :, 0] + 10.0 ** rng.uniform(-9, -2, (40, 1)) * rng.standard_normal((40, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    _, V = np.linalg.eigh(np.swapaxes(A, 1, 2) @ A)
+    small = (np.abs(np.einsum("nji,nj->ni", V, u)) < _SHIFT_BELOW).sum(axis=1)
+    assert (small >= 2).sum() >= 20
+    rooted = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        rooted.append(math.prod(a.shape[:-2]))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    max_directional_stretch(A, u)
+    assert sum(rooted) == np.maximum(small, 1).sum()
 
 
 def _dual_objective(A, u, s):
