@@ -134,8 +134,10 @@ def _sphere_rule(n: int, count: int, hemisphere: bool):
     integrates every even polynomial of degree < 2 m exactly.  Every rule is
     deterministic and, for count >= 8, its nodes change when count doubles,
     so doubling it is a real refinement; n >= 6 has no such rule of that
-    size and is rejected.
+    size and is rejected, as is n < 2.
     """
+    if not 2 <= n <= 5:
+        raise ValueError(f"sphere rules are implemented for 2 <= n <= 5, got n = {n}")
     if n == 2:
         if hemisphere:
             th, w = _gauss(count, 0.0, math.pi)
@@ -155,8 +157,6 @@ def _sphere_rule(n: int, count: int, hemisphere: bool):
                       np.outer(u, np.ones(m_az))], axis=-1).reshape(-1, 3)
         w = np.outer(wu, np.full(m_az, 2.0 * math.pi / m_az)).ravel()
         return Z, w
-    if n > 5:
-        raise ValueError("sphere rules are implemented for n <= 5")
     m = next(k for k in itertools.count(1) if k ** (n - 1) >= count * count)
     Z, w = _sphere_rule(3, m, hemisphere)
     for d in range(4, n + 1):

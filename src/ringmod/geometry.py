@@ -142,6 +142,15 @@ def gamma_family_modulus(shape: Shape) -> float:
     return span_area(shape.kind, shape.n) * exact_modulus(shape) ** (1 - shape.n)
 
 
+# shape kind -> (class, its vector key, the attribute that key sets), besides n, r0, r1
+_SHAPE_KINDS = {
+    "annulus": (Annulus, "c", "center"),
+    "semiring": (HalfSemiring, "x0", "center"),
+    "apollonian": (ApollonianSemiring, "xi", "pole"),
+}
+_VECTOR_KEYS = frozenset(vec for _, vec, _ in _SHAPE_KINDS.values())
+
+
 def _parse_kv(body: str):
     """Split 'k=v,k=v,vec=1,2,3' honoring trailing bare components of vectors."""
     out: dict[str, str] = {}
@@ -150,7 +159,7 @@ def _parse_kv(body: str):
         if "=" in tok:
             k, v = tok.split("=", 1)
             out[k.strip()] = v
-            current_vec = k.strip() if k.strip() in ("c", "x0", "xi") else None
+            current_vec = k.strip() if k.strip() in _VECTOR_KEYS else None
         elif current_vec is not None:
             out[current_vec] += "," + tok
         else:
@@ -165,10 +174,14 @@ def parse_shape(spec: str) -> Shape:
     'semiring:n=<int>,r0=<f>,r1=<f>[,x0=<vec>]',
     'apollonian:n=<int>,r0=<f>,r1=<f>,xi=<vec>'.  A semiring also takes
     r and R as aliases of r0 and r1, but not a radius under both names.
-    Vectors are comma-separated floats and must come last.
+    Vectors are comma-separated floats and must come last.  A key the kind
+    does not take is refused.
     """
     spec = spec.strip()
     head, _, body = spec.partition(":")
+    if head not in _SHAPE_KINDS:
+        raise ValueError(f"unknown shape kind {head!r}")
+    cls, vec_key, attr = _SHAPE_KINDS[head]
     kv = _parse_kv(body)
     if head == "semiring":
         for key, alias in (("r0", "r"), ("r1", "R")):
@@ -176,16 +189,11 @@ def parse_shape(spec: str) -> Shape:
                 if key in kv:
                     raise ValueError(f"shape spec {spec!r} gives both {key} and its alias {alias}")
                 kv[key] = kv.pop(alias)
+    unknown = sorted(kv.keys() - {"n", "r0", "r1", vec_key})
+    if unknown:
+        raise ValueError(f"shape spec {spec!r}: {head} takes no key {', '.join(unknown)}")
     try:
-        if head == "annulus":
-            c = parse_vector(kv["c"]) if "c" in kv else None
-            return Annulus(n=int(kv["n"]), r0=float(kv["r0"]), r1=float(kv["r1"]), center=c)
-        if head == "semiring":
-            c = parse_vector(kv["x0"]) if "x0" in kv else None
-            return HalfSemiring(n=int(kv["n"]), r0=float(kv["r0"]), r1=float(kv["r1"]), center=c)
-        if head == "apollonian":
-            p = parse_vector(kv["xi"]) if "xi" in kv else None
-            return ApollonianSemiring(n=int(kv["n"]), r0=float(kv["r0"]), r1=float(kv["r1"]), pole=p)
+        vec = parse_vector(kv[vec_key]) if vec_key in kv else None
+        return cls(n=int(kv["n"]), r0=float(kv["r0"]), r1=float(kv["r1"]), **{attr: vec})
     except KeyError as exc:
         raise ValueError(f"shape spec {spec!r} is missing key {exc}") from None
-    raise ValueError(f"unknown shape kind {head!r}")

@@ -16,6 +16,7 @@ every tolerance), never loosen them.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -282,7 +283,7 @@ def _sc_twist(cfg):
     return out
 
 
-# golden-section constants and cap of scipy.optimize.golden
+# golden-section ratios and step cap, the values of SciPy's golden method
 _GOLD_R = 0.61803399
 _GOLD_C = 1.0 - _GOLD_R
 _GOLD_MAXITER = 5000
@@ -675,14 +676,14 @@ def report_to_json(aggregate: dict) -> str:
 
 
 def emit_csv(path: str, columns: list[str], rows: list) -> None:
-    """CSV with a header row; one row per sample.  Empty rows give header-only."""
-    lines = [",".join(columns)]
-    for row in rows:
+    """CSV with a header row; one row per sample.  Empty rows give header-only;
+    a field with a comma, such as a check's "[lo, hi]", is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
         # plain-float repr also for numpy scalars, which subclass float
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer.writerows([repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+                         for row in rows)
 
 
 def report_rows(aggregate: dict) -> tuple[list[str], list]:

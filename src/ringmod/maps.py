@@ -47,17 +47,12 @@ class Mapping:
         return self._jacobian(x)
 
     def jacobian_fd(self, x) -> np.ndarray:
-        """Central-difference Jacobian with step h = FD_STEP_SCALE * max(1, |x|);
-        componentwise error O(h^2)."""
+        """Central-difference Jacobian with step h = FD_STEP_SCALE * max(1, |x|)
+        for each point; componentwise error O(h^2)."""
         x = _as_points(x)
         self._check_domain(x)
-        n = x.shape[-1]
-        h = FD_STEP_SCALE * max(1.0, float(np.max(np.linalg.norm(x.reshape(-1, n), axis=-1))))
-        cols = []
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            cols.append((self(x + e) - self(x - e)) / (2.0 * h))
+        h = FD_STEP_SCALE * np.maximum(1.0, np.linalg.norm(x, axis=-1))[..., None]
+        cols = [(self(x + h * e) - self(x - h * e)) / (2.0 * h) for e in np.eye(x.shape[-1])]
         return np.stack(cols, axis=-1)
 
     def singularity_distance(self, x) -> np.ndarray:

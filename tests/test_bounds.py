@@ -90,6 +90,14 @@ def test_sphere_rule_high_dimension():
     assert quad_weighted(ONE, s4, spec) == pytest.approx(sphere_area(4) / 2.0, rel=1e-12)
 
 
+def test_sphere_rule_refuses_dimension_one():
+    # the n >= 4 node count m^(n-1) >= count^2 has no solution at n = 1
+    with pytest.raises(ValueError, match="2 <= n <= 5"):
+        psi_D(Identity(), 1.0, [0.0])
+    with pytest.raises(ValueError, match="2 <= n <= 5"):
+        modintbound(Identity(), [0.0], 1.0, 2.0)
+
+
 def test_sphere_rule_size_tracks_n3():
     # every level of DEFAULT_SPEC: the n = 4, 5 rules stay within 1.3 times
     # the n = 3 rule at the same count, and each doubling changes the nodes;

@@ -106,3 +106,19 @@ def test_parse_semiring_radius_aliases():
         parse_shape("semiring:n=2,r=1,r1=3,R=3")
     with pytest.raises(ValueError, match="missing key 'r1'"):
         parse_shape("semiring:n=2,r0=1")
+
+
+def test_parse_shape_refuses_unknown_keys():
+    with pytest.raises(ValueError, match="semiring takes no key c"):
+        parse_shape("semiring:n=2,r0=1,r1=2,c=5,0")
+    with pytest.raises(ValueError, match="apollonian takes no key x0"):
+        parse_shape("apollonian:n=2,r0=0.1,r1=1,x0=0,1")
+    with pytest.raises(ValueError, match="annulus takes no key R, r"):
+        parse_shape("annulus:n=2,r=1,R=2")
+    with pytest.raises(ValueError, match="annulus takes no key m"):
+        parse_shape("annulus:n=2,r0=1,r1=2,m=3")
+    # the aliases stay a semiring's own keys, and each kind keeps its vector key
+    s = parse_shape("semiring:n=2,r=1,R=2,x0=5,0")
+    assert (s.r0, s.r1) == (1.0, 2.0) and np.array_equal(s.center, [5.0, 0.0])
+    assert np.array_equal(parse_shape("annulus:n=2,r0=1,r1=2,c=5,0").center, [5.0, 0.0])
+    assert np.array_equal(parse_shape("apollonian:n=2,r0=0.1,r1=1,xi=0,1").pole, [0.0, 1.0])

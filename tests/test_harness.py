@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -75,6 +76,31 @@ def test_emit_csv(tmp_path):
     # empty sweep: header only
     harness.emit_csv(str(path), ["x", "y"], [])
     assert path.read_text() == "x,y\n"
+
+
+def test_emit_csv_quotes_fields_with_commas(tmp_path):
+    path = tmp_path / "out.csv"
+    harness.emit_csv(str(path), ["name", "expected", "actual"],
+                     [["plain", 1.5, 2], ["bracket", "[0.5, 1.0]", 0.75]])
+    assert path.read_text() == 'name,expected,actual\nplain,1.5,2\nbracket,"[0.5, 1.0]",0.75\n'
+    with open(path, newline="") as fh:
+        assert [len(row) for row in csv.reader(fh)] == [3, 3, 3]
+
+
+def test_cli_verify_csv_rows_match_header(tmp_path, capsys, monkeypatch):
+    def bracketed(cfg):
+        return [harness._in_bracket("in-bracket", 0.75, 0.5, 1.0, 1e-9, "trivial", cfg)]
+    monkeypatch.setitem(
+        harness.SCENARIOS, "zz-bracket",
+        harness.Scenario(id="zz-bracket", tags=("brackettag",), description="", runner=bracketed))
+    cpath = tmp_path / "report.csv"
+    assert main(["--csv", str(cpath), "verify", "--filter", "brackettag"]) == 0
+    with open(cpath, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2
+    assert all(len(row) == len(rows[0]) == 7 for row in rows)
+    assert rows[1][2] == "[0.5, 1.0]"
+    capsys.readouterr()
 
 
 def test_emit_svg(tmp_path):
@@ -293,6 +319,9 @@ def test_cli_bounds_eq1est_with_image(capsys):
 
 def test_cli_error_exit_codes(capsys):
     assert main(["modulus", "--shape", "blob:n=2", "--grid", "16x16"]) == 2
+    capsys.readouterr()
+    # a key the shape kind does not take: a semiring's centre is x0, not c
+    assert main(["modulus", "--shape", "semiring:n=2,r0=1,r1=2,c=5,0", "--grid", "8x16"]) == 2
     capsys.readouterr()
     assert main(["--tol-scale", "0.5", "special", "a2"]) == 2
     capsys.readouterr()

@@ -54,6 +54,16 @@ def test_fd_matches_analytic(mapping):
         assert np.abs(J - Jf).max() <= 1e-4 * max(1.0, np.abs(J).max())
 
 
+def test_fd_step_is_per_point():
+    # a far point in the batch does not coarsen a near point's step
+    tw = RotationTwist()
+    near = np.array([0.3, 0.4])
+    alone = tw.jacobian_fd(near)
+    batched = tw.jacobian_fd(np.array([near, [300.0, 400.0]]))
+    assert np.array_equal(batched[0], alone)
+    assert np.abs(alone - tw.jacobian(near)).max() < 1e-9
+
+
 def test_radial_stretch_jacobian_structure():
     a = 0.6
     x = np.array([0.0, 1.0])

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ringmod
 from ringmod import (
     compute_A2,
     constants_for,
@@ -91,6 +95,9 @@ def test_compute_A2():
     res = compute_A2()
     assert res.value == pytest.approx(math.pi, abs=1e-6)
     assert res.attained_at_boundary
+    # the grid's maximum, bit for bit: the point s = -35, t - 1 = 3 ulps
+    assert (res.value, res.argmax_t) == (3.1415926535897944, 1.0000000000000007)
+    assert res.method == "grid search on t = 1 + e^s"
     # supremum property over a random sample of arguments
     rng = np.random.default_rng(9)
     ts = np.exp(rng.uniform(np.log(1.0 + 1e-9), np.log(1e6), size=1000)) + 0.0
@@ -100,6 +107,14 @@ def test_compute_A2():
     grid = [1.01, 1.1, 2.0, 10.0, 100.0]
     gvals = [mo_teichmuller2(t) - math.log(t) for t in grid]
     assert all(b < a for a, b in zip(gvals, gvals[1:]))
+
+
+def test_import_graph_has_no_optimizer():
+    # a fresh interpreter, so that no other test's imports are counted
+    code = ("import sys, ringmod, ringmod.cli, ringmod.harness; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ringmod.__file__)))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_psi2_growth():
