@@ -89,13 +89,14 @@ def _cmd_modulus(args) -> int:
         "cg_iterations": est.cg_iterations,
         "residual": est.residual,
         "resolution": list(est.resolution),
-        "n_paths": est.n_paths,
     }
     if args.emit_density:
         n = graph.nodes.shape[1]
         cols = [f"x{i+1}_tail" for i in range(n)] + [f"x{i+1}_head" for i in range(n)] + ["rho", "length"]
-        rows = np.hstack([graph.nodes[graph.edges[:, 0]], graph.nodes[graph.edges[:, 1]],
-                          est.rho[:, None], graph.lengths[:, None]])
+        tail, head = graph.edges.T
+        length = np.linalg.norm(graph.nodes[head] - graph.nodes[tail], axis=1)
+        rho = np.abs(est.potential[head] - est.potential[tail]) / length
+        rows = np.hstack([graph.nodes[tail], graph.nodes[head], rho[:, None], length[:, None]])
         harness.emit_csv(args.emit_density, cols, rows)
         payload["density_csv"] = args.emit_density
     _emit(payload, args)
@@ -227,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     mo.add_argument("--map", default=None)
     mo.add_argument("--grid", required=True, help="RxA, e.g. 64x256")
     mo.add_argument("--emit-density", dest="emit_density", default=None,
-                    help="write the extremal density CSV here")
+                    help="write a per-edge density CSV here: rho = |dphi| / length of the "
+                         "potential phi, admissible by telescoping; the extremal density "
+                         "only on 3D grids")
     mo.set_defaults(fn=_cmd_modulus)
 
     di = sub.add_parser("dilatation", help="all dilatations of a map at a point",

@@ -1,22 +1,17 @@
-"""Discrete modulus of connecting path families on weighted grid graphs.
+"""Discrete modulus of the family of curves joining two boundary node sets.
 
-The continuum modulus of the family of curves joining the two boundary
-components is approximated by the convex program
+A grid graph carries one conductance sigma_e per edge, and the discrete
+modulus of the connecting family is the p-capacity
 
-    minimize   sum_e  w_e * rho_e^p
-    subject to sum_{e in path} len_e * rho_e >= 1   for every source-sink path,
+    minimize   F(phi) = sum_e  sigma_e |dphi_e|^p
+    subject to phi = 0 on the source and phi = 1 on the sink.
 
-where ``len_e`` is the Euclidean edge length (line-integral weight) and
-``w_e`` is the measure weight of the flow tube the edge represents, so the
-objective is a Riemann sum of the p-energy.  On a finite graph with positive
-weights this modulus equals the p-capacity (Duffin, "The extremal length of
-a network", 1962): the minimum of sum_e sigma_e |dphi_e|^p with
-sigma_e = w_e / len_e^p over potentials phi = 0 on the source and 1 on the
-sink, and the extremal density is rho_e = |dphi_e| / len_e.  That reading
-holds on the 3D grids.  Planar grids carry the P1 (piecewise-linear)
-conductances of a triangulation, which are signed on sheared meshes; there
-the minimum is the P1 Dirichlet energy, and rho stays admissible by
-telescoping, but is no longer the density of a path family.
+Planar grids carry the P1 (piecewise-linear) conductances of a
+triangulation, so F is the Dirichlet energy of the piecewise-linear
+potential; they are signed on sheared meshes.  The 3D grids carry positive
+two-point conductances, so F is a two-point p-energy, and on a finite graph
+with positive conductances its minimum is the modulus of the source-sink
+path family (Duffin, "The extremal length of a network", 1962).
 
 ``modulus_connect`` finds the potential with one Jacobi-preconditioned
 conjugate-gradient solve for p = 2 and with Newton's method, one such solve
@@ -34,14 +29,14 @@ with the shapes, which keeps level sets of the extremal potentials along
 grid lines and the discretization error small.  Builders are array code over
 the product index grid: node ids form an array with the radial axis first,
 one helper pairs every node with its neighbour along each axis (only the
-angular or azimuthal axis wraps), the first and last radial layers are the
-source and sink, and edge lengths are chords.  Planar grids are built from
-node positions alone: each quad gets its local Delaunay diagonal and every
-edge the cotangent weight of the triangles beside it (Pinkall and Polthier,
-"Computing discrete minimal surfaces and their conjugates", 1993), which is
-consistent on any shape-regular mesh.  An image grid is the same grid with
-its nodes pushed through the map, so no map needs special treatment.  The
-3D grids are orthogonal and keep two-point tube weights.
+angular or azimuthal axis wraps), and the first and last radial layers are
+the source and sink.  Planar grids are built from node positions alone:
+each quad gets its local Delaunay diagonal and every edge the cotangent
+conductance of the triangles beside it (Pinkall and Polthier, "Computing
+discrete minimal surfaces and their conjugates", 1993), which is consistent
+on any shape-regular mesh.  An image grid is the same grid with its nodes
+pushed through the map, so no map needs special treatment.  The 3D grids
+are orthogonal and take two-point tube conductances.
 """
 
 from __future__ import annotations
@@ -64,18 +59,18 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(eq=False)
 class GridGraph:
-    """Weighted discretization of a shape with two marked boundary node sets.
+    """Discretization of a shape: edge conductances and two marked boundary node sets.
 
-    ``weights / lengths^p`` are the edge conductances.  Weights must be
-    finite; where p != 2 they must also be positive, as Newton needs a convex
-    energy.  At p = 2 the energy is quadratic and signed conductances, such as
-    the P1 cotangent weights of a sheared planar mesh, are allowed.
+    The energy of a potential phi is sum_e conductance_e |dphi_e|^p.
+    Conductances must be finite; where p != 2 they must also be positive, as
+    Newton needs a convex energy.  At p = 2 the energy is quadratic and signed
+    conductances, such as the P1 cotangent weights of a sheared planar mesh,
+    are allowed.
     """
 
     nodes: np.ndarray          # (N, n)
-    edges: np.ndarray          # (E, 2) int
-    lengths: np.ndarray        # (E,) Euclidean lengths
-    weights: np.ndarray        # (E,) energy measure weights
+    edges: np.ndarray          # (E, 2) int node ids
+    conductance: np.ndarray    # (E,) sigma_e of the energy sum_e sigma_e |dphi_e|^p
     source: np.ndarray         # node ids on the inner boundary
     sink: np.ndarray           # node ids on the outer boundary
     p: float                   # modulus exponent (ambient dimension for conformal)
@@ -87,25 +82,28 @@ class GridGraph:
             raise ValueError("source and sink sets must be nonempty")
         if set(self.source.tolist()) & set(self.sink.tolist()):
             raise ValueError("source and sink sets must be disjoint")
-        if not np.all(np.isfinite(self.lengths) & (self.lengths > 0)):
-            raise ValueError("every edge length must be positive and finite")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("every edge weight must be finite")
-        if self.p != 2.0 and not np.all(self.weights > 0):
-            raise ValueError("every edge weight must be positive unless p = 2, "
+        if np.any((self.edges < 0) | (self.edges >= len(self.nodes))):
+            raise ValueError(f"every end of edges must be a node index in [0, {len(self.nodes)})")
+        if self.conductance.shape != (len(self.edges),):
+            raise ValueError(f"conductance must have shape ({len(self.edges)},), one value per "
+                             f"edge, got {self.conductance.shape}")
+        if not np.all(np.isfinite(self.conductance)):
+            raise ValueError("every edge conductance must be finite")
+        if self.p != 2.0 and not np.all(self.conductance > 0):
+            raise ValueError("every edge conductance must be positive unless p = 2, "
                              "where the energy is quadratic")
 
 
 @dataclass(frozen=True)
 class ModulusEstimate:
-    m_gamma: float             # estimated modulus of the connecting family
+    m_gamma: float             # estimated modulus of the connecting family: the energy of potential
     mo: float                  # derived ring/semiring modulus
     iterations: int            # linear solves: 1 for p = 2, 1 + Newton steps for p > 2
     cg_iterations: int         # CG iterations summed over those solves
     residual: float            # net flux at free nodes relative to that at source and sink
     resolution: tuple
     n_paths: int = 0           # no paths are enumerated; kept for perfbench, which reads it
-    rho: np.ndarray = field(repr=False, default=None)
+    potential: np.ndarray = field(repr=False, default=None)   # phi per node
 
 
 def mo_from_gamma(m_gamma: float, kind: str, n: int) -> float:
@@ -136,11 +134,10 @@ def _grid_edges(ids: np.ndarray, wrap_axis: int | None) -> np.ndarray:
 
 
 def _grid_graph(shape: Shape, ids: np.ndarray, nodes: np.ndarray, edges: np.ndarray,
-                weights: np.ndarray) -> GridGraph:
-    """Graph of a product grid whose first axis is radial: edge lengths are
-    chords, the first radial layer is the source and the last the sink."""
-    lengths = np.linalg.norm(nodes[edges[:, 1]] - nodes[edges[:, 0]], axis=1)
-    return GridGraph(nodes=nodes, edges=edges, lengths=lengths, weights=weights,
+                conductance: np.ndarray) -> GridGraph:
+    """Graph of a product grid whose first axis is radial: the first radial
+    layer is the source and the last the sink."""
+    return GridGraph(nodes=nodes, edges=edges, conductance=conductance,
                      source=ids[0].ravel(), sink=ids[-1].ravel(), p=float(shape.n),
                      kind=shape.kind, resolution=ids.shape)
 
@@ -179,7 +176,7 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
     of the opposite edge (Pinkall and Polthier 1993), so the edge energy
     sum_e sigma_e dphi_e^2 is the Dirichlet energy of the piecewise-linear
     potential.  Edges are the radial ones, the angular ones, then one
-    diagonal per quad, each block in (k, m) order; weights = sigma * len^2.
+    diagonal per quad, each block in (k, m) order.
     """
     if isinstance(shape, ApollonianSemiring):
         wrap, chart = False, _apollonian_embed(shape.pole)
@@ -221,18 +218,20 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
     diagonal = np.where(ac[..., None], np.stack([ids[:-1, :Q], nxt[1:]], axis=-1),
                         np.stack([ids[1:, :Q], nxt[:-1]], axis=-1))
     edges = np.concatenate([_grid_edges(ids, 1 if wrap else None), diagonal.reshape(-1, 2)])
-    chord = z.ravel()[edges[:, 1]] - z.ravel()[edges[:, 0]]
-    return _grid_graph(shape, ids, pts, edges, sigma * np.abs(chord) ** 2)
+    return _grid_graph(shape, ids, pts, edges, sigma)
 
 
 def _build_3d(shape: Shape, K: int, J: int) -> GridGraph:
     """Log-spherical product grid; azimuthal count is 2*J.
 
     Node ids run over (radius, polar, azimuth) in C order and edges come axis
-    by axis: radial, polar, then the wrapping azimuthal edges.  Tube weights
-    come from the two-point flux rule: weight = face area times center
-    distance, so that weight/length^2 is the conductance of the tube.  Polar
-    cells are cell-centered, which keeps nodes off the axis.
+    by axis: radial, polar, then the wrapping azimuthal edges.  Conductances
+    come from the two-point flux rule for the p = 3 energy.  The tube of an
+    edge has the volume weight = (area of its dual face) * (arc between its
+    nodes along the grid line), and its conductance is weight / chord^3, so
+    that sigma |dphi|^3 = weight (|dphi| / chord)^3: the numerator uses the
+    arc, the denominator the chord.  Polar cells are cell-centered, which
+    keeps nodes off the axis.
     """
     if isinstance(shape, Annulus):
         hemi = False
@@ -268,7 +267,8 @@ def _build_3d(shape: Shape, K: int, J: int) -> GridGraph:
             np.sin(phi[:-1] + dphi / 2) * dpsi * ring_area * r * dphi,
             dphi * ring_area * r * np.sin(phi) * dpsi]
     weights = np.concatenate([np.repeat(w, I) for w in tube])
-    return _grid_graph(shape, ids, nodes, edges, weights)
+    chord = np.linalg.norm(nodes[edges[:, 1]] - nodes[edges[:, 0]], axis=1)
+    return _grid_graph(shape, ids, nodes, edges, weights / chord ** 3)
 
 
 def build_grid(shape: Shape, radial_cells: int, angular_cells: int) -> GridGraph:
@@ -330,25 +330,25 @@ def _level_prolongation(graph: GridGraph) -> tuple[np.ndarray, sp.csr_matrix]:
 
 
 def modulus_connect(graph: GridGraph) -> ModulusEstimate:
-    """Discrete p-modulus of the source-to-sink path family, as a p-capacity.
+    """Discrete p-modulus of the connecting family: the least edge energy.
 
-    With sigma = w / len^p the modulus is the minimum of
-    F(phi) = sum_e sigma_e |dphi_e|^p over potentials phi = 0 on the source
-    and 1 on the sink, and rho = |dphi| / len is the extremal density.  The
-    unknowns are the nodes the source reaches without crossing the sink; the
-    others take the sink's potential.  p = 2 is one Jacobi-preconditioned CG
-    solve of the weighted Laplacian; p > 2 runs Newton with backtracking on F
-    from the p = 2 potential, one CG solve per step.  Every CG solve starts from the Galerkin solution over
-    potentials constant on the hop levels of ``_level_prolongation`` (the
-    radial shells of a product grid): x0 = P (P^T L P)^-1 P^T rhs, the
-    level-constant vector of least energy error, so CG only has to remove
-    what varies within a level.  rho has rho-length >= 1 on every
-    source-sink path by telescoping, so it is admissible without rescaling.
-    With positive weights (the 3D grids) m_gamma = F(phi) is an upper bound
-    on the graph modulus; on planar grids it is the P1 Dirichlet energy of
-    the piecewise-linear potential.  Signed conductances are accepted as long
-    as every free node has a positive Laplacian diagonal, which the Jacobi
-    preconditioner needs; otherwise ValueError.  Deterministic.
+    Minimizes F(phi) = sum_e sigma_e |dphi_e|^p, sigma = ``graph.conductance``,
+    over potentials phi = 0 on the source and 1 on the sink, and returns
+    m_gamma = F(phi) with the minimizing ``potential``.  The unknowns are the
+    nodes the source reaches without crossing the sink; the others take the
+    sink's potential.  p = 2 is one Jacobi-preconditioned CG solve of the
+    weighted Laplacian; p > 2 runs Newton with backtracking on F from the
+    p = 2 potential, one CG solve per step.  Every CG solve starts from the
+    Galerkin solution over potentials constant on the hop levels of
+    ``_level_prolongation`` (the radial shells of a product grid):
+    x0 = P (P^T L P)^-1 P^T rhs, the level-constant vector of least energy
+    error, so CG only has to remove what varies within a level.  On planar
+    grids m_gamma is the P1 Dirichlet energy of the piecewise-linear
+    potential; with positive conductances (the 3D grids) it is the graph's
+    path-family modulus (Duffin 1962), up to the solver tolerance.  Signed
+    conductances are accepted as long as every free node has a positive
+    Laplacian diagonal, which the Jacobi preconditioner needs; otherwise
+    ValueError.  Deterministic.
     """
     p = graph.p
     if p < 2:
@@ -362,7 +362,7 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     inc_free = inc[:, free]
     inc_free_t = inc_free.T.tocsr()
     prolong_t = prolong.T.tocsr()
-    sigma = graph.weights / graph.lengths ** p
+    sigma = graph.conductance
     cg_steps = 0
 
     def count(_):
@@ -385,7 +385,9 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
         return x
 
     def energy(x):
-        return float(sigma @ np.abs(inc @ x) ** p)
+        # pairwise summation: a dot product of the 784k terms of a 256x1024
+        # grid drifts by 1e-14 relative
+        return float(np.sum(sigma * np.abs(inc @ x) ** p))
 
     phi = np.ones(N)          # nodes the source does not reach take the sink's potential
     phi[graph.source] = phi[free] = 0.0
@@ -418,8 +420,7 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
                 raise ConvergenceError(f"Newton line search failed (residual {residual:.3g})")
         phi = trial
 
-    rho = np.abs(inc @ phi) / graph.lengths
-    m_gamma = float(np.sum(graph.weights * rho ** p))
+    m_gamma = energy(phi)
     return ModulusEstimate(
         m_gamma=m_gamma,
         mo=mo_from_gamma(m_gamma, graph.kind, graph.nodes.shape[1]),
@@ -427,7 +428,7 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
         cg_iterations=cg_steps,
         residual=residual,
         resolution=graph.resolution,
-        rho=rho,
+        potential=phi,
     )
 
 
@@ -439,7 +440,7 @@ def build_image_grid(mapping: Mapping, shape: Shape, resolution: tuple[int, int]
     """Grid of the image of ``shape`` under ``mapping``.
 
     Every grid node is pushed through the map, and the conductances are the
-    P1 cotangent weights of the image triangulation (see ``_build_2d``).
+    P1 cotangent conductances of the image triangulation (see ``_build_2d``).
     Planar shapes only; the map must be nonsingular on the closed shape.
     """
     if shape.n != 2:

@@ -172,10 +172,10 @@ def parse_shape(spec: str) -> Shape:
 
     Forms: 'annulus:n=<int>,r0=<f>,r1=<f>[,c=<vec>]',
     'semiring:n=<int>,r0=<f>,r1=<f>[,x0=<vec>]',
-    'apollonian:n=<int>,r0=<f>,r1=<f>,xi=<vec>'.  A semiring also takes
-    r and R as aliases of r0 and r1, but not a radius under both names.
-    Vectors are comma-separated floats and must come last.  A key the kind
-    does not take is refused.
+    'apollonian:n=<int>,r0=<f>,r1=<f>[,xi=<vec>]', whose pole xi defaults
+    to e_1.  A semiring also takes r and R as aliases of r0 and r1, but not
+    a radius under both names.  Vectors are comma-separated floats and must
+    come last.  A key the kind does not take is refused.
     """
     spec = spec.strip()
     head, _, body = spec.partition(":")

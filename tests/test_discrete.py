@@ -28,12 +28,11 @@ E = math.e
 TWO_PI = 2 * math.pi
 
 
-def single_edge_graph(length=1.0, weight=None, p=2.0):
+def single_edge_graph(conductance=1.0, p=2.0):
     return GridGraph(
-        nodes=np.array([[0.0, 0.0], [length, 0.0]]),
+        nodes=np.array([[0.0, 0.0], [1.0, 0.0]]),
         edges=np.array([[0, 1]]),
-        lengths=np.array([length]),
-        weights=np.array([weight if weight is not None else length]),
+        conductance=np.array([conductance]),
         source=np.array([0]),
         sink=np.array([1]),
         p=p,
@@ -43,11 +42,7 @@ def single_edge_graph(length=1.0, weight=None, p=2.0):
 
 
 def chain_graph(chains, p):
-    """Disjoint source-sink chains; chain k has edge conductances chains[k].
-
-    Lengths vary along each chain and weights are set so that
-    sigma = weight / length^p takes the given values.
-    """
+    """Disjoint source-sink chains; chain k has edge conductances chains[k]."""
     edges, sigma, source, sink = [], [], [], []
     node = 0
     for chain in chains:
@@ -58,11 +53,9 @@ def chain_graph(chains, p):
             node += 1
         sink.append(node)
         node += 1
-    lengths = 0.5 + 0.25 * np.arange(len(edges))
     return GridGraph(
         nodes=np.stack([np.arange(float(node)), np.zeros(node)], axis=1),
-        edges=np.array(edges), lengths=lengths,
-        weights=np.array(sigma) * lengths ** p,
+        edges=np.array(edges), conductance=np.array(sigma),
         source=np.array(source), sink=np.array(sink),
         p=p, kind="ring", resolution=(len(chains), 1),
     )
@@ -73,13 +66,15 @@ def chain_modulus(sigma, p):
     return float(np.sum(np.asarray(sigma) ** (-1.0 / (p - 1.0))) ** (1.0 - p))
 
 
-def shortest_rho_length(g, rho):
-    """Least rho-length of a source-sink path, by Dijkstra from a supersource."""
+def least_path_drop(g, phi):
+    """Least sum of |dphi| along a source-sink path, by Dijkstra from a supersource.
+    It is at least phi(sink) - phi(source) by telescoping, so the density
+    |dphi| / length is admissible."""
     N = len(g.nodes)
     s, t = N, N + 1
     rows = np.concatenate([g.edges[:, 0], g.edges[:, 1], np.full(len(g.source), s), g.sink])
     cols = np.concatenate([g.edges[:, 1], g.edges[:, 0], g.source, np.full(len(g.sink), t)])
-    w = g.lengths * rho
+    w = np.abs(phi[g.edges[:, 1]] - phi[g.edges[:, 0]])
     data = np.concatenate([w, w, np.zeros(len(g.source) + len(g.sink))])
     dist = dijkstra(sp.csr_matrix((data, (rows, cols)), shape=(N + 2, N + 2)), indices=s)
     return dist[t]
@@ -87,9 +82,9 @@ def shortest_rho_length(g, rho):
 
 def direct_m_gamma(g):
     """p-energy of the potential of one direct sparse solve of the reduced
-    Laplacian with conductances sigma = w / len^p (the p-capacity for p = 2)."""
+    Laplacian with the graph's conductances (the p-capacity for p = 2)."""
     N, p = len(g.nodes), g.p
-    sigma = g.weights / g.lengths ** p
+    sigma = g.conductance
     i, j = g.edges.T
     L = sp.coo_matrix((np.concatenate([sigma, sigma, -sigma, -sigma]),
                        (np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i]))),
@@ -106,7 +101,7 @@ def direct_m_gamma(g):
 def test_single_edge():
     est = modulus_connect(single_edge_graph())
     assert est.m_gamma == pytest.approx(1.0, abs=1e-5)
-    assert est.rho[0] == pytest.approx(1.0, abs=1e-5)
+    np.testing.assert_allclose(est.potential, [0.0, 1.0], atol=1e-5)
     assert est.residual <= 1e-8
 
 
@@ -116,8 +111,7 @@ def test_series_and_parallel_edges():
         g = GridGraph(
             nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
             edges=np.array([[0, 1], [1, 2]]),
-            lengths=np.ones(2),
-            weights=np.ones(2),
+            conductance=np.ones(2),
             source=np.array([0]),
             sink=np.array([2]),
             p=p, kind="ring", resolution=(2, 1),
@@ -128,8 +122,7 @@ def test_series_and_parallel_edges():
         g = GridGraph(
             nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
             edges=np.array([[0, 1], [2, 3]]),
-            lengths=np.ones(2),
-            weights=np.ones(2),
+            conductance=np.ones(2),
             source=np.array([0, 2]),
             sink=np.array([1, 3]),
             p=p, kind="ring", resolution=(1, 2),
@@ -159,24 +152,23 @@ def test_sink_only_component():
         g = GridGraph(
             nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]),
             edges=np.array([[0, 1], [1, 2], [2, 3], [3, 4]]),
-            lengths=np.ones(4),
-            weights=np.ones(4),
+            conductance=np.ones(4),
             source=np.array([0]),
             sink=np.array([2]),
             p=p, kind="ring", resolution=(5, 1),
         )
         est = modulus_connect(g)
         assert est.m_gamma == pytest.approx(2.0 ** (1.0 - p), rel=1e-12)
-        np.testing.assert_allclose(est.rho, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(est.potential, [0.0, 0.5, 1.0, 1.0, 1.0], atol=1e-12)
         assert est.residual <= 1e-8
         # a triangle 5, 6, 7 touching neither the source nor the sink is left
         # out of the solve and carries no energy either
         est_isolated = modulus_connect(replace(
             g, nodes=np.vstack([g.nodes, [[0.0, 1.0], [1.0, 1.0], [0.0, 2.0]]]),
             edges=np.vstack([g.edges, [[5, 6], [6, 7], [7, 5]]]),
-            lengths=np.ones(7), weights=np.ones(7)))
+            conductance=np.ones(7)))
         assert est_isolated.m_gamma == est.m_gamma
-        np.testing.assert_array_equal(est_isolated.rho[2:], 0.0)
+        np.testing.assert_array_equal(est_isolated.potential[2:], 1.0)
         assert est_isolated.residual <= 1e-8
 
 
@@ -259,10 +251,12 @@ def test_build_grid_structure():
         step = np.abs(head - tail)
         step[:, 2] = np.minimum(step[:, 2], I - step[:, 2])
         assert np.all(step.sum(axis=1) == 1)
-        # the cell solid angles of a layer telescope to the full (hemi)sphere
+        # the tube weights conductance * chord^3 of a layer's radial edges
+        # telescope to the full (hemi)sphere's shell
         radial = step[:, 0] == 1
         layer = np.minimum(tail[radial, 0], head[radial, 0])
-        sums = np.bincount(layer, weights=g.weights[radial], minlength=K - 1)
+        chord = np.linalg.norm(g.nodes[g.edges[:, 1]] - g.nodes[g.edges[:, 0]], axis=1)
+        sums = np.bincount(layer, weights=(g.conductance * chord ** 3)[radial], minlength=K - 1)
         np.testing.assert_allclose(sums, c * r_half ** 2 * np.diff(radii), rtol=1e-12, atol=0)
 
 
@@ -299,7 +293,7 @@ def test_planar_patch(build):
     g = build()
     # the edge energy of a linear potential a.x is the P1 Dirichlet energy
     # |a|^2 area, whatever the mesh's shear or the signs of its conductances
-    sigma = g.weights / g.lengths ** 2
+    sigma = g.conductance
     dx = g.nodes[g.edges[:, 1]] - g.nodes[g.edges[:, 0]]
     area = boundary_area(g)
     for a in (np.array([1.0, 0.0]), np.array([0.3, -1.7])):
@@ -321,8 +315,8 @@ def test_annulus_estimate_and_admissibility():
     est = modulus_connect(g)
     assert est.m_gamma == pytest.approx(TWO_PI, rel=0.02)
     assert est.residual <= 1e-8
-    # admissibility of the returned density, checked independently
-    assert shortest_rho_length(g, est.rho) >= 1.0 - 1e-9
+    # admissibility of the density |dphi| / length, checked independently
+    assert least_path_drop(g, est.potential) >= 1.0 - 1e-9
 
 
 def test_semiring_estimate():
@@ -376,7 +370,7 @@ def test_determinism():
     e1 = modulus_connect(g1)
     e2 = modulus_connect(g2)
     assert e1.m_gamma == e2.m_gamma
-    assert np.array_equal(e1.rho, e2.rho)
+    assert np.array_equal(e1.potential, e2.potential)
 
 
 def test_image_identity():
@@ -430,8 +424,7 @@ def test_disconnected_graph_rejected():
     g = GridGraph(
         nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
         edges=np.array([[0, 1], [2, 3]]),
-        lengths=np.ones(2),
-        weights=np.ones(2),
+        conductance=np.ones(2),
         source=np.array([0]),
         sink=np.array([3]),
         p=2.0, kind="ring", resolution=(1, 1),
@@ -459,31 +452,33 @@ def test_solver_failures_raise_convergence_error(monkeypatch):
 def test_graph_validation():
     with pytest.raises(ValueError):
         GridGraph(nodes=np.zeros((2, 2)), edges=np.array([[0, 1]]),
-                  lengths=np.array([0.0]), weights=np.array([1.0]),
-                  source=np.array([0]), sink=np.array([1]),
-                  p=2.0, kind="ring", resolution=(1, 1))
-    with pytest.raises(ValueError):
-        GridGraph(nodes=np.zeros((2, 2)), edges=np.array([[0, 1]]),
-                  lengths=np.array([1.0]), weights=np.array([1.0]),
+                  conductance=np.array([1.0]),
                   source=np.array([0]), sink=np.array([0]),
                   p=2.0, kind="ring", resolution=(1, 1))
     for bad in (np.nan, np.inf):
-        for lengths, weights in (([bad], [1.0]), ([1.0], [bad])):
-            with pytest.raises(ValueError, match="finite"):
-                GridGraph(nodes=np.zeros((2, 2)), edges=np.array([[0, 1]]),
-                          lengths=np.array(lengths), weights=np.array(weights),
-                          source=np.array([0]), sink=np.array([1]),
-                          p=2.0, kind="ring", resolution=(1, 1))
+        with pytest.raises(ValueError, match="finite"):
+            single_edge_graph(conductance=bad)
+    # one conductance per edge, and every edge end a node index
+    with pytest.raises(ValueError, match="conductance"):
+        GridGraph(nodes=np.zeros((2, 2)), edges=np.array([[0, 1]]),
+                  conductance=np.ones(2),
+                  source=np.array([0]), sink=np.array([1]),
+                  p=2.0, kind="ring", resolution=(1, 1))
+    with pytest.raises(ValueError, match="edges"):
+        GridGraph(nodes=np.zeros((2, 2)), edges=np.array([[0, 2]]),
+                  conductance=np.ones(1),
+                  source=np.array([0]), sink=np.array([1]),
+                  p=2.0, kind="ring", resolution=(1, 1))
     with pytest.raises(ValueError, match="exponent"):
         modulus_connect(single_edge_graph(p=1.5))
-    # Newton needs a convex energy: no non-positive weight where p > 2
+    # Newton needs a convex energy: no non-positive conductance where p > 2
     with pytest.raises(ValueError, match="positive"):
-        single_edge_graph(weight=-1.0, p=3.0)
+        single_edge_graph(conductance=-1.0, p=3.0)
     # p = 2 takes signed conductances, but the Jacobi preconditioner needs a
     # positive Laplacian diagonal at every free node; node 1 has 1 - 1 = 0
     g = GridGraph(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
-                  edges=np.array([[0, 1], [1, 2]]), lengths=np.ones(2),
-                  weights=np.array([1.0, -1.0]), source=np.array([0]), sink=np.array([2]),
+                  edges=np.array([[0, 1], [1, 2]]),
+                  conductance=np.array([1.0, -1.0]), source=np.array([0]), sink=np.array([2]),
                   p=2.0, kind="ring", resolution=(3, 1))
     with pytest.raises(ValueError, match="diagonal"):
         modulus_connect(g)

@@ -86,6 +86,8 @@ def test_parse_shape():
     s = parse_shape("apollonian:n=2,r0=0.1,r1=1,xi=0,1")
     assert isinstance(s, ApollonianSemiring)
     assert np.allclose(s.pole, [0.0, 1.0])
+    # the pole xi defaults to e_1
+    assert np.array_equal(parse_shape("apollonian:n=2,r0=0.1,r1=1").pole, [1.0, 0.0])
     with pytest.raises(ValueError):
         parse_shape("torus:n=2")
     with pytest.raises(ValueError):

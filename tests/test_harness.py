@@ -3,9 +3,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from ringmod import harness
+from ringmod import discrete, geometry, harness
 from ringmod.cli import main
 
 
@@ -156,6 +157,14 @@ def test_cli_modulus_with_density(tmp_path, capsys):
     # every data cell must be a plain parseable float
     first = [float(v) for v in lines[1].split(",")]
     assert len(first) == 6 and first[-1] > 0
+    # one row per edge of the same grid, with rho = |dphi| / length of its potential
+    g = discrete.build_grid(geometry.parse_shape("annulus:n=2,r0=1,r1=2.718281828459045"), 16, 64)
+    phi = discrete.modulus_connect(g).potential
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    length = np.linalg.norm(g.nodes[g.edges[:, 1]] - g.nodes[g.edges[:, 0]], axis=1)
+    np.testing.assert_array_equal(table[:, -1], length)
+    np.testing.assert_array_equal(table[:, -2],
+                                  np.abs(phi[g.edges[:, 1]] - phi[g.edges[:, 0]]) / length)
 
 
 def test_cli_modulus_image(capsys):
