@@ -33,7 +33,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .constants import ball_volume, sphere_area
 from .dilatation import angular_dilatation_field, normal_dilatation_field
@@ -119,6 +118,18 @@ def _gauss(m: int, a: float, b: float):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+def _gauss_jacobi_sym(m: int, a: float):
+    """m-node Gauss rule for the weight (1 - t^2)^a on [-1, 1] (Golub and
+    Welsch 1969): the nodes are the eigenvalues of the Jacobi matrix of the
+    weight's orthogonal polynomials, the weights mu0 = int (1 - t^2)^a dt
+    times the squared first components of their unit eigenvectors."""
+    k = np.arange(1, m)
+    off = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
+    t, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5)
+    return t, mu0 * v[0] ** 2
+
+
 @lru_cache(maxsize=64)
 def _sphere_rule(n: int, count: int, hemisphere: bool):
     """Unit directions and weights integrating the (hemi)sphere measure.
@@ -128,7 +139,8 @@ def _sphere_rule(n: int, count: int, hemisphere: bool):
     azimuthal, count x 2 count directions.  n = 4, 5: product Gauss rule
     (Stroud 1971) built from the n = 3 rule by z = (t, sqrt(1 - t^2) y), with
     t on [-1, 1] at the Gauss-Jacobi nodes of the weight (1 - t^2)^((d-3)/2)
-    for each dimension d = 4 .. n and y from the rule one dimension lower;
+    for each dimension d = 4 .. n (``_gauss_jacobi_sym``, Golub-Welsch in
+    numpy) and y from the rule one dimension lower;
     every factor has m nodes, m the least integer with m^(n-1) >= count^2,
     so the 2 m^(n-1) directions grow like the 2 count^2 of n = 3.  The rule
     integrates every even polynomial of degree < 2 m exactly.  Every rule is
@@ -160,7 +172,7 @@ def _sphere_rule(n: int, count: int, hemisphere: bool):
     m = next(k for k in itertools.count(1) if k ** (n - 1) >= count * count)
     Z, w = _sphere_rule(3, m, hemisphere)
     for d in range(4, n + 1):
-        t, wt = roots_jacobi(m, 0.5 * (d - 3), 0.5 * (d - 3))
+        t, wt = _gauss_jacobi_sym(m, 0.5 * (d - 3))
         Zd = np.empty((m, len(Z), d))
         Zd[..., 0] = t[:, None]
         Zd[..., 1:] = np.sqrt(1.0 - t * t)[:, None, None] * Z

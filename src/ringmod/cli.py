@@ -133,7 +133,8 @@ def _cmd_bounds(args) -> int:
         val, err = bd.modintbound_with_error(mapping, shape.x0, shape.r0, shape.r1, spec,
                                              full_sphere=(shape.kind == "ring"))
         rep = bd.BoundReport("modintbound", val, None, err, "not-checked",
-                             details={"r": shape.r0, "R": shape.r1})
+                             details={"r": shape.r0, "R": shape.r1,
+                                      "capped": bd._capped(val, err)})
     elif args.which == "domfac":
         rep = bd.dominated_modulus_bound(args.m, args.M, args.r0, args.n,
                                          bd.DominatingFactor.linear(args.gamma))

@@ -24,6 +24,10 @@ tridiagonal system with one unknown per level.  On aligned grids the
 potential is constant on the shells, so CG starts converged; elsewhere it
 removes only what varies along a shell.
 
+scipy (the sparse matrices, the BFS, and the CG and direct solves) is
+imported by the first solve, not with this module, so a caller that never
+solves loads numpy only.  Every CG solve calls the module-level ``cg``.
+
 Grids are structured log-polar (log-spherical for n = 3) products aligned
 with the shapes, which keeps level sets of the extremal potentials along
 grid lines and the discretization error small.  Builders are array code over
@@ -43,14 +47,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
-from scipy.sparse.linalg import cg, spsolve
 
 from .geometry import Annulus, ApollonianSemiring, HalfSemiring, Shape, span_area
 from .maps import Mapping
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class ConvergenceError(RuntimeError):
@@ -298,6 +303,14 @@ _NEWTON_CAP = 50       # Newton steps before ConvergenceError
 _WEIGHT_FLOOR = 1e-12  # Hessian weights floored at this multiple of their maximum
 
 
+def cg(A, b, **kwargs):
+    """``scipy.sparse.linalg.cg``, imported on the first call.  Every CG solve
+    of ``modulus_connect`` looks up this module attribute, so replacing it
+    reaches the solver."""
+    from scipy.sparse.linalg import cg as scipy_cg
+    return scipy_cg(A, b, **kwargs)
+
+
 def _level_prolongation(graph: GridGraph) -> tuple[np.ndarray, sp.csr_matrix]:
     """Free nodes and the 0/1 prolongation (free nodes x levels) of their hop levels.
 
@@ -309,6 +322,9 @@ def _level_prolongation(graph: GridGraph) -> tuple[np.ndarray, sp.csr_matrix]:
     its other end reached.  On a product grid whose first axis is radial the
     levels are the radial shells.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import dijkstra
+
     N = len(graph.nodes)
     is_sink = np.zeros(N, dtype=bool)
     is_sink[graph.sink] = True
@@ -350,6 +366,9 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     Laplacian diagonal, which the Jacobi preconditioner needs; otherwise
     ValueError.  Deterministic.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
     p = graph.p
     if p < 2:
         raise ValueError(f"modulus exponent must be at least 2, got {p}")

@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -657,6 +656,8 @@ def run_all(tag: str | None = None, config: HarnessConfig | None = None) -> dict
     config = config or HarnessConfig()
     ids = sorted(sid for sid, sc in SCENARIOS.items() if tag is None or tag in sc.tags)
     if config.jobs > 1 and len(ids) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             reports = list(pool.map(run_scenario, ids, [config] * len(ids)))
     else:

@@ -90,6 +90,26 @@ def test_sphere_rule_high_dimension():
     assert quad_weighted(ONE, s4, spec) == pytest.approx(sphere_area(4) / 2.0, rel=1e-12)
 
 
+def test_gauss_jacobi_rule_matches_scipy():
+    # the numpy Golub-Welsch rule for the weight (1 - t^2)^a against scipy's
+    # roots_jacobi, at every node count m that a DEFAULT_SPEC level reaches
+    # at n = 4, 5, and its exactness on even monomials of degree < 2 m
+    from scipy.special import roots_jacobi
+    counts = {next(k for k in range(1, 100) if k ** (n - 1) >= c * c)
+              for n in (4, 5)
+              for c in (DEFAULT_SPEC.angular << k for k in range(DEFAULT_SPEC.max_refine + 1))}
+    assert max(counts) == 34
+    for a in (0.5, 1.0):
+        for m in sorted(counts):
+            t, w = bounds._gauss_jacobi_sym(m, a)
+            t_ref, w_ref = roots_jacobi(m, a, a)
+            assert np.abs(t - t_ref).max() <= 1e-14
+            assert np.abs(w / w_ref - 1.0).max() <= 1e-12
+            for j in range(m):
+                beta = math.gamma(j + 0.5) * math.gamma(a + 1) / math.gamma(j + a + 1.5)
+                assert w @ t ** (2 * j) == pytest.approx(beta, rel=1e-13)
+
+
 def test_sphere_rule_refuses_dimension_one():
     # the n >= 4 node count m^(n-1) >= count^2 has no solution at n = 1
     with pytest.raises(ValueError, match="2 <= n <= 5"):

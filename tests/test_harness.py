@@ -202,6 +202,14 @@ def test_cli_bounds_not_checked(capsys):
         assert json.loads(capsys.readouterr().out)["verdict"] == "not-checked"
 
 
+def test_cli_bounds_modintbound_reports_capped(capsys):
+    assert main(["bounds", "modintbound", "--map", "radial:a=0.8",
+                 "--shape", "semiring:n=2,r=1,R=2.718281828459045"]) == 0
+    text = capsys.readouterr().out
+    assert '"capped": false' in text
+    assert json.loads(text)["details"]["capped"] is False
+
+
 def test_cli_bounds_holder_needs_a_half_semiring(capsys):
     assert main(["bounds", "holder", "--shape", "annulus:n=2,r0=0.5,r1=1"]) == 2
     assert "semiring" in capsys.readouterr().err

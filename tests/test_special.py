@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -115,6 +116,32 @@ def test_import_graph_has_no_optimizer():
             "sys.exit('scipy.optimize' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ringmod.__file__)))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_only_a_discrete_solve_loads_scipy():
+    # a fresh interpreter: the imports, an n = 2 eq1est, the n = 4, 5 sphere
+    # rules and the special scenarios load neither scipy nor the process
+    # pool; the first discrete solve then loads scipy.sparse, which shows the
+    # check can see a module that is loaded
+    code = textwrap.dedent("""
+        import math, sys
+        import ringmod, ringmod.cli, ringmod.harness
+        from ringmod import bounds, discrete, geometry, harness, maps
+
+        bounds.eq1est_bounds(maps.RotationTwist(), geometry.HalfSemiring(2, 1.0, math.e),
+                             bounds.QuadratureSpec(8, 8, max_refine=1))
+        bounds._sphere_rule(4, 8, True)
+        bounds._sphere_rule(5, 8, False)
+        assert harness.run_all(tag="special")["passed"]
+        loaded = sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m == "concurrent.futures")
+        assert not loaded, loaded
+        discrete.modulus_connect(discrete.build_grid(geometry.Annulus(2, 1.0, math.e), 16, 64))
+        assert "scipy.sparse" in sys.modules
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ringmod.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_psi2_growth():
