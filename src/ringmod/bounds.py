@@ -75,7 +75,7 @@ class BoundReport:
 
     inequality: str
     left: float | None
-    right: float | list | None
+    right: float | None
     error: float
     verdict: str          # holds / violated / inconclusive / not-checked / extends
     details: dict = field(default_factory=dict)
@@ -462,25 +462,13 @@ def is_divergence_type(factor: DominatingFactor, n: int) -> str:
     """Classify: does the integral of H(t) t^(-n/(n-1)) over [1, inf) diverge?
 
     Powers diverge exactly when alpha >= 1/(n-1), so linear factors
-    (alpha = 1) always do.  Tabulated factors get a numeric growth test on
-    the available range and may come back inconclusive.
+    (alpha = 1) always do.  A tabulated factor ends at its last sample and
+    cannot decide an integral to infinity, so it is always inconclusive.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    crit = 1.0 / (n - 1.0)
     if factor.family == "power":
-        return "divergent" if factor.alpha >= crit else "convergent"
-    t = factor.table_t
-    hi = min(t[-1], 1e6)
-    lo = max(t[0], hi / 10.0, 1.0)
-    if hi <= lo * 1.5:
-        return "inconclusive"
-    slope = (math.log(float(factor(hi))) - math.log(float(factor(lo)))) / (math.log(hi) - math.log(lo))
-    margin = 0.05
-    if slope > crit + margin:
-        return "divergent"
-    if slope < crit - margin:
-        return "convergent"
+        return "divergent" if factor.alpha >= 1.0 / (n - 1.0) else "convergent"
     return "inconclusive"
 
 
@@ -598,11 +586,13 @@ def lipschitz_constants(big_m: float, R: float, n: int) -> LipschitzConstants:
 
 def _omega_profile(mapping: Mapping, t_pt: np.ndarray, radii: np.ndarray,
                    nq: int, na: int) -> np.ndarray:
-    """omega(s) = (2/(Omega_n s^n)) * integral over the half ball of (D - 1).
+    """omega(s) = (2 / (Omega_n s^n)) * integral over the half ball of (D - 1)
+             = (2 / Omega_n) * int_0^1 q^(n-1) int_{half sphere} (D - 1)(t + s q z) dsigma(z) dq,
 
-    With rho = s*q the half-ball integral becomes
-    (2 n / omega-normalizer) ... evaluated as a (s, q, z) tensor rule; the
-    integrand is bounded, so plain Gauss in q suffices.
+    where Omega_n is the volume of the unit ball, the half ball has radius s
+    about t, and the second form writes its points as t + rho z with
+    rho = s q.  It is evaluated as a (s, q, z) tensor rule; the integrand is
+    bounded, so plain Gauss in q suffices.
     """
     n = len(t_pt)
     q, wq = _gauss(nq, 0.0, 1.0)

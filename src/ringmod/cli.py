@@ -318,7 +318,7 @@ def main(argv=None) -> int:
         if args.jobs < 1 or args.tol_scale < 1.0:
             raise ValueError("--jobs must be >= 1 and --tol-scale >= 1")
         return args.fn(args)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

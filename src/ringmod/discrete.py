@@ -314,13 +314,15 @@ def cg(A, b, **kwargs):
 def _level_prolongation(graph: GridGraph) -> tuple[np.ndarray, sp.csr_matrix]:
     """Free nodes and the 0/1 prolongation (free nodes x levels) of their hop levels.
 
-    A node's level is its hop distance from the source set through nodes off
-    the sink (one BFS from a hub joined to every source node).  The free
-    nodes are the nodes off the source and sink that this BFS reaches; every
-    other node off the source and sink touches at most the sink.  The graph
-    is disconnected between source and sink exactly when no sink edge has
-    its other end reached.  On a product grid whose first axis is radial the
-    levels are the radial shells.
+    One BFS from the source set through the edges with no end on the sink
+    gives every node its hop distance; a free node's level is that distance
+    minus one, so the nodes next to the source form level 0.  BFS distances
+    from a set are contiguous, so every level is occupied.  The free nodes
+    are the nodes off the source and sink that this BFS reaches; every other
+    node off the source and sink touches at most the sink.  The graph is
+    disconnected between source and sink exactly when no edge with an end on
+    the sink has an end reached.  On a product grid whose first axis is
+    radial the levels are the radial shells.
     """
     import scipy.sparse as sp
     from scipy.sparse.csgraph import dijkstra
@@ -328,21 +330,18 @@ def _level_prolongation(graph: GridGraph) -> tuple[np.ndarray, sp.csr_matrix]:
     N = len(graph.nodes)
     is_sink = np.zeros(N, dtype=bool)
     is_sink[graph.sink] = True
-    at_sink = is_sink[graph.edges]
-    edges = graph.edges[~at_sink.any(axis=1)]
-    hub = np.full(len(graph.source), N)
-    adj = sp.csr_matrix((np.ones(len(edges) + len(hub)),
-                         (np.concatenate([edges[:, 0], hub]),
-                          np.concatenate([edges[:, 1], graph.source]))), shape=(N + 1, N + 1))
-    hops = dijkstra(adj, directed=False, indices=N, unweighted=True)[:N]
+    at_sink = is_sink[graph.edges].any(axis=1)
+    edges = graph.edges[~at_sink]
+    adj = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(N, N))
+    hops = dijkstra(adj, directed=False, indices=graph.source, unweighted=True, min_only=True)
     reached = np.isfinite(hops)
-    if not reached[graph.edges[at_sink[:, ::-1]]].any():
+    if not reached[graph.edges[at_sink]].any():
         raise ValueError("graph is disconnected between source and sink")
     reached[graph.source] = False
     free = np.flatnonzero(reached)
-    levels, level = np.unique(hops[free], return_inverse=True)
+    level = hops[free].astype(np.intp) - 1
     return free, sp.csr_matrix((np.ones(len(free)), (np.arange(len(free)), level)),
-                               shape=(len(free), len(levels)))
+                               shape=(len(free), level.max(initial=-1) + 1))
 
 
 def modulus_connect(graph: GridGraph) -> ModulusEstimate:

@@ -460,8 +460,7 @@ def _sc_holder(cfg):
                      (maps.RadialStretch(a=0.8), "radial-0.8")):
         rep = bd.holder_identity_check(m, np.zeros(2), 0.01, 1.0)
         out.append(_flag(f"{label}-holds", rep.verdict == "holds", "derived"))
-        out.append(_close(f"{label}-gap", rep.details["gap"], 0.0, max(rep.error, 1e-9),
-                          "derived", cfg))
+        out.append(_close(f"{label}-gap", rep.details["gap"], 0.0, rep.error, "derived", cfg))
     # constant profile value for the contracting stretch
     m = maps.RadialStretch(a=0.8)
     field = angular_dilatation_field(m, np.zeros(2))
@@ -652,9 +651,13 @@ def run_scenario(sid: str, config: HarnessConfig | None = None) -> Report:
 
 
 def run_all(tag: str | None = None, config: HarnessConfig | None = None) -> dict:
-    """Run every registered scenario matching the tag; aggregate by id order."""
+    """Run every registered scenario matching the tag; aggregate by id order.
+    A tag that no scenario carries raises KeyError."""
     config = config or HarnessConfig()
     ids = sorted(sid for sid, sc in SCENARIOS.items() if tag is None or tag in sc.tags)
+    if not ids:
+        known = sorted({t for sc in SCENARIOS.values() for t in sc.tags})
+        raise KeyError(f"unknown tag {tag!r}; known: {known}")
     if config.jobs > 1 and len(ids) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -440,16 +440,22 @@ def test_divergence_classification():
         for alpha in alphas:
             want = "divergent" if alpha >= 1.0 / (n - 1) else "convergent"
             assert is_divergence_type(DominatingFactor.power(1.0, float(alpha)), n) == want
-    # tabulated factors get a numeric growth test
+    # a table ends at its last sample, so it cannot decide an integral to
+    # infinity, whatever its growth
     t = np.exp(np.linspace(0.0, math.log(1e6), 200))
     fast = DominatingFactor.tabulated(t, 2.0 * t)
-    assert is_divergence_type(fast, 3) == "divergent"
+    assert is_divergence_type(fast, 3) == "inconclusive"
     # logarithmic growth keeps exp(H) convex yet integrates finitely
     slow = DominatingFactor.tabulated(t, 1.0 + 1.5 * np.log(t))
-    assert is_divergence_type(slow, 2) == "convergent"
-    # linear growth sits exactly on the planar threshold: the numeric test
-    # cannot call it either way
+    assert is_divergence_type(slow, 2) == "inconclusive"
     assert is_divergence_type(fast, 2) == "inconclusive"
+
+
+def test_tabulated_t_over_log_t_is_inconclusive():
+    # t / log t grows slower than t on any finite table, yet the planar
+    # integral of H(t) t^-2 = 1 / (t log t) diverges
+    t = np.geomspace(3.0, 1e6, 400)
+    assert is_divergence_type(DominatingFactor.tabulated(t, t / np.log(t)), 2) == "inconclusive"
 
 
 def test_dominated_bound_closed_form():

@@ -172,6 +172,29 @@ def test_sink_only_component():
         assert est_isolated.residual <= 1e-8
 
 
+def test_level_prolongation_levels():
+    # sources 0, 1 and 10, sink 6; node 3 is two hops from source 0 and three
+    # from source 1, node 7 hangs off the sink, nodes 8 and 9 touch neither
+    # terminal, and source 10 is adjacent to the sink
+    edges = np.array([[0, 2], [2, 3], [1, 4], [4, 5], [5, 3], [3, 11], [11, 6], [6, 7],
+                      [8, 9], [10, 6]])
+    g = GridGraph(
+        nodes=np.stack([np.arange(12.0), np.zeros(12)], axis=1),
+        edges=edges, conductance=np.ones(len(edges)),
+        source=np.array([0, 1, 10]), sink=np.array([6]),
+        p=2.0, kind="ring", resolution=(12, 1),
+    )
+    free, prolong = discrete._level_prolongation(g)
+    np.testing.assert_array_equal(free, [2, 3, 4, 5, 11])
+    np.testing.assert_array_equal(prolong.toarray(), np.eye(3)[[0, 1, 0, 1, 2]])
+    # without the edge at source 10 the path through node 11 still connects;
+    # cutting that one as well leaves no source-sink path
+    discrete._level_prolongation(replace(g, edges=edges[:-1], conductance=np.ones(9)))
+    with pytest.raises(ValueError, match="disconnected"):
+        discrete._level_prolongation(replace(g, edges=np.delete(edges, [6, 9], axis=0),
+                                             conductance=np.ones(8)))
+
+
 def test_level_start_matches_direct_solve():
     # grids whose potential is not constant on the radial shells (Apollonian,
     # a sheared image) and a 3D grid, whose radial p = 2 potential is also

@@ -229,6 +229,17 @@ def test_cli_bounds_continuity_needs_dist(capsys):
     assert "--dist" in capsys.readouterr().err
 
 
+def test_cli_unsupported_grid_exits_2(capsys):
+    # a dimension without grids, a 3D Apollonian shape and a 3D image grid
+    for argv, word in ((["modulus", "--shape", "semiring:n=4,r0=1,r1=2", "--grid", "8x8"], "n in"),
+                       (["modulus", "--shape", "apollonian:n=3,r0=0.1,r1=1", "--grid", "8x8"],
+                        "three-dimensional"),
+                       (["bounds", "eq1est", "--shape", "semiring:n=3,r0=1,r1=2", "--with-image"],
+                        "image grids")):
+        assert main(argv) == 2
+        assert word in capsys.readouterr().err
+
+
 def test_cli_bounds_eq1est(capsys):
     code = main(["bounds", "eq1est", "--map", "radial:a=0.8",
                  "--shape", "semiring:n=2,r=1,R=2.718281828459045"])
@@ -315,6 +326,13 @@ def test_cli_verify_failure_exit_code(capsys, monkeypatch):
         harness.Scenario(id="zz-fail", tags=("failtag",), description="", runner=failing))
     assert main(["verify", "--filter", "failtag"]) == 1
     capsys.readouterr()
+
+
+def test_unknown_verify_tag_is_refused(capsys):
+    with pytest.raises(KeyError, match="nosuchtag"):
+        harness.run_all(tag="nosuchtag")
+    assert main(["verify", "--filter", "nosuchtag"]) == 2
+    assert "solver" in capsys.readouterr().err
 
 
 def test_run_all_parallel_jobs():
