@@ -319,7 +319,9 @@ def main(argv=None) -> int:
             raise ValueError("--jobs must be >= 1 and --tol-scale >= 1")
         return args.fn(args)
     except (ValueError, KeyError, TypeError, OSError, NotImplementedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -20,6 +20,12 @@ dilatations D = J / min^n and T = (max^n / J)^(1/(n-1)).  Both can be < 1,
 unlike the classical coefficients.  Both stretches are exact: the minimum in
 the closed form above, the maximum from the real roots of a secular
 polynomial plus the hard-case branch, with no sampling and no iteration.
+Since A^{-T} u = w / J with the cofactor product w = cof(A) u, the minimum
+is |J| / |w| and D = |w|^n / J^(n-1) = J |A^{-T} u|^n.  For n = 2 and 3,
+J and A^{-T} u are written out (Cramer's rule at n = 2; one pivoted
+elimination step and Cramer's rule on the 2x2 remainder at n = 3), so the
+angular field calls no LAPACK routine; n >= 4 takes them from
+``np.linalg.det`` and ``np.linalg.solve`` (see ``_det_dual``).
 The polynomial is rooted through one companion matrix per point, shifted to
 the eigenvalue of A^T A whose eigenvector is most nearly orthogonal to u,
 plus one more for each other eigenvector whose component of u is below
@@ -40,7 +46,8 @@ from .maps import Mapping
 
 
 class IrregularPointError(ValueError):
-    """Jacobian is singular (or orientation-reversing) at the sample point."""
+    """Jacobian is singular, orientation-reversing or not finite at the sample
+    point, or a determinant or stretch overflows."""
 
 
 @dataclass(frozen=True)
@@ -54,15 +61,19 @@ class MatrixDilatations:
 
 
 def matrix_dilatations(A) -> MatrixDilatations:
-    """All dilatation coefficients of invertible matrices A: (..., n, n)."""
+    """All dilatation coefficients of invertible matrices A: (..., n, n); a
+    singular or non-finite matrix, and a determinant or coefficient that
+    overflows, raise IrregularPointError."""
     A = np.asarray(A, dtype=float)
     n = A.shape[-1]
+    if not np.all(np.isfinite(A)):
+        raise IrregularPointError("matrix not finite")
     sv = np.linalg.svd(A, compute_uv=False)
     big, small = sv[..., 0], sv[..., -1]
     det = np.prod(sv, axis=-1)
     if np.any((big == 0.0) | (small < 1e-13 * big)):
         raise IrregularPointError("matrix is singular")
-    return MatrixDilatations(
+    md = MatrixDilatations(
         norm=big,
         small=small,
         det_abs=det,
@@ -70,6 +81,9 @@ def matrix_dilatations(A) -> MatrixDilatations:
         outer=big ** n / det,
         linear=big / small,
     )
+    if not all(np.all(np.isfinite(v)) for v in vars(md).values()):
+        raise IrregularPointError("determinant or a dilatation coefficient overflows")
+    return md
 
 
 def min_directional_stretch(A, u):
@@ -77,17 +91,69 @@ def min_directional_stretch(A, u):
 
     Substituting g = Ah and Cauchy-Schwarz on h.u = g.(A^{-T}u) shows the
     minimum equals 1/|A^{-T}u|, attained at h parallel to A^{-1}A^{-T}u.
-    Directions with h.u = 0 give +inf and never attain the minimum.
+    Directions with h.u = 0 give +inf and never attain the minimum.  With the
+    cofactor product w = cof(A) u = J A^{-T} u, J = det A, this is |J| / |w|
+    (see ``_det_dual``).  A singular matrix, a non-finite input and a
+    determinant or result that overflows raise IrregularPointError.
     """
-    try:
-        return _min_stretch_batch(np.asarray(A, dtype=float), np.asarray(u, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise IrregularPointError("matrix is singular") from exc
+    J, v2 = _det_dual(np.asarray(A, dtype=float), np.asarray(u, dtype=float))
+    if np.any(J == 0.0):
+        raise IrregularPointError("matrix is singular")
+    mn = 1.0 / np.sqrt(v2)
+    if not np.all((mn > 0.0) & (mn < np.inf) & (np.abs(J) < np.inf)):
+        raise IrregularPointError("matrix not finite, or its determinant or minimal stretch overflows")
+    return mn[()]
 
 
-def _min_stretch_batch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
-    v = np.linalg.solve(np.swapaxes(A, -1, -2), u[..., None])[..., 0]
-    return 1.0 / np.linalg.norm(v, axis=-1)
+def _det_dual(A: np.ndarray, u: np.ndarray):
+    """J = det A and |A^{-T} u|^2 for A: (..., n, n) and u: (..., n).
+
+    A^{-T} u = w / J with the cofactor product w = cof(A) u.  For n = 2,
+    J = ad - bc and w = (d u1 - c u2, a u2 - b u1), divided by J before it is
+    squared.  For n = 3 the cofactor expansion J = c1.(c2 x c3) over the
+    columns c_i of A loses accuracy like cond(A)^2 eps when two singular
+    values are small, so B v = u, B = A^T, is solved by one step of Gaussian
+    elimination with partial pivoting, written out, and Cramer's rule on the
+    2x2 Schur complement.  Both agree with LAPACK to about 3 cond(A) eps
+    relative.  Non-finite values, J = 0 included, come without floating-point
+    warnings: every caller refuses them.  For other n, J and A^{-T} u come
+    from ``np.linalg.det`` and ``np.linalg.solve``, and an exactly singular A
+    raises IrregularPointError.
+    """
+    n = A.shape[-1]
+    if n not in (2, 3):
+        try:
+            v = np.linalg.solve(np.swapaxes(A, -1, -2), u[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise IrregularPointError("matrix is singular") from exc
+        return np.linalg.det(A), np.einsum("...i,...i", v, v)
+    a = np.moveaxis(A, (-2, -1), (0, 1))              # a[i][j] = A_ij
+    u = np.moveaxis(u, -1, 0)
+    with np.errstate(all="ignore"):
+        if n == 2:
+            J = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+            r = 1.0 / J
+            v = ((a[1][1] * u[0] - a[1][0] * u[1]) * r, (a[0][0] * u[1] - a[0][1] * u[0]) * r)
+        else:
+            # the rows of B, and u, rotate cyclically (which keeps det B = J) to
+            # put the row of largest |B_i0| = |A_0i| first
+            m0, m1, m2 = np.abs(a[0])
+            c1 = (m1 > m0) & (m1 >= m2)
+            c2 = (m2 > m0) & (m2 > m1)
+
+            def pivot_first(x):
+                return [np.where(c1, x[(k + 1) % 3], np.where(c2, x[(k + 2) % 3], x[k])) for k in range(3)]
+
+            (b00, b10, b20), (b01, b11, b21), (b02, b12, b22) = map(pivot_first, a)
+            u0, u1, u2 = pivot_first(u)
+            l1, l2 = b10 / b00, b20 / b00
+            s00, s01, s10, s11 = b11 - l1 * b01, b12 - l1 * b02, b21 - l2 * b01, b22 - l2 * b02
+            r1, r2 = u1 - l1 * u0, u2 - l2 * u0
+            det_s = s00 * s11 - s01 * s10
+            J = b00 * np.where(b00 != 0.0, det_s, 0.0)      # b00 = 0: B has a zero column
+            y1, y2 = (s11 * r1 - s01 * r2) / det_s, (s00 * r2 - s10 * r1) / det_s
+            v = ((u0 - b01 * y1 - b02 * y2) / b00, y1, y2)
+        return J, sum(vi * vi for vi in v)     # products: a numpy scalar's ** 2 may round differently
 
 
 def max_directional_stretch(A, u):
@@ -99,8 +165,18 @@ def max_directional_stretch(A, u):
     |Ah| |h.u| <= h^T (A^T A / k + k u u^T) h / 2, and equality holds for the
     best k because the joint numerical range of two quadratic forms is convex
     (Brickman 1961).  The tests use this dual as an independent upper bound.
+    A non-finite input or a result that overflows raises IrregularPointError.
     """
-    return _max_stretch_batch(np.asarray(A, dtype=float), np.asarray(u, dtype=float))
+    A, u = np.asarray(A, dtype=float), np.asarray(u, dtype=float)
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(u))):
+        raise IrregularPointError("matrix or direction not finite")
+    try:
+        mx = _max_stretch_batch(A, u)
+    except np.linalg.LinAlgError as exc:     # A^T A overflows
+        raise IrregularPointError("maximal stretch overflows") from exc
+    if not np.all(mx < np.inf):
+        raise IrregularPointError("maximal stretch overflows")
+    return mx
 
 
 # points per call of the maximal-stretch kernel, which peaks at about 1.1 kB
@@ -224,18 +300,21 @@ class DilatationSample:
 
 
 def _frame(mapping: Mapping, x0: np.ndarray, X: np.ndarray):
-    """Unit directions u = (X - x0)/|X - x0|, Jacobians A and determinants J at
-    the points X; refuses X = x0 (ValueError) and every J that is not positive
-    and finite (IrregularPointError)."""
+    """Unit directions u = (X - x0)/|X - x0|, Jacobians A, determinants J and
+    |A^{-T} u|^2 at the points X; refuses X = x0 (ValueError), and every J
+    that is not positive and finite or |A^{-T} u|^2 that is not finite
+    (IrregularPointError)."""
     diff = X - x0
     d = np.linalg.norm(diff, axis=-1, keepdims=True)
     if np.any(d == 0.0):
         raise ValueError("x and x0 must be distinct")
+    u = diff / d
     A = mapping.jacobian(X)
-    J = np.linalg.det(A)
-    if not np.all((J > 0.0) & (J < np.inf)):
-        raise IrregularPointError("irregular point: Jacobian determinant not positive and finite")
-    return diff / d, A, J
+    J, v2 = _det_dual(A, u)
+    if not np.all((J > 0.0) & (J < np.inf) & (v2 < np.inf)):
+        raise IrregularPointError("irregular point: Jacobian determinant not positive and finite,"
+                                  " or |A^-T u| overflows")
+    return u, A, J, v2
 
 
 def directional_sample(mapping: Mapping, x, x0) -> DilatationSample:
@@ -249,16 +328,15 @@ def directional_sample(mapping: Mapping, x, x0) -> DilatationSample:
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     n = x.shape[-1]
-    u, A, J = _frame(mapping, x0, x)
-    mn = min_directional_stretch(A, u)
+    u, A, J, v2 = _frame(mapping, x0, x)
     mx = max_directional_stretch(A, u)
     return DilatationSample(
         x=x,
         x0=x0,
         u=u,
-        min_stretch=mn,
+        min_stretch=1.0 / np.sqrt(v2),
         max_stretch=mx,
-        angular=J / mn ** n,
+        angular=J * v2 ** (0.5 * n),
         normal=(mx ** n / J) ** (1.0 / (n - 1.0)),
         jac_det=J,
         matrix=matrix_dilatations(A),
@@ -266,13 +344,15 @@ def directional_sample(mapping: Mapping, x, x0) -> DilatationSample:
 
 
 def angular_dilatation_field(mapping: Mapping, x0):
-    """Vectorized x -> D(x, x0); cheap (uses the closed-form minimum)."""
+    """Vectorized x -> D(x, x0) = |w|^n / J^(n-1) = J |A^{-T} u|^n, with the
+    cofactor product w = cof(A) u; cheap: J and w are written out for n = 2
+    and 3 and come from LAPACK for n >= 4 (see ``_det_dual``)."""
     x0 = np.asarray(x0, dtype=float)
 
     def field(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        u, A, J = _frame(mapping, x0, X)
-        return J / _min_stretch_batch(A, u) ** X.shape[-1]
+        _, _, J, v2 = _frame(mapping, x0, X)
+        return J * v2 ** (0.5 * X.shape[-1])
 
     return field
 
@@ -284,7 +364,7 @@ def normal_dilatation_field(mapping: Mapping, x0):
     def field(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         n = X.shape[-1]
-        u, A, J = _frame(mapping, x0, X)
+        u, A, J, _ = _frame(mapping, x0, X)
         return (_max_stretch_batch(A, u) ** n / J) ** (1.0 / (n - 1.0))
 
     return field

@@ -17,7 +17,12 @@ from ringmod import (
     psi_D,
 )
 from ringmod.bounds import modintbound_with_error
-from ringmod.dilatation import _SHIFT_BELOW, angular_dilatation_field, normal_dilatation_field
+from ringmod.dilatation import (
+    _SHIFT_BELOW,
+    _det_dual,
+    angular_dilatation_field,
+    normal_dilatation_field,
+)
 from ringmod.harness import _dual_max_stretch
 
 SQ2 = math.sqrt(2.0)
@@ -353,6 +358,74 @@ def test_irregular_points_refused():
         psi_D(steep, 1e3, x0)
     with pytest.raises(IrregularPointError):
         modintbound_with_error(steep, x0, 1e3, 2e3)
+    # non-finite matrices, and determinants or results that overflow
+    e1 = np.array([1.0, 0.0])
+    for A, u in [(np.full((2, 2), np.nan), e1), (np.diag([np.inf, 1.0]), e1),
+                 (np.diag([1e200, 1e200]), e1), (np.diag([1e160, 1e160]), e1),
+                 (np.eye(2), np.array([np.nan, 0.0])), (np.full((3, 3), np.nan), np.ones(3))]:
+        for fn in (min_directional_stretch, max_directional_stretch):
+            with pytest.raises(IrregularPointError):
+                fn(A, u)
+        if np.all(np.isfinite(u)):
+            with pytest.raises(IrregularPointError):
+                matrix_dilatations(A)
+
+
+def _conditioned(rng, count, n):
+    """count random n x n matrices with largest singular value 1 and condition
+    numbers spread up to 1e8, with one, two or all singular values small.
+    np.linalg.det returns exp(log|det|), whose error grows with |log|det||;
+    the unit norm keeps that below cond(A) eps."""
+    Q1 = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+    sv = 10.0 ** -(rng.uniform(0.0, 1.0, (count, n)) * rng.uniform(0.0, 8.0, (count, 1)))
+    return Q1 * (sv / sv.max(axis=1, keepdims=True))[:, None, :] @ Q2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_closed_form_kernel_matches_lapack(n, seed):
+    rng = np.random.default_rng(seed)
+    A = _conditioned(rng, 20_000, n)
+    u = rng.standard_normal((20_000, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    cond = np.linalg.cond(A)
+    assert cond.max() > 1e6
+    tol = 8.0 * cond * np.finfo(float).eps
+    J, _ = _det_dual(A, u)
+    det = np.linalg.det(A)
+    assert np.all(np.abs(J - det) <= tol * np.abs(det))
+    mn = min_directional_stretch(A, u)
+    lapack = 1.0 / np.linalg.norm(np.linalg.solve(np.swapaxes(A, 1, 2), u[..., None])[..., 0], axis=1)
+    assert np.all(np.abs(mn - lapack) <= tol * lapack)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("mapping", [RotationTwist(), RadialStretch(a=0.7), RadialStretch(a=2.5)],
+                         ids=["twist", "radial-0.7", "radial-2.5"])
+def test_angular_field_matches_lapack_pointwise(mapping, n):
+    rng = np.random.default_rng(8)
+    x0 = 0.3 * rng.standard_normal(n)
+    X = rng.standard_normal((200, n))
+    field = angular_dilatation_field(mapping, x0)(X)
+    for x, D in zip(X, field):
+        A = mapping.jacobian(x)
+        u = (x - x0) / np.linalg.norm(x - x0)
+        expected = np.linalg.det(A) * np.linalg.norm(np.linalg.solve(A.T, u)) ** n
+        assert D == pytest.approx(expected, rel=8.0 * (n + 1) * np.linalg.cond(A) * np.finfo(float).eps)
+
+
+def test_exactly_singular_matrices_refused():
+    e1 = np.array([1.0, 0.0, 0.0])
+    singular = [(np.array([[1.0, 2.0], [2.0, 4.0]]), e1[:2]), (np.zeros((2, 2)), e1[:2]),
+                (np.zeros((3, 3)), e1),
+                (np.array([[1.0, 2.0, 2.0], [3.0, -1.0, -1.0], [0.5, 4.0, 4.0]]), e1),
+                (np.array([[1.0, 1.0, 2.0], [2.0, 2.0, 1.0], [3.0, 3.0, 0.0]]), e1)]
+    for A, u in singular:
+        with pytest.raises(IrregularPointError, match="singular"):
+            min_directional_stretch(A, u)
+        with pytest.raises(IrregularPointError, match="singular"):
+            matrix_dilatations(A)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -335,6 +335,14 @@ def test_unknown_verify_tag_is_refused(capsys):
     assert "solver" in capsys.readouterr().err
 
 
+def test_cli_prints_key_error_without_quotes(capsys):
+    # str() of a KeyError quotes its message; the CLI prints the message itself
+    assert main(["verify", "--filter", "nosuchtag"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown tag 'nosuchtag'; known: [")
+    assert not err.startswith("error: \"")
+
+
 def test_run_all_parallel_jobs():
     cfg = harness.HarnessConfig(jobs=2)
     agg = harness.run_all(tag="special", config=cfg)
