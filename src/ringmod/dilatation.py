@@ -18,18 +18,23 @@ u = (x - x0)/|x - x0|:
 and combine with the Jacobian determinant J into the angular and normal
 dilatations D = J / min^n and T = (max^n / J)^(1/(n-1)).  Both can be < 1,
 unlike the classical coefficients.  Both stretches are exact: the minimum in
-the closed form above, the maximum from the real roots of a secular
-polynomial plus the hard-case branch, with no sampling and no iteration.
+the closed form above, the maximum from the real roots of a polynomial, with
+no sampling and no iterative optimizer.
 Since A^{-T} u = w / J with the cofactor product w = cof(A) u, the minimum
 is |J| / |w| and D = |w|^n / J^(n-1) = J |A^{-T} u|^n.  For n = 2 and 3,
 J and A^{-T} u are written out (Cramer's rule at n = 2; one pivoted
 elimination step and Cramer's rule on the 2x2 remainder at n = 3), so the
 angular field calls no LAPACK routine; n >= 4 takes them from
 ``np.linalg.det`` and ``np.linalg.solve`` (see ``_det_dual``).
-The polynomial is rooted through one companion matrix per point, shifted to
-the eigenvalue of A^T A whose eigenvector is most nearly orthogonal to u,
-plus one more for each other eigenvector whose component of u is below
-_SHIFT_BELOW in size (see ``_max_stretch_block``).
+For the maximum each A is first divided by the power of two of its largest
+entry, which is exact, so the result does not depend on the scale of A.
+At n = 2 the stationary points of |Ah| |h.u| solve a cubic, rooted in closed
+form in numpy with no LAPACK call (see ``_max_stretch_planar``).  For
+n >= 3 they solve a secular polynomial of degree 2n - 1, rooted through one
+companion matrix per point, shifted to the eigenvalue of A^T A whose
+eigenvector is most nearly orthogonal to u, plus one more for each other
+eigenvector whose component of u is below _SHIFT_BELOW in size, plus the
+hard-case branch (see ``_max_stretch_block``).
 
 Every function takes stacks: matrices A of shape (..., n, n), directions u
 and points x of shape (..., n).  Results have the batch shape, and a single
@@ -159,24 +164,25 @@ def _det_dual(A: np.ndarray, u: np.ndarray):
 def max_directional_stretch(A, u):
     """max over |h| = 1 of |Ah| * |h.u| for a unit vector u, exactly.
 
-    The stationary points on the sphere are enumerated in closed form (see
-    ``_max_stretch_block``).  The value also equals
+    The stationary points on the sphere are enumerated in closed form: the
+    real roots of a cubic at n = 2 (see ``_max_stretch_planar``) and of a
+    secular polynomial of degree 2n - 1 for n >= 3 (see
+    ``_max_stretch_block``), after A is divided by the power of two of its
+    largest entry.  The value also equals
     min over k > 0 of lambda_max(A^T A / k + k u u^T) / 2: AM-GM gives
     |Ah| |h.u| <= h^T (A^T A / k + k u u^T) h / 2, and equality holds for the
     best k because the joint numerical range of two quadratic forms is convex
     (Brickman 1961).  The tests use this dual as an independent upper bound.
-    A non-finite input or a result that overflows raises IrregularPointError.
+    A non-finite input and an A whose A^T A overflows raise
+    IrregularPointError; the result, at most the norm of A, is then finite.
     """
     A, u = np.asarray(A, dtype=float), np.asarray(u, dtype=float)
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(u))):
         raise IrregularPointError("matrix or direction not finite")
-    try:
-        mx = _max_stretch_batch(A, u)
-    except np.linalg.LinAlgError as exc:     # A^T A overflows
-        raise IrregularPointError("maximal stretch overflows") from exc
-    if not np.all(mx < np.inf):
-        raise IrregularPointError("maximal stretch overflows")
-    return mx
+    # the diagonal of A^T A, the squared column norms of A, holds its largest entries
+    if not np.all(np.einsum("...ij,...ij->...j", A, A) < np.inf):
+        raise IrregularPointError("A^T A overflows, and so may the maximal stretch")
+    return _max_stretch_batch(A, u)
 
 
 # points per call of the maximal-stretch kernel, which peaks at about 1.1 kB
@@ -192,18 +198,81 @@ _SHIFT_BELOW = 1e-2
 
 def _max_stretch_batch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     """max_directional_stretch for A: (..., n, n) and unit u: (..., n) of the
-    same batch shape, in blocks of ``_BLOCK`` points."""
+    same batch shape, in blocks of ``_BLOCK`` points.
+
+    Each A is written 2^e M with the largest |M_ij| in [1/2, 1) (frexp and
+    ldexp, both exact), the kernel runs on M, and its result is multiplied
+    by 2^e.  The kernels' polynomial coefficients grow like a power of |A|
+    (|A|^6 for the cubic at n = 2, |A|^(2(2n-1)) for n >= 3), which
+    overflows or underflows at scales far
+    inside the range of A itself; on M they stay near 1.  The result is
+    then exactly homogeneous: 2^k A gives 2^k times the result of A, bit
+    for bit, as long as no entry or result is subnormal.
+    """
     n = u.shape[-1]
     A, U = A.reshape(-1, n, n), u.reshape(-1, n)
     if len(U) == 0:
         return np.empty(u.shape[:-1])
-    mx = np.concatenate([_max_stretch_block(A[s:s + _BLOCK], U[s:s + _BLOCK])
-                         for s in range(0, len(U), _BLOCK)])
-    return mx.reshape(u.shape[:-1])[()]
+    e = np.frexp(np.abs(A).max(axis=(1, 2)))[1]
+    M = np.ldexp(A, -e[:, None, None])
+    kernel = _max_stretch_planar if n == 2 else _max_stretch_block
+    mx = np.concatenate([kernel(M[s:s + _BLOCK], U[s:s + _BLOCK]) for s in range(0, len(U), _BLOCK)])
+    return np.ldexp(mx, e).reshape(u.shape[:-1])[()]
+
+
+def _max_stretch_planar(A: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The maximal stretch for A: (N, 2, 2) and unit u: (N, 2), in closed form.
+
+    With v the vector u turned by 90 degrees, a = |Au|^2, b = Au.Av and
+    d = |Av|^2, the squared objective along h = (u + t v) / sqrt(1 + t^2) is
+    g(t) = (a + 2bt + dt^2) / (1 + t^2)^2, and h = +-v gives 0.  g is
+    stationary at the real roots of d t^3 + 3b t^2 + (2a - d) t - b; in
+    s = dt + b this is the depressed cubic s^3 - p s - q with
+    p = b^2 + d^2 - 2 j^2 and q = 2 b j^2, where j = Au x Av = det A, so that
+    j^2 = ad - b^2 comes without that subtraction's cancellation.  The roots
+    come from the trigonometric form when there are three real ones and from
+    Cardano's formula, in its form without cancellation inside the cube
+    root, when there is one.  One Newton step on the cubic in t polishes
+    each: when d << a the step from s back to t loses up to a factor
+    sqrt(a/d) of accuracy.
+
+    g is stationary at each root, so a root error delta moves the value by
+    O(delta^2).  Every real t is a unit direction, so no candidate exceeds
+    the maximum.  The maximizer is a simple root, where Newton converges,
+    except at the only triple root, t = 0 when b = 0 and d = 2a; so t = 0
+    (h = u) is a candidate too, which is also the maximizer when d = 0.  A
+    candidate that is not finite counts as 0.  The unpolished roots are not
+    kept as candidates: the maximum over two values that differ by rounding
+    alone is biased upwards.  Against ``_max_stretch_block`` this agrees to
+    9e-16 relative on random, badly conditioned (to cond(A) = 1e15), radial
+    (u an eigenvector of A^T A) and nearly radial input and near double and
+    triple roots.
+    """
+    u0, u1 = u[:, 0], u[:, 1]
+    a00, a01, a10, a11 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    p0, p1 = a00 * u0 + a01 * u1, a10 * u0 + a11 * u1        # Au
+    r0, r1 = a01 * u0 - a00 * u1, a11 * u0 - a10 * u1        # Av with v = (-u1, u0)
+    a, b, d = p0 * p0 + p1 * p1, p0 * r0 + p1 * r1, r0 * r0 + r1 * r1
+    jj = (p0 * r1 - p1 * r0) ** 2
+    p, q = b * b + d * d - 2.0 * jj, 2.0 * b * jj
+    with np.errstate(all="ignore"):
+        disc = 0.25 * q * q - p * p * p / 27.0
+        third = np.arccos(np.clip(1.5 * q / p * np.sqrt(3.0 / p), -1.0, 1.0)) / 3.0
+        trig = 2.0 * np.sqrt(p / 3.0)[:, None] * np.cos(third[:, None] - np.arange(3) * (2.0 * np.pi / 3.0))
+        w = np.cbrt(0.5 * q + np.copysign(np.sqrt(disc), q))
+        s = np.where((disc < 0.0)[:, None], trig, (w + p / (3.0 * w))[:, None])
+        a, b, d = a[:, None], b[:, None], d[:, None]
+        t = (s - b) / d
+        t -= (((d * t + 3.0 * b) * t + 2.0 * a - d) * t - b) / ((3.0 * d * t + 6.0 * b) * t + 2.0 * a - d)
+        g = (a + (2.0 * b + d * t) * t) / (1.0 + t * t) ** 2
+        return np.sqrt(np.fmax(np.fmax.reduce(g, axis=1), a[:, 0]))
 
 
 def _max_stretch_block(A: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The maximal stretch for A: (N, n, n) and unit u: (N, n).
+    """The maximal stretch for A: (N, n, n) and unit u: (N, n), the kernel
+    for n >= 3 and the test oracle of ``_max_stretch_planar`` at n = 2.
+    ``_max_stretch_batch`` scales A to entries below 1 in size first, since
+    the coefficients below grow like |A|^(2(2n-1)).
 
     With B = A^T A = V diag(beta) V^T and y = V^T u, the squared objective
     (h^T B h)(h.u)^2 is stationary on the sphere where (beta_i - alpha) h_i

@@ -20,6 +20,8 @@ from ringmod.bounds import modintbound_with_error
 from ringmod.dilatation import (
     _SHIFT_BELOW,
     _det_dual,
+    _max_stretch_block,
+    _max_stretch_planar,
     angular_dilatation_field,
     normal_dilatation_field,
 )
@@ -207,6 +209,72 @@ def test_max_stretch_roots_one_companion_per_point_and_small_component(monkeypat
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     max_directional_stretch(A, u)
     assert sum(rooted) == np.maximum(small, 1).sum()
+
+
+def test_max_stretch_exact_at_every_scale():
+    # the secular coefficients grow like |A|^(2(2n-1)): without scaling these
+    # gave 0.0, were off by 1.4e-5 at 1e-40 A or raised at 1e40 A (n = 3)
+    e1 = np.array([1.0, 0.0])
+    for A, u, exact in [(np.diag([1e-160, 1e-160]), e1, 1e-160), (np.diag([1e-100, 1e-100]), e1, 1e-100),
+                        (np.diag([1e150, 1e150]), e1, 1e150),
+                        (1e100 * np.eye(2), e1, 1e100), (1e-100 * np.eye(2), e1, 1e-100),
+                        (1e100 * np.eye(3), np.eye(3)[0], 1e100), (1e-100 * np.eye(3), np.eye(3)[0], 1e-100)]:
+        assert max_directional_stretch(A, u) == pytest.approx(exact, rel=1e-15, abs=0.0)
+    rng = np.random.default_rng(12)
+    k = np.arange(-900, 481)
+    for n in (2, 3, 4):
+        A = rng.standard_normal((n, n))
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        mx = max_directional_stretch(A, u)
+        scaled = max_directional_stretch(np.ldexp(A, k[:, None, None]), np.broadcast_to(u, (len(k), n)))
+        assert np.array_equal(scaled, np.ldexp(mx, k))
+        for c in (1e-40, 1e40):
+            assert max_directional_stretch(c * A, u) == pytest.approx(c * mx, rel=1e-14)
+
+
+def _planar_cases(rng, count):
+    """(A, u) at n = 2: random matrices with condition numbers up to 1e8, u an
+    eigenvector of A^T A exactly and perturbed by 1e-14 .. 1e-5, and b = Au.Av
+    = 0 with d = |Av|^2 from 1e-8 a to 1e8 a."""
+    A = _conditioned(rng, count, 2)
+    u = rng.standard_normal((count, 2))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    _, V = np.linalg.eigh(np.swapaxes(A, 1, 2) @ A)
+    eig = V[np.arange(count), :, rng.integers(2, size=count)]
+    tilted = eig + 10.0 ** rng.uniform(-14, -5, (count, 1)) * rng.standard_normal((count, 2))
+    tilted /= np.linalg.norm(tilted, axis=1, keepdims=True)
+    Q = np.linalg.qr(rng.standard_normal((count, 2, 2)))[0]
+    D = np.zeros((count, 2, 2))
+    D[:, 0, 0], D[:, 1, 1] = 1.0, 10.0 ** rng.uniform(-4, 4, count)
+    # A = Q D [u v]^T maps u to Q e1 and v to d^(1/2) Q e2
+    rot = np.stack([eig, eig[:, ::-1] * [-1.0, 1.0]], axis=1)
+    return np.concatenate([A, A, A, Q @ D @ rot]), np.concatenate([u, eig, tilted, eig])
+
+
+def test_planar_max_stretch_matches_secular_kernel():
+    A, u = _planar_cases(np.random.default_rng(13), 25_000)
+    closed = _max_stretch_planar(A, u)
+    np.testing.assert_allclose(closed, _max_stretch_block(A, u), rtol=1e-14, atol=0.0)
+    # the dual, a golden section over 2x2 eigvalsh calls, costs about 60 us
+    # a case: every fourth case of each kind keeps it near 1.5 s
+    np.testing.assert_allclose(closed[::4], _dual_max_stretch(A[::4], u[::4]), rtol=1e-12, atol=0.0)
+    # h = u is the maximizer where the three roots meet (b = 0, d = 2a, up
+    # to rounding) and at d = 0, where t = (s - b) / d is not defined
+    e1 = np.array([[1.0, 0.0]])
+    for diag in ([1.0, math.sqrt(2.0)], [1.0, 0.0]):
+        assert _max_stretch_planar(np.diag(diag)[None], e1) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_planar_normal_field_calls_no_lapack(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    X = np.random.default_rng(14).uniform(0.5, 2.0, (4096, 2))
+    T = normal_dilatation_field(RotationTwist(), np.zeros(2))(X)
+    assert T.shape == (4096,) and np.all(np.isfinite(T) & (T > 0.0))
 
 
 def _dual_objective(A, u, s):
