@@ -75,17 +75,19 @@ def matrix_dilatations(A) -> MatrixDilatations:
         raise IrregularPointError("matrix not finite")
     sv = np.linalg.svd(A, compute_uv=False)
     big, small = sv[..., 0], sv[..., -1]
-    det = np.prod(sv, axis=-1)
     if np.any((big == 0.0) | (small < 1e-13 * big)):
         raise IrregularPointError("matrix is singular")
-    md = MatrixDilatations(
-        norm=big,
-        small=small,
-        det_abs=det,
-        inner=det / small ** n,
-        outer=big ** n / det,
-        linear=big / small,
-    )
+    # overflow comes without floating-point warnings: it is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.prod(sv, axis=-1)
+        md = MatrixDilatations(
+            norm=big,
+            small=small,
+            det_abs=det,
+            inner=det / small ** n,
+            outer=big ** n / det,
+            linear=big / small,
+        )
     if not all(np.all(np.isfinite(v)) for v in vars(md).values()):
         raise IrregularPointError("determinant or a dilatation coefficient overflows")
     return md
@@ -104,7 +106,8 @@ def min_directional_stretch(A, u):
     J, v2 = _det_dual(np.asarray(A, dtype=float), np.asarray(u, dtype=float))
     if np.any(J == 0.0):
         raise IrregularPointError("matrix is singular")
-    mn = 1.0 / np.sqrt(v2)
+    with np.errstate(divide="ignore"):          # v2 = 0 gives inf, refused below
+        mn = 1.0 / np.sqrt(v2)
     if not np.all((mn > 0.0) & (mn < np.inf) & (np.abs(J) < np.inf)):
         raise IrregularPointError("matrix not finite, or its determinant or minimal stretch overflows")
     return mn[()]
@@ -131,7 +134,8 @@ def _det_dual(A: np.ndarray, u: np.ndarray):
             v = np.linalg.solve(np.swapaxes(A, -1, -2), u[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise IrregularPointError("matrix is singular") from exc
-        return np.linalg.det(A), np.einsum("...i,...i", v, v)
+        with np.errstate(all="ignore"):
+            return np.linalg.det(A), np.einsum("...i,...i", v, v)
     a = np.moveaxis(A, (-2, -1), (0, 1))              # a[i][j] = A_ij
     u = np.moveaxis(u, -1, 0)
     with np.errstate(all="ignore"):

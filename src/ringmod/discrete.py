@@ -35,12 +35,15 @@ the product index grid: node ids form an array with the radial axis first,
 one helper pairs every node with its neighbour along each axis (only the
 angular or azimuthal axis wraps), and the first and last radial layers are
 the source and sink.  Planar grids are built from node positions alone:
-each quad gets its local Delaunay diagonal and every edge the cotangent
-conductance of the triangles beside it (Pinkall and Polthier, "Computing
-discrete minimal surfaces and their conjugates", 1993), which is consistent
-on any shape-regular mesh.  An image grid is the same grid with its nodes
-pushed through the map, so no map needs special treatment.  The 3D grids
-are orthogonal and take two-point tube conductances.
+each quad is split along its local Delaunay diagonal and every edge gets the
+cotangent conductance of the triangles beside it (Pinkall and Polthier,
+"Computing discrete minimal surfaces and their conjugates", 1993), which is
+consistent on any shape-regular mesh.  A diagonal is written as an edge only
+where its conductance is nonzero beyond rounding; on a cyclic quad (every
+quad of an aligned grid, of the Apollonian chart and of a radial image) it
+is zero.  An image grid is the same grid with its nodes pushed through the
+map, so no map needs special treatment.  The 3D grids are orthogonal and
+take two-point tube conductances.
 """
 
 from __future__ import annotations
@@ -180,8 +183,26 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
     triangle adds half the cotangent of each of its angles to the conductance
     of the opposite edge (Pinkall and Polthier 1993), so the edge energy
     sum_e sigma_e dphi_e^2 is the Dirichlet energy of the piecewise-linear
-    potential.  Edges are the radial ones, the angular ones, then one
-    diagonal per quad, each block in (k, m) order.
+    potential.
+
+    The diagonal's conductance is s / 2, s = cot B + cot D over the two
+    corners facing it, and s = 0 in exact arithmetic on a cyclic quad
+    (B + D = pi).  It is kept only where |s| exceeds the rounding of ``_cot``
+    for that quad.  Each node carries an error |dz| <= k eps R, with R the
+    largest corner modulus of the quad, so a side, of length at least the
+    quad's shortest side h, moves by up to 2 k eps R.  The cotangent of the
+    angle between sides e1 and e2 then moves by
+
+        |d cot| <= 2 k eps R (1/|e1| + 1/|e2|) (1 + |cot|) / sin
+                <= 4 sqrt(2) k eps (R / h) (1 + cot^2),
+
+    so |ds| <= 4 sqrt(2) k eps (R / h) (2 + cot^2 B + cot^2 D).  The
+    diagonal is dropped where |s| is within 64 eps (R / h) (2 + cot^2 B +
+    cot^2 D), this bound for k = 11 (the log, linspace and exp of the radii,
+    the chart and the map round each node a few times).  A dropped diagonal
+    changes the energy by no more than the rounding of the side conductances
+    does.  Edges are the radial ones, the angular ones, then the kept
+    diagonals, each block in (k, m) order.
     """
     if isinstance(shape, ApollonianSemiring):
         wrap, chart = False, _apollonian_embed(shape.pole)
@@ -211,6 +232,16 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
     a, b, c, d = z[:-1, :Q], z[1:, :Q], zn[1:], zn[:-1]
     angle = [_cot(d, a, b), _cot(a, b, c), _cot(b, c, d), _cot(c, d, a)]
     ac = angle[1] + angle[3] >= angle[0] + angle[2]      # split along a-c, else b-d
+    cot_b, cot_d = np.where(ac, angle[1], angle[0]), np.where(ac, angle[3], angle[2])
+    s_diag = cot_b + cot_d
+    # largest corner modulus R and shortest side h of each quad, from the
+    # moduli of the nodes and of the radial and angular sides
+    rz, rad, ang = np.abs(z), np.abs(z[1:] - z[:-1]), np.abs(zn - z[:, :Q])
+    R = np.maximum(rz[:-1], rz[1:])
+    R = np.maximum(R, np.roll(R, -1, axis=1))[:, :Q]
+    h = np.minimum(np.minimum(rad, np.roll(rad, -1, axis=1))[:, :Q], np.minimum(ang[:-1], ang[1:]))
+    # a NaN sum is kept, and the graph refuses it
+    keep = ~(np.abs(s_diag) <= 64 * np.finfo(float).eps * R / h * (2 + cot_b ** 2 + cot_d ** 2))
     # each side ab, bc, cd, da takes the cotangent at the corner opposite it
     # in its triangle, the first of the pair for an a-c split
     s_ab, s_bc, s_cd, s_da = (_cot(u, np.where(ac, o_ac, o_bd), w) for u, w, o_ac, o_bd in
@@ -219,10 +250,10 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
     sigma = 0.5 * np.concatenate([
         (np.pad(s_ab, pad) + np.roll(np.pad(s_cd, pad), 1, axis=1)).ravel(),
         (np.pad(s_da, ((0, 1), (0, 0))) + np.pad(s_bc, ((1, 0), (0, 0)))).ravel(),
-        np.where(ac, angle[1] + angle[3], angle[0] + angle[2]).ravel()])
+        s_diag[keep]])
     diagonal = np.where(ac[..., None], np.stack([ids[:-1, :Q], nxt[1:]], axis=-1),
                         np.stack([ids[1:, :Q], nxt[:-1]], axis=-1))
-    edges = np.concatenate([_grid_edges(ids, 1 if wrap else None), diagonal.reshape(-1, 2)])
+    edges = np.concatenate([_grid_edges(ids, 1 if wrap else None), diagonal[keep]])
     return _grid_graph(shape, ids, pts, edges, sigma)
 
 
@@ -403,8 +434,8 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
         return x
 
     def energy(x):
-        # pairwise summation: a dot product of the 784k terms of a 256x1024
-        # grid drifts by 1e-14 relative
+        # pairwise summation: a dot product of the 523k terms of a 256x1024
+        # grid drifts by 6e-15 relative
         return float(np.sum(sigma * np.abs(inc @ x) ** p))
 
     phi = np.ones(N)          # nodes the source does not reach take the sink's potential

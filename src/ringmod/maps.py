@@ -109,7 +109,9 @@ class RadialStretch(Mapping):
         u = x / r[..., None]
         eye = np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n))
         uu = u[..., :, None] * u[..., None, :]
-        return (r ** (self.a - 1.0))[..., None, None] * (eye + (self.a - 1.0) * uu)
+        # overflow leaves inf or NaN entries, which the dilatation layer refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (r ** (self.a - 1.0))[..., None, None] * (eye + (self.a - 1.0) * uu)
 
     def _singularity_distance(self, x):
         return np.linalg.norm(x, axis=-1)

@@ -223,36 +223,42 @@ def test_mo_from_gamma():
         mo_from_gamma(1.0, "blob", 2)
 
 
-def assert_quad_diagonals(g, quads):
-    """The last (K - 1) * quads edges are one diagonal per quad (k, m), (k+1, m),
-    (k+1, m+1), (k, m+1), in (k, m) order, joining opposite corners."""
+def quad_diagonals(g, quads):
+    """Quad index k * quads + m of each edge after the radial and angular
+    blocks, asserting that these are at most one diagonal per quad (k, m),
+    (k+1, m), (k+1, m+1), (k, m+1), in (k, m) order, joining opposite corners."""
     K, M = g.resolution
     k, m = np.divmod(np.arange((K - 1) * quads), quads)
 
     def pair(k0, m0, k1, m1):
         return np.sort(np.stack([k0 * M + m0 % M, k1 * M + m1 % M], axis=1), axis=1)
 
-    diag = np.sort(g.edges[-len(k):], axis=1)
-    ac = np.all(diag == pair(k, m, k + 1, m + 1), axis=1)
-    bd = np.all(diag == pair(k + 1, m, k, m + 1), axis=1)
-    assert np.all(ac | bd)
+    corners = {tuple(e): q for pairs in (pair(k, m, k + 1, m + 1), pair(k + 1, m, k, m + 1))
+               for q, e in enumerate(pairs.tolist())}
+    diag = np.sort(g.edges[(K - 1) * M + K * quads:], axis=1).tolist()
+    assert all(tuple(e) in corners for e in diag)
+    quad = np.array([corners[tuple(e)] for e in diag], dtype=int)
+    assert np.all(np.diff(quad) > 0)
+    return quad
 
 
 def test_build_grid_structure():
-    # planar grids: radial, angular, then one diagonal per quad
+    # planar grids: radial, angular, then at most one diagonal per quad; an
+    # aligned grid's quads are cyclic, so it keeps none
     g = build_grid(Annulus(n=2, r0=1.0, r1=E), 16, 64)
     assert len(g.nodes) == 16 * 64
-    assert len(g.edges) == 15 * 64 + 16 * 64 + 15 * 64
+    assert len(g.edges) == 15 * 64 + 16 * 64
     assert len(g.source) == 64 and len(g.sink) == 64
     assert not set(g.source) & set(g.sink)
-    assert_quad_diagonals(g, 64)
     g = build_grid(HalfSemiring(n=2, r0=1.0, r1=E), 16, 33)
     assert len(g.nodes) == 16 * 33
-    assert len(g.edges) == 15 * 33 + 16 * 32 + 15 * 32
+    assert len(g.edges) == 15 * 33 + 16 * 32
     assert len(g.source) == 33 and len(g.sink) == 33
-    assert_quad_diagonals(g, 32)
     # semiring nodes stay in the closed upper half plane
     assert g.nodes[:, 1].min() >= -1e-12
+    # the twist's quads are not cyclic: every quad keeps its diagonal
+    g = discrete.build_image_grid(RotationTwist(), Annulus(n=2, r0=1.0, r1=E), (16, 64))
+    np.testing.assert_array_equal(quad_diagonals(g, 64), np.arange(15 * 64))
     with pytest.raises(ValueError):
         build_grid(Annulus(n=2, r0=1.0, r1=E), 4, 64)
 
@@ -321,6 +327,70 @@ def test_planar_patch(build):
     area = boundary_area(g)
     for a in (np.array([1.0, 0.0]), np.array([0.3, -1.7])):
         assert sigma @ (dx @ a) ** 2 == pytest.approx((a @ a) * area, rel=1e-12)
+
+
+def quad_cotangents(g, quads):
+    """Cotangents at the corners a, b, c, d = (k, m), (k+1, m), (k+1, m+1),
+    (k, m+1) of every quad, the largest corner modulus R and the shortest
+    side h, each of shape (K - 1, quads), from the nodes alone."""
+    K, M = g.resolution
+    P = g.nodes.reshape(K, M, 2)
+    Pn = np.roll(P, -1, axis=1)
+    a, b, c, d = P[:-1, :quads], P[1:, :quads], Pn[1:, :quads], Pn[:-1, :quads]
+
+    def cot(u, v, w):
+        e1, e2 = u - v, w - v
+        cross = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+        return np.sum(e1 * e2, axis=-1) / np.abs(cross)
+
+    cots = [cot(d, a, b), cot(a, b, c), cot(b, c, d), cot(c, d, a)]
+    R = np.linalg.norm(np.stack([a, b, c, d]), axis=-1).max(axis=0)
+    h = np.linalg.norm(np.stack([b - a, c - b, d - c, a - d]), axis=-1).min(axis=0)
+    return cots, R, h
+
+
+@pytest.mark.parametrize("build, keeps", [
+    (lambda: build_grid(Annulus(n=2, r0=1.0, r1=E), 16, 64), False),
+    (lambda: build_grid(HalfSemiring(n=2, r0=0.5, r1=2.0, center=np.array([0.3, 0.0])), 16, 33),
+     False),
+    (lambda: build_grid(ApollonianSemiring(n=2, r0=0.1, r1=1.0), 64, 129), False),
+    (lambda: discrete.build_image_grid(RadialStretch(a=0.8), Annulus(n=2, r0=1.0, r1=E), (16, 64)),
+     False),
+    (lambda: discrete.build_image_grid(RadialStretch(a=0.8), HalfSemiring(n=2, r0=1.0, r1=E),
+                                       (48, 97)), False),
+    (lambda: discrete.build_image_grid(RotationTwist(), Annulus(n=2, r0=1.0, r1=E), (16, 64)), True),
+    (lambda: discrete.build_image_grid(RotationTwist(), HalfSemiring(n=2, r0=1.0, r1=E), (16, 33)),
+     True),
+    (lambda: discrete.build_image_grid(SHEAR, Annulus(n=2, r0=1.0, r1=E), (16, 64)), True),
+    (lambda: discrete.build_image_grid(SHEAR, HalfSemiring(n=2, r0=1.0, r1=E), (16, 33)), True),
+], ids=["aligned-ring", "aligned-semiring", "apollonian", "radial-ring", "radial-semiring",
+        "twist-ring", "twist-semiring", "shear-ring", "shear-semiring"])
+def test_diagonals_kept_beyond_rounding(build, keeps):
+    # a diagonal's conductance is half the cotangent sum of the corners facing
+    # it, 0 on a cyclic quad; the builder drops it where the sum is within
+    # the rounding bound of _build_2d, 64 eps (R / h) (2 + cot^2 + cot^2)
+    g = build()
+    K, M = g.resolution
+    quads = M if g.kind == "ring" else M - 1
+    cots, R, h = quad_cotangents(g, quads)
+    ac = cots[1] + cots[3] >= cots[0] + cots[2]        # the local Delaunay split
+    cot_b, cot_d = np.where(ac, cots[1], cots[0]), np.where(ac, cots[3], cots[2])
+    total = cot_b + cot_d
+    bound = 64 * np.finfo(float).eps * R / h * (2 + cot_b ** 2 + cot_d ** 2)
+    diagonals = quad_diagonals(g, quads)
+    kept = np.zeros(total.shape, dtype=bool)
+    kept.flat[diagonals] = True
+    assert np.all(np.abs(total[~kept]) <= bound[~kept])
+    assert np.all(np.abs(total[kept]) > bound[kept])
+    assert kept.all() if keeps else not kept.any()
+    # each kept diagonal joins the corners of its split and carries half the sum
+    first = (K - 1) * M + K * quads
+    k, m = np.divmod(diagonals, quads)
+    m1 = (m + 1) % M
+    split = np.where(ac[k, m][:, None], np.stack([k * M + m, (k + 1) * M + m1], axis=1),
+                     np.stack([(k + 1) * M + m, k * M + m1], axis=1))
+    np.testing.assert_array_equal(np.sort(g.edges[first:], axis=1), np.sort(split, axis=1))
+    np.testing.assert_allclose(g.conductance[first:], 0.5 * total[kept], rtol=0, atol=bound.max())
 
 
 def test_apollonian_grid_in_unit_ball():
