@@ -31,10 +31,10 @@ entry, which is exact, so the result does not depend on the scale of A.
 At n = 2 the stationary points of |Ah| |h.u| solve a cubic, rooted in closed
 form in numpy with no LAPACK call (see ``_max_stretch_planar``).  For
 n >= 3 they solve a secular polynomial of degree 2n - 1, rooted through one
-companion matrix per point, shifted to the eigenvalue of A^T A whose
-eigenvector is most nearly orthogonal to u, plus one more for each other
-eigenvector whose component of u is below _SHIFT_BELOW in size, plus the
-hard-case branch (see ``_max_stretch_block``).
+companion matrix per point, shifted to the top eigenvalue beta_max of A^T A
+and scaled by it, since the maximizer's multiplier lies in
+[beta_max, 2 beta_max], plus the hard-case branch at beta_max (see
+``_max_stretch_block``).
 
 Every function takes stacks: matrices A of shape (..., n, n), directions u
 and points x of shape (..., n).  Results have the batch shape, and a single
@@ -189,15 +189,11 @@ def max_directional_stretch(A, u):
     return _max_stretch_batch(A, u)
 
 
-# points per call of the maximal-stretch kernel, which peaks at about 1.1 kB
-# per point at n = 3 on random input and 1.7 kB when u is an eigenvector, so
-# that two shifts are rooted (tracemalloc, 4096 points); a fixed block keeps
-# fine quadrature levels within memory
+# points per call of the maximal-stretch kernel, which peaks at about 0.8 kB
+# per point at n = 3 and 1.4 kB at n = 4 on random, radial and twist input
+# alike (tracemalloc, 4096 points); a fixed block keeps fine quadrature
+# levels within memory
 _BLOCK = 4096
-
-# eigen-components |y_k| of u below which the secular polynomial is also
-# rooted at the shift beta_k; the sweep in ``_max_stretch_block`` shows why
-_SHIFT_BELOW = 1e-2
 
 
 def _max_stretch_batch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -206,10 +202,9 @@ def _max_stretch_batch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Each A is written 2^e M with the largest |M_ij| in [1/2, 1) (frexp and
     ldexp, both exact), the kernel runs on M, and its result is multiplied
-    by 2^e.  The kernels' polynomial coefficients grow like a power of |A|
-    (|A|^6 for the cubic at n = 2, |A|^(2(2n-1)) for n >= 3), which
-    overflows or underflows at scales far
-    inside the range of A itself; on M they stay near 1.  The result is
+    by 2^e.  The cubic's coefficients at n = 2 grow like |A|^6 and A^T A at
+    n >= 3 like |A|^2, which overflows or underflows at scales far inside
+    the range of A itself; on M they stay near 1.  The result is
     then exactly homogeneous: 2^k A gives 2^k times the result of A, bit
     for bit, as long as no entry or result is subnormal.
     """
@@ -275,74 +270,68 @@ def _max_stretch_planar(A: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _max_stretch_block(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The maximal stretch for A: (N, n, n) and unit u: (N, n), the kernel
     for n >= 3 and the test oracle of ``_max_stretch_planar`` at n = 2.
-    ``_max_stretch_batch`` scales A to entries below 1 in size first, since
-    the coefficients below grow like |A|^(2(2n-1)).
+    ``_max_stretch_batch`` scales A to entries below 1 in size first, so
+    that A^T A neither overflows nor underflows; the coefficients below, in
+    beta / beta_max, do not depend on the scale of A.
 
     With B = A^T A = V diag(beta) V^T and y = V^T u, the squared objective
     (h^T B h)(h.u)^2 is stationary on the sphere where (beta_i - alpha) h_i
     is proportional to y_i, with alpha = 2 h^T B h.  Eliminating h leaves the
     secular equation sum_i y_i^2 (alpha - 2 beta_i) / (beta_i - alpha)^2 = 0,
     a polynomial of degree 2n - 1.  Its roots come from companion-matrix
-    eigenvalues in the shifted variable t = alpha - beta_k: roots near beta_k
-    then keep their relative accuracy, and beta_i - alpha = d_i - t needs no
-    cancelling subtraction.  Only a small |y_k| puts roots that near beta_k,
-    so each point is rooted at the shift k of its smallest |y_k|, and again
-    at every other k with |y_k| < _SHIFT_BELOW = 1e-2; every other root is
-    accurate at any shift.  Measured: with the shift taken by a component
-    1000 times smaller, a pole left unshifted at |y_j| = 1e-7, 1e-6, 1e-5,
-    1e-4 and 1e-3 .. 1e-1 gives a relative error of the maximum, against the
-    dual below, of at most 9e-13, 5e-12, 9e-12, 2e-15 and 2e-15 at n = 3 and
-    5e-14, 2e-12, 3e-10, 5e-14 and 2e-15 at n = 4 (400 random B per entry),
-    so 1e-2 keeps two decades between the threshold and the last component
-    size that needs the shift.  On random input that is 1.0003 companion
-    matrices per point at n = 3 and 1.0009 at n = 4, instead of n.
+    eigenvalues in the scaled variable s = (alpha - beta_max) / beta_max, in
+    which the poles d_i = (beta_i - beta_max) / beta_max lie in [-1, 0],
+    beta_i - alpha = beta_max (d_i - s) needs no cancelling subtraction and
+    h is proportional to y / (d - s).  The maximizer has
+    beta_max <= alpha <= 2 beta_max, so s in [0, 1]: h^T B h <= beta_max
+    gives the upper end; by the dual below h is the top eigenvector of
+    B / k + k u u^T, with eigenvalue 2 h^T B h / k >= beta_max / k, which
+    gives the lower.  Roots near a pole with a small y_i lose their accuracy
+    unless the shift sits at that pole, and only the top one can hold the
+    maximizer, so each point is rooted once, at the top shift.
 
-    The hard case alpha = beta_k with y_k = 0 (More & Sorensen 1983) has
-    h = gamma z +- tau e_k with z = (B - beta_k)^+ u, where |h| = 1 and
-    h^T B h = beta_k / 2 fix gamma^2 and tau^2; both signs are kept, since a
-    tiny nonzero y_k decides which one is larger.  Every candidate is a unit
-    vector after scaling, so none exceeds the maximum, and the maximizer is
-    among them.
+    The hard case alpha = beta_k with y_k = 0 (More & Sorensen 1983) then
+    has beta_k = beta_max, and h = gamma z +- tau e_top with z = y / d off
+    the top eigenspace and 0 on it, where |h| = 1 and h^T B h = beta_max / 2
+    fix gamma^2 and tau^2; both signs are kept, since a tiny nonzero y_top
+    decides which one is larger.  ``eigh`` splits a top eigenvalue of
+    multiplicity m by rounding, which leaves y / d of order 1 in the tied
+    components, so one candidate pair is taken for each possible m = 1 ..
+    n - 1, with the top m components of z set to 0; no threshold decides m.
+    Every candidate is a unit vector after scaling, so none exceeds the
+    maximum, and the maximizer is among them.
     """
     beta, V = np.linalg.eigh(np.swapaxes(A, -1, -2) @ A)
     y = np.einsum("nji,nj->ni", V, u)
     N, n = y.shape
     deg = 2 * n - 1
-    d = beta[:, None, :] - beta[:, :, None]            # d[:, k, i] = beta_i - beta_k
-    # the (point, shift) pairs that are rooted: the smallest |y_k| of each
-    # point, and every other k with |y_k| below _SHIFT_BELOW
-    ay = np.abs(y)
-    chosen = ay < _SHIFT_BELOW
-    chosen[np.arange(N), ay.argmin(axis=1)] = True
-    pt, k = np.nonzero(chosen)
-    ds, ys = d[pt, k], y[pt]                           # (M, n): d_i = beta_i - beta_k
-    # ascending coefficients in t of sum_i y_i^2 (t - beta_k - 2 d_i) prod_{j != i} (d_j - t)^2
-    coef = np.zeros((len(pt), deg + 1))
+    top = np.fmax(beta[:, -1:], np.finfo(float).tiny)    # A = 0 has beta_max = 0
+    d = (beta - top) / top
+    # ascending coefficients in s of sum_i y_i^2 (s - 1 - 2 d_i) prod_{j != i} (d_j - s)^2
+    coef = np.zeros((N, deg + 1))
     for i in range(n):
-        p = np.zeros((len(pt), deg + 1))
-        p[:, 0] = -beta[pt, k] - 2.0 * ds[:, i]
+        p = np.zeros((N, deg + 1))
+        p[:, 0] = -1.0 - 2.0 * d[:, i]
         p[:, 1] = 1.0
         for j in range(n):
-            if j != i:      # times (d_j - t)^2; the rolled-over top entries are still zero
-                c = ds[:, j, None]
+            if j != i:      # times (d_j - s)^2; the rolled-over top entries are still zero
+                c = d[:, j, None]
                 p = c * c * p - 2.0 * c * np.roll(p, 1, axis=-1) + np.roll(p, 2, axis=-1)
-        coef += ys[:, i, None] ** 2 * p
-    companion = np.zeros((len(pt), deg, deg))
+        coef += y[:, i, None] ** 2 * p
+    companion = np.zeros((N, deg, deg))
     companion[:, 1:, :-1] = np.eye(deg - 1)
     companion[:, :, -1] = -coef[:, :-1] / coef[:, -1:]
-    t = np.linalg.eigvals(companion).real             # (M, deg)
+    s = np.linalg.eigvals(companion).real             # (N, deg)
 
     # infeasible or degenerate candidates come out non-finite and count as 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        generic = np.zeros((N, n))        # best root per (point, shift), 0 if not rooted
-        generic[pt, k] = _best_candidate(ys[:, None, :] / (ds[:, None, :] - t[..., None]),
-                                         beta[pt], ys)
-        z = np.where(d != 0.0, y[:, None, :] / d, 0.0)
-        gamma = np.sqrt(-beta / (2.0 * np.einsum("nki,ni->nk", z, y)))
-        tau = np.sqrt(1.0 - gamma ** 2 * np.einsum("nki,nki->nk", z, z))
-        hard = [gamma[..., None] * z + s * tau[..., None] * np.eye(n) for s in (1.0, -1.0)]
-        return np.maximum.reduce([generic.max(axis=1),
-                                  *(_best_candidate(H, beta, y) for H in hard)])
+        generic = _best_candidate(y[:, None, :] / (d[:, None, :] - s[..., None]), beta, y)
+        # z[:, m - 1] is y / d with its top m components set to 0
+        z = np.where(np.arange(n) < n - np.arange(1, n)[:, None], (y / d)[:, None, :], 0.0)
+        gamma = np.sqrt(-1.0 / (2.0 * np.einsum("nmi,ni->nm", z, y)))
+        tau = np.sqrt(1.0 - gamma ** 2 * np.einsum("nmi,nmi->nm", z, z))
+        hard = [gamma[..., None] * z + sign * tau[..., None] * np.eye(n)[-1] for sign in (1.0, -1.0)]
+        return np.maximum.reduce([generic, *(_best_candidate(H, beta, y) for H in hard)])
 
 
 def _best_candidate(H: np.ndarray, beta: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -361,7 +361,7 @@ def _level_prolongation(graph: GridGraph) -> tuple[np.ndarray, sp.csr_matrix]:
     N = len(graph.nodes)
     is_sink = np.zeros(N, dtype=bool)
     is_sink[graph.sink] = True
-    at_sink = is_sink[graph.edges].any(axis=1)
+    at_sink = is_sink[graph.edges[:, 0]] | is_sink[graph.edges[:, 1]]
     edges = graph.edges[~at_sink]
     adj = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(N, N))
     hops = dijkstra(adj, directed=False, indices=graph.source, unweighted=True, min_only=True)
