@@ -16,12 +16,17 @@ whose last change still exceeds the tolerance stopped at its cap
 (``_capped``); the eq1est, eq2est, Hoelder and domfac reports say so in
 ``details["capped"]``.
 
-Every bound evaluator returns a BoundReport carrying the bound (and, for a
-two-sided check, the other side), the error estimate from refining, and a
-verdict.  One rule judges every checked side: a side that fails by
-``excess`` with combined error ``err`` is ``inconclusive`` when err is not
-finite, ``holds`` when excess <= err + VERDICT_FLOOR and ``violated``
-otherwise; a report takes its worst side.
+The evaluators ``eq1est_bounds``, ``eq2est_bounds``,
+``dominated_modulus_bound``, ``holder_identity_check``,
+``continuity_bounds`` and ``infinity_check`` return a BoundReport carrying
+the bound (and, for a two-sided check, the other side), the error estimate
+from refining, and a verdict.  ``modintbound``, ``separation_bound``,
+``boundary_estimate`` and ``psi_D`` return a float and
+``modintbound_with_error`` a value with its error.  One rule judges every
+checked side: a side that fails by ``excess`` with combined error ``err``
+is ``inconclusive`` when err is not finite, ``holds`` when
+excess <= err + VERDICT_FLOOR and ``violated`` otherwise; a report takes
+its worst side.
 """
 
 from __future__ import annotations
@@ -395,81 +400,56 @@ def modintbound(mapping: Mapping, x0, r: float, R: float,
 # dominating factors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DominatingFactor:
-    """Increasing factor H with exp(H) convex, used to bound exponential means.
+    """Power dominating factor H(t) = c*max(t, t0)^alpha, increasing with exp(H) convex.
 
-    Families: power H(t) = c*max(t, t0)^alpha with the flatness threshold t0
-    chosen so exp(H) stays convex (``linear(gamma)`` is the power with c =
-    gamma and alpha = 1, where t0 = 0); tabulated monotone samples, held at
-    the first sample below the table.  ``inverse`` is only defined above
-    H(t0), or on the tabulated range.
+    ``coeff`` (c) and ``alpha`` must be finite and positive.  The flatness
+    threshold t0 is derived from them: exp(c t^alpha) is convex where
+    c*alpha*t^alpha >= 1 - alpha, so t0 = 0 for alpha >= 1 and
+    ((1 - alpha) / (c alpha))^(1/alpha) below.  ``linear(gamma)`` is the
+    power with c = gamma and alpha = 1.  ``inverse`` is only defined above
+    H(t0).
     """
 
-    family: str                        # power / tabulated
-    coeff: float = 0.0
-    alpha: float = 0.0
-    t0: float = 0.0
-    table_t: np.ndarray = None
-    table_h: np.ndarray = None
+    coeff: float
+    alpha: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.coeff) and math.isfinite(self.alpha)
+                and self.coeff > 0 and self.alpha > 0):
+            raise ValueError("dominating factor needs finite c > 0 and alpha > 0")
 
     @classmethod
     def linear(cls, gamma: float) -> "DominatingFactor":
-        if gamma <= 0:
-            raise ValueError("linear factor needs gamma > 0")
-        return cls.power(gamma, 1.0)
+        return cls(gamma, 1.0)
 
-    @classmethod
-    def power(cls, coeff: float, alpha: float) -> "DominatingFactor":
-        if coeff <= 0 or alpha <= 0:
-            raise ValueError("power factor needs c > 0 and alpha > 0")
-        # exp(c t^alpha) convex needs c*alpha*t^alpha >= 1-alpha
-        t0 = 0.0 if alpha >= 1 else ((1.0 - alpha) / (coeff * alpha)) ** (1.0 / alpha)
-        return cls(family="power", coeff=coeff, alpha=alpha, t0=t0)
-
-    @classmethod
-    def tabulated(cls, t, h) -> "DominatingFactor":
-        t = np.asarray(t, dtype=float)
-        h = np.asarray(h, dtype=float)
-        if len(t) < 4 or np.any(np.diff(t) <= 0) or np.any(np.diff(h) <= 0):
-            raise ValueError("tabulated factor needs >= 4 strictly increasing samples")
-        eh = np.exp(h - h.max())
-        slopes = np.diff(eh) / np.diff(t)
-        if np.any(np.diff(slopes) < -1e-12 * np.abs(slopes[:-1])):
-            raise ValueError("tabulated factor fails convexity of exp(H) on the sample grid")
-        return cls(family="tabulated", table_t=t, table_h=h)
+    @property
+    def t0(self) -> float:
+        if self.alpha >= 1:
+            return 0.0
+        return ((1.0 - self.alpha) / (self.coeff * self.alpha)) ** (1.0 / self.alpha)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.family == "power":
-            return self.coeff * np.maximum(t, self.t0) ** self.alpha
-        if np.any(t > self.table_t[-1]):
-            raise ValueError("argument beyond tabulated range")
-        return np.interp(t, self.table_t, self.table_h)
+        return self.coeff * np.maximum(np.asarray(t, dtype=float), self.t0) ** self.alpha
 
     def inverse(self, tau):
         tau = np.asarray(tau, dtype=float)
-        if self.family == "power":
-            if np.any(tau < self.coeff * self.t0 ** self.alpha - 1e-15):
-                raise ValueError("inverse undefined below H(t0)")
-            return (tau / self.coeff) ** (1.0 / self.alpha)
-        if np.any(tau < self.table_h[0]) or np.any(tau > self.table_h[-1]):
-            raise ValueError("inverse beyond tabulated range")
-        return np.interp(tau, self.table_h, self.table_t)
+        if np.any(tau < self.coeff * self.t0 ** self.alpha - 1e-15):
+            raise ValueError("inverse undefined below H(t0)")
+        return (tau / self.coeff) ** (1.0 / self.alpha)
 
 
 def is_divergence_type(factor: DominatingFactor, n: int) -> str:
     """Classify: does the integral of H(t) t^(-n/(n-1)) over [1, inf) diverge?
 
-    Powers diverge exactly when alpha >= 1/(n-1), so linear factors
-    (alpha = 1) always do.  A tabulated factor ends at its last sample and
-    cannot decide an integral to infinity, so it is always inconclusive.
+    The tail of H is c t^alpha, so the integral diverges exactly when
+    alpha >= 1/(n-1), and linear factors (alpha = 1) always do.  Returns
+    ``divergent`` or ``convergent``.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    if factor.family == "power":
-        return "divergent" if factor.alpha >= 1.0 / (n - 1.0) else "convergent"
-    return "inconclusive"
+    return "divergent" if factor.alpha >= 1.0 / (n - 1.0) else "convergent"
 
 
 def _bound_constants(n: int, big_m: float, r0: float, gamma: float | None = None) -> dict:
@@ -507,7 +487,7 @@ def dominated_modulus_bound(m: float, big_m: float, r0: float, n: int,
         raise ValueError(f"need m > 1/n, got m = {m}")
     if big_m <= 0 or r0 <= 0:
         raise ValueError("need M > 0 and r0 > 0")
-    linear = factor.family == "power" and factor.alpha == 1.0
+    linear = factor.alpha == 1.0
     consts = _bound_constants(n, big_m, r0, factor.coeff if linear else None)
     sigma = consts["sigma"]
     if linear and 1.0 + sigma <= 0:
@@ -689,16 +669,19 @@ def infinity_check(field_or_map, r0: float, radii, x0,
     """Decay test of (log R)^(-2) * integral of (D - 1) d nu over S(x0; r0, R).
 
     Accepts either a mapping (its angular dilatation about x0 is used) or a
-    raw scalar field x -> D(x); the dimension n is len(x0).  Each half
-    semiring S(x0; r0, R) refuses R <= r0 and an x0 off the boundary
-    hyperplane.  The report's left side is the value at the last radius and
-    its error that radius's quadrature error over (log R)^2.  Verdict
-    ``extends`` needs the sequence to be decreasing with final value below
-    1e-2 and a finite error; anything else is inconclusive.
+    raw scalar field x -> D(x); the dimension n is len(x0).  Radii must exceed
+    1, so that log R > 0, and each half semiring S(x0; r0, R) refuses
+    R <= r0 and an x0 off the boundary hyperplane.  The report's left side
+    is the value at the last radius and its error that radius's quadrature
+    error over (log R)^2.  Verdict ``extends`` needs the sequence to be
+    decreasing with final value below 1e-2 and a finite error; anything else
+    is inconclusive.
     """
     radii = list(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])) or not radii:
         raise ValueError("radii must be increasing and nonempty")
+    if not all(R > 1.0 for R in radii):
+        raise ValueError("radii must exceed 1: each value is divided by (log R)^2")
     x0 = np.asarray(x0, dtype=float)
     field = (angular_dilatation_field(field_or_map, x0)
              if isinstance(field_or_map, Mapping) else field_or_map)

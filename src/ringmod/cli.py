@@ -315,8 +315,9 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         if args.jobs is None:
             args.jobs = int(os.environ.get("RINGMOD_JOBS", "1"))
-        if args.jobs < 1 or args.tol_scale < 1.0:
-            raise ValueError("--jobs must be >= 1 and --tol-scale >= 1")
+        # written so that a NaN --tol-scale fails it too
+        if args.jobs < 1 or not 1.0 <= args.tol_scale < math.inf:
+            raise ValueError("--jobs must be >= 1 and --tol-scale finite and >= 1")
         return args.fn(args)
     except (ValueError, KeyError, TypeError, OSError, NotImplementedError) as exc:
         # str() of a KeyError is the repr of its message

@@ -43,8 +43,9 @@ class HarnessConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.tol_scale < 1.0:
-            raise ValueError("tol_scale must be >= 1 (tolerances may only tighten)")
+        # written so that NaN fails it too
+        if not 1.0 <= self.tol_scale < math.inf:
+            raise ValueError("tol_scale must be finite and >= 1 (tolerances may only tighten)")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -432,10 +433,10 @@ def _sc_domfac(cfg):
                      bd.is_divergence_type(bd.DominatingFactor.linear(2.0), 3) == "divergent",
                      "literature"))
     out.append(_flag("power-convergent",
-                     bd.is_divergence_type(bd.DominatingFactor.power(1.0, 0.5), 2) == "convergent",
+                     bd.is_divergence_type(bd.DominatingFactor(1.0, 0.5), 2) == "convergent",
                      "derived"))
     out.append(_flag("power-boundary-divergent",
-                     bd.is_divergence_type(bd.DominatingFactor.power(1.0, 1.0), 2) == "divergent",
+                     bd.is_divergence_type(bd.DominatingFactor(1.0, 1.0), 2) == "divergent",
                      "derived"))
     worst = 0.0
     for n in (2, 3, 4):
@@ -661,7 +662,8 @@ def run_all(tag: str | None = None, config: HarnessConfig | None = None) -> dict
     if config.jobs > 1 and len(ids) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # the pool may fork all its workers at once: no more than there are scenarios
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(ids))) as pool:
             reports = list(pool.map(run_scenario, ids, [config] * len(ids)))
     else:
         reports = [run_scenario(sid, config) for sid in ids]

@@ -412,50 +412,43 @@ def test_modintbound_values():
 
 def test_dominating_factor_families():
     lin = DominatingFactor.linear(2.0)
+    assert lin == DominatingFactor(2.0, 1.0)
     assert lin(3.0) == pytest.approx(6.0)
     assert lin.inverse(6.0) == pytest.approx(3.0)
-    pw = DominatingFactor.power(1.0, 2.0)
+    pw = DominatingFactor(1.0, 2.0)
     assert pw(2.0) == pytest.approx(4.0)
     assert pw.inverse(4.0) == pytest.approx(2.0)
-    # flat threshold keeps exp(H) convex for sublinear powers
-    pw2 = DominatingFactor.power(1.0, 0.5)
-    assert pw2.t0 > 0
+    # flat threshold keeps exp(H) convex for sublinear powers:
+    # t0 = ((1 - alpha) / (c alpha))^(1/alpha) = 1 at c = 1, alpha = 1/2
+    pw2 = DominatingFactor(1.0, 0.5)
+    assert pw2.t0 == 1.0
+    assert lin.t0 == pw.t0 == 0.0
     ts = np.linspace(0.0, 10.0, 200)
     eh = np.exp(pw2(ts))
     slopes = np.diff(eh) / np.diff(ts)
     assert np.all(np.diff(slopes) >= -1e-9)
     with pytest.raises(ValueError):
         DominatingFactor.linear(-1.0)
-    with pytest.raises(ValueError):
-        DominatingFactor.tabulated([1, 2, 3, 2], [1, 2, 3, 4])
+    # direct construction is validated like the named one
+    for c, alpha in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -0.5),
+                     (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            DominatingFactor(c, alpha)
 
 
 def test_divergence_classification():
     assert is_divergence_type(DominatingFactor.linear(2.0), 3) == "divergent"
-    assert is_divergence_type(DominatingFactor.power(1.0, 0.5), 2) == "convergent"
-    assert is_divergence_type(DominatingFactor.power(1.0, 1.0), 2) == "divergent"
+    assert is_divergence_type(DominatingFactor(1.0, 0.5), 2) == "convergent"
+    assert is_divergence_type(DominatingFactor(1.0, 1.0), 2) == "divergent"
     # 20-point grid against the closed-form criterion alpha >= 1/(n-1)
     alphas = np.linspace(0.1, 2.0, 5)
     for n in (2, 3, 4, 5):
         for alpha in alphas:
             want = "divergent" if alpha >= 1.0 / (n - 1) else "convergent"
-            assert is_divergence_type(DominatingFactor.power(1.0, float(alpha)), n) == want
-    # a table ends at its last sample, so it cannot decide an integral to
-    # infinity, whatever its growth
-    t = np.exp(np.linspace(0.0, math.log(1e6), 200))
-    fast = DominatingFactor.tabulated(t, 2.0 * t)
-    assert is_divergence_type(fast, 3) == "inconclusive"
-    # logarithmic growth keeps exp(H) convex yet integrates finitely
-    slow = DominatingFactor.tabulated(t, 1.0 + 1.5 * np.log(t))
-    assert is_divergence_type(slow, 2) == "inconclusive"
-    assert is_divergence_type(fast, 2) == "inconclusive"
-
-
-def test_tabulated_t_over_log_t_is_inconclusive():
-    # t / log t grows slower than t on any finite table, yet the planar
-    # integral of H(t) t^-2 = 1 / (t log t) diverges
-    t = np.geomspace(3.0, 1e6, 400)
-    assert is_divergence_type(DominatingFactor.tabulated(t, t / np.log(t)), 2) == "inconclusive"
+            assert is_divergence_type(DominatingFactor(1.0, float(alpha)), n) == want
+    # the exact threshold alpha = 1/(n-1) diverges: H(t) t^(-n/(n-1)) ~ 1/t
+    for n in (3, 4, 5):
+        assert is_divergence_type(DominatingFactor(1.0, 1.0 / (n - 1)), n) == "divergent"
 
 
 def test_dominated_bound_closed_form():
@@ -471,18 +464,10 @@ def test_linear_factor_is_the_power_at_alpha_one():
     for n in (2, 3):
         for gamma in (0.5, 2.0):
             lin = dominated_modulus_bound(10.0, PI, 1.0, n, DominatingFactor.linear(gamma))
-            pw = dominated_modulus_bound(10.0, PI, 1.0, n, DominatingFactor.power(gamma, 1.0))
+            pw = dominated_modulus_bound(10.0, PI, 1.0, n, DominatingFactor(gamma, 1.0))
             assert pw.right is not None
             assert (lin.left, lin.right, lin.error) == (pw.left, pw.right, pw.error)
             assert lin.details["divergence"] == pw.details["divergence"] == "divergent"
-
-
-def test_tabulated_factor_holds_its_first_sample_below_the_table():
-    t = np.linspace(1.0, 4.0, 8)
-    H = DominatingFactor.tabulated(t, 2.0 * t)
-    assert H(0.5) == 2.0 and H(1.0) == 2.0
-    with pytest.raises(ValueError):
-        H(5.0)
 
 
 def test_dominated_bound_constants():
@@ -651,6 +636,10 @@ def test_infinity_check_about_a_shifted_center():
     assert np.allclose(rep.details["values"], 0.0, atol=1e-12)
     with pytest.raises(ValueError):
         infinity_check(Identity(), 1.0, [0.5, 2.0], np.zeros(2))   # R <= r0
+    # (log R)^2 vanishes at R = 1, and R < 1 is no trend toward infinity
+    for bad in ([1.0, 10.0], [0.8, 10.0]):
+        with pytest.raises(ValueError):
+            infinity_check(RadialStretch(a=0.8), 0.5, bad, np.zeros(2))
     with pytest.raises(ValueError):
         infinity_check(Identity(), 1.0, radii, np.array([0.0, 1.0]))   # off the plane
 

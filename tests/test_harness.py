@@ -56,6 +56,9 @@ def test_config_validation():
         harness.HarnessConfig(tol_scale=0.5)
     with pytest.raises(ValueError):
         harness.HarnessConfig(jobs=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            harness.HarnessConfig(tol_scale=bad)
     c = harness.HarnessConfig(tol_scale=2.0)
     assert len(c.digest()) == 16
 
@@ -350,6 +353,33 @@ def test_run_all_parallel_jobs():
     assert [s["scenario"] for s in agg["scenarios"]] == ["a2", "lambda2", "special-constants"]
 
 
+def test_run_all_pool_is_capped_at_the_scenario_count(monkeypatch):
+    # a stand-in pool that records its size and runs serially: a real pool
+    # may fork all its workers at the first submit
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    agg = harness.run_all(tag="special", config=harness.HarnessConfig(jobs=100000))
+    assert sizes == [3]
+    assert agg["passed"]
+    assert [s["scenario"] for s in agg["scenarios"]] == ["a2", "lambda2", "special-constants"]
+
+
 def test_cli_bounds_eq1est_with_image(capsys):
     code = main(["bounds", "eq1est", "--map", "radial:a=0.8",
                  "--shape", "semiring:n=2,r=1,R=2.718281828459045",
@@ -368,6 +398,9 @@ def test_cli_error_exit_codes(capsys):
     capsys.readouterr()
     assert main(["--tol-scale", "0.5", "special", "a2"]) == 2
     capsys.readouterr()
+    for bad in ("nan", "inf"):
+        assert main(["--tol-scale", bad, "verify", "--filter", "special"]) == 2
+        capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
