@@ -452,6 +452,14 @@ def is_divergence_type(factor: DominatingFactor, n: int) -> str:
     return "divergent" if factor.alpha >= 1.0 / (n - 1.0) else "convergent"
 
 
+def _require_finite(**values: float) -> None:
+    """ValueError naming the first of ``values`` that is NaN or infinite; the
+    range tests after it (``m <= 1/n``, ``gamma <= 0``, ...) let NaN through."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _bound_constants(n: int, big_m: float, r0: float, gamma: float | None = None) -> dict:
     """sigma = log(2 n M / (omega_{n-1} r0^n)) and, for a linear factor of
     slope gamma, C2 = gamma^(1/(n-1))/n (n = 2) or
@@ -483,6 +491,7 @@ def dominated_modulus_bound(m: float, big_m: float, r0: float, n: int,
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
+    _require_finite(m=m, M=big_m, r0=r0)
     if m <= 1.0 / n:
         raise ValueError(f"need m > 1/n, got m = {m}")
     if big_m <= 0 or r0 <= 0:
@@ -520,11 +529,13 @@ def dominated_modulus_bound(m: float, big_m: float, r0: float, n: int,
 
 def separation_bound(mo: float, n: int = 2) -> float:
     """Upper bound Q_n exp(-mo/2) for the smaller complementary diameter."""
+    _require_finite(mo=mo)
     return constants_for(n).q_value * math.exp(-0.5 * mo)
 
 
 def boundary_estimate(mo: float, dist: float, n: int = 2) -> float:
     """Upper bound exp(A_n) * dist * exp(-mo); requires mo > A_n."""
+    _require_finite(mo=mo, dist=dist)
     if dist <= 0:
         raise ValueError("distance must be positive")
     a = constants_for(n).a_value
@@ -545,6 +556,7 @@ def lipschitz_constants(big_m: float, R: float, n: int) -> LipschitzConstants:
     """Local Lipschitz constants of the extended boundary map, with A_n from
     ``constants_for(n)``; conservative for n >= 3, where only an upper bound
     of A_n is known."""
+    _require_finite(M=big_m, R=R)
     if R <= 0:
         raise ValueError("R must be positive")
     if big_m < 0:
@@ -635,6 +647,7 @@ def continuity_bounds(n: int, gamma: float, big_m: float, r0: float,
     n >= 3, which only enlarges the constants).  n >= 3 needs 1 + sigma > 0.
     The bound is a closed form, so its error is 0.
     """
+    _require_finite(gamma=gamma, M=big_m, r0=r0, dist=dist, separation=separation)
     if not 0 < separation < r0:
         raise ValueError("need 0 < |x1 - x0| < r0")
     if gamma <= 0 or big_m <= 0 or dist <= 0:

@@ -15,18 +15,14 @@ path family (Duffin, "The extremal length of a network", 1962).
 
 ``modulus_connect`` finds the potential with one Jacobi-preconditioned
 conjugate-gradient solve for p = 2 and with Newton's method, one such solve
-per step, for p > 2.  One BFS from the source through nodes off the sink
-finds the free nodes (those it reaches; the others take the sink's potential
-and carry no energy) and their hop levels.  Every solve starts from the
-Galerkin solution over potentials constant on the levels (the radial shells
-of a product grid; Nicolaides, "Deflation of conjugate gradients", 1987), a
-tridiagonal system with one unknown per level.  On aligned grids the
-potential is constant on the shells, so CG starts converged; elsewhere it
-removes only what varies along a shell.
-
-scipy (the sparse matrices, the BFS, and the CG and direct solves) is
-imported by the first solve, not with this module, so a caller that never
-solves loads numpy only.  Every CG solve calls the module-level ``cg``.
+per step, for p > 2.  One sparse matrix, assembled from the edge arrays,
+gives the hop levels from the source (by a BFS) and the Laplacian.  Each
+solve starts from the Galerkin solution over potentials constant on the
+levels (the radial shells of a product grid; Nicolaides, "Deflation of
+conjugate gradients", 1987), so on aligned grids CG starts converged.
+scipy (the sparse matrix, the BFS, CG and the banded solve) is imported by
+the first solve, so a caller that never solves loads numpy only.  Every CG
+solve calls the module-level ``cg``.
 
 Grids are structured log-polar (log-spherical for n = 3) products aligned
 with the shapes, which keeps level sets of the extremal potentials along
@@ -50,15 +46,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import Annulus, ApollonianSemiring, HalfSemiring, Shape, span_area
 from .maps import Mapping
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class ConvergenceError(RuntimeError):
@@ -342,37 +334,68 @@ def cg(A, b, **kwargs):
     return scipy_cg(A, b, **kwargs)
 
 
-def _level_prolongation(graph: GridGraph) -> tuple[np.ndarray, sp.csr_matrix]:
-    """Free nodes and the 0/1 prolongation (free nodes x levels) of their hop levels.
+def _level_system(graph: GridGraph):
+    """Free node ids, their hop levels, and their weighted Laplacians.
 
-    One BFS from the source set through the edges with no end on the sink
-    gives every node its hop distance; a free node's level is that distance
-    minus one, so the nodes next to the source form level 0.  BFS distances
-    from a set are contiguous, so every level is occupied.  The free nodes
-    are the nodes off the source and sink that this BFS reaches; every other
-    node off the source and sink touches at most the sink.  The graph is
-    disconnected between source and sink exactly when no edge with an end on
-    the sink has an end reached.  On a product grid whose first axis is
-    radial the levels are the radial shells.
+    Nodes off the source and sink are the candidates 0..K-1, the source set
+    is one root K.  A BFS from the root of one CSR, a Laplacian row per
+    candidate and a root row, counts every edge whatever its weight: the
+    free nodes are the candidates it reaches, and a level is a hop distance
+    minus one.  Adjacent levels differ by at most one, so P^T L P (P the 0/1
+    level indicator) is tridiagonal.  Returns L and the (3, levels) bands of
+    P^T L P for the conductances, and a function giving them for weights c.
     """
     import scipy.sparse as sp
-    from scipy.sparse.csgraph import dijkstra
+    from scipy.sparse.csgraph import breadth_first_order
 
-    N = len(graph.nodes)
-    is_sink = np.zeros(N, dtype=bool)
-    is_sink[graph.sink] = True
-    at_sink = is_sink[graph.edges[:, 0]] | is_sink[graph.edges[:, 1]]
-    edges = graph.edges[~at_sink]
-    adj = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(N, N))
-    hops = dijkstra(adj, directed=False, indices=graph.source, unweighted=True, min_only=True)
-    reached = np.isfinite(hops)
-    if not reached[graph.edges[at_sink]].any():
+    candidate = np.ones(len(graph.nodes), dtype=bool)
+    candidate[graph.source] = candidate[graph.sink] = False
+    idx = np.cumsum(candidate) - 1
+    K = int(idx[-1]) + 1
+    idx[graph.source], idx[graph.sink] = K, K + 1
+    ends = idx[graph.edges.T]
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    inner, at_root = hi < K, hi == K
+    lo_in, hi_in, diag = lo[inner], hi[inner], np.arange(K)
+    coords = (np.concatenate([lo_in, hi_in, hi[at_root], diag]),
+              np.concatenate([hi_in, lo_in, lo[at_root], diag]))
+
+    def assemble(c):
+        c_in = c[inner]
+        d = np.bincount(ends[0], c, K + 2)[:K] + np.bincount(ends[1], c, K + 2)[:K]
+        data = np.concatenate([c_in, c_in, c[at_root], -d])
+        return sp.csr_matrix((np.negative(data, out=data), coords), shape=(K + 1, K + 1)), c_in, d
+
+    A, c_in, d = assemble(graph.conductance)
+    order, pred = breadth_first_order(A, K, return_predecessors=True)
+    pos = np.full(K + 2, len(order))             # unreached and the sink: past the order
+    pos[order] = np.arange(len(order))
+    if not np.any(pos[lo[hi > K]] < len(order)):     # no sink edge has an end reached
         raise ValueError("graph is disconnected between source and sink")
-    reached[graph.source] = False
-    free = np.flatnonzero(reached)
-    level = hops[free].astype(np.intp) - 1
-    return free, sp.csr_matrix((np.ones(len(free)), (np.arange(len(free)), level)),
-                               shape=(len(free), level.max(initial=-1) + 1))
+    # BFS appends each node's children as it takes the nodes in order: parent
+    # positions never decrease, and each hop starts after the last one's children
+    parent = pos[pred[order[1:]]]
+    start = [1]
+    while start[-1] < len(order):
+        start.append(1 + int(parent.searchsorted(start[-1])))
+    D = len(start) - 1
+    lev = np.full(K, 2 * D)                      # unreached: past every band
+    lev[order[1:]] = np.repeat(np.arange(D), np.diff(start))
+    free = np.flatnonzero(lev < D)
+    level = lev[free]
+    band_of = lev[lo_in] + lev[hi_in]            # 2a within level a, 2a + 1 from a to a + 1
+    renumber = (np.cumsum(lev < D) - 1).astype(A.indices.dtype)
+
+    def restrict(A, c_in, d):
+        band = np.bincount(band_of, c_in, 2 * D)[:2 * D]
+        upper = -band[1::2]                      # its last entry, from level D - 1 to D, is 0
+        main = np.bincount(level, d[free], D) - 2.0 * band[0::2]
+        rows = A[free]                           # free rows reach no unreached candidate
+        L = sp.csr_matrix((rows.data, renumber[rows.indices], rows.indptr), shape=(len(free),) * 2)
+        return L, np.array([np.roll(upper, 1), main, upper])
+
+    return (np.flatnonzero(candidate)[free], level, restrict(A, c_in, d),
+            lambda c: restrict(*assemble(c)))
 
 
 def modulus_connect(graph: GridGraph) -> ModulusEstimate:
@@ -381,72 +404,56 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     Minimizes F(phi) = sum_e sigma_e |dphi_e|^p, sigma = ``graph.conductance``,
     over potentials phi = 0 on the source and 1 on the sink, and returns
     m_gamma = F(phi) with the minimizing ``potential``.  The unknowns are the
-    nodes the source reaches without crossing the sink; the others take the
-    sink's potential.  p = 2 is one Jacobi-preconditioned CG solve of the
-    weighted Laplacian; p > 2 runs Newton with backtracking on F from the
-    p = 2 potential, one CG solve per step.  Every CG solve starts from the
-    Galerkin solution over potentials constant on the hop levels of
-    ``_level_prolongation`` (the radial shells of a product grid):
-    x0 = P (P^T L P)^-1 P^T rhs, the level-constant vector of least energy
-    error, so CG only has to remove what varies within a level.  On planar
-    grids m_gamma is the P1 Dirichlet energy of the piecewise-linear
-    potential; with positive conductances (the 3D grids) it is the graph's
-    path-family modulus (Duffin 1962), up to the solver tolerance.  Signed
-    conductances are accepted as long as every free node has a positive
-    Laplacian diagonal, which the Jacobi preconditioner needs; otherwise
-    ValueError.  Deterministic.
+    free nodes of ``_level_system``; the others take the sink's potential.
+    Newton (p > 2) backtracks on F from the p = 2 potential.  Each CG solve,
+    on the weighted Laplacian L, starts from x0 = P (P^T L P)^-1 P^T rhs, the
+    level-constant vector of least energy error.  With positive conductances
+    m_gamma is the graph's path-family modulus up to the solver tolerance.
+    Signed ones need a positive Laplacian diagonal at every free node, for
+    the Jacobi preconditioner; otherwise ValueError.  Deterministic.
     """
     import scipy.sparse as sp
-    from scipy.sparse.linalg import spsolve
+    from scipy.linalg import solve_banded
 
     p = graph.p
     if p < 2:
         raise ValueError(f"modulus exponent must be at least 2, got {p}")
-    E, N = len(graph.edges), len(graph.nodes)
+    N = len(graph.nodes)
     fixed = np.zeros(N, dtype=bool)
     fixed[graph.source] = fixed[graph.sink] = True
-    free, prolong = _level_prolongation(graph)
-    inc = sp.csr_matrix((np.repeat([-1.0, 1.0], E),
-                         (np.tile(np.arange(E), 2), graph.edges.T.ravel())), shape=(E, N))
-    inc_free = inc[:, free]
-    inc_free_t = inc_free.T.tocsr()
-    prolong_t = prolong.T.tocsr()
+    free, level, first, laplacian = _level_system(graph)
+    e0, e1 = graph.edges.T.copy()     # contiguous: bincount would copy a strided column
     sigma = graph.conductance
-    cg_steps = 0
+    cg_steps = []             # one entry per CG iteration
 
-    def count(_):
-        nonlocal cg_steps
-        cg_steps += 1
-
-    def solve(c, rhs):
-        """Jacobi-preconditioned CG on the free-node Laplacian with edge weights c,
-        started from the Galerkin solution over level-constant potentials."""
+    def solve(L, bands, rhs):
         if not len(free):
             return rhs
-        L = inc_free_t @ sp.diags(c) @ inc_free
-        if np.any(L.diagonal() <= 0):
+        diag = L.diagonal()
+        if np.any(diag <= 0):
             raise ValueError("a free node has a non-positive Laplacian diagonal")
-        x0 = prolong @ spsolve((prolong_t @ L @ prolong).tocsc(), prolong_t @ rhs)
-        x, info = cg(L, rhs, x0=x0, rtol=_CG_RTOL, atol=0.0, M=sp.diags(1.0 / L.diagonal()),
-                     callback=count)
+        x0 = solve_banded((1, 1), bands, np.bincount(level, rhs, bands.shape[1]))[level]
+        x, info = cg(L, rhs, x0=x0, rtol=_CG_RTOL, atol=0.0, M=sp.diags(1.0 / diag),
+                     callback=lambda _: cg_steps.append(1))
         if info != 0:
             raise ConvergenceError(f"conjugate gradients did not converge (info={info})")
         return x
 
     def energy(x):
-        # pairwise summation: a dot product of the 523k terms of a 256x1024
-        # grid drifts by 6e-15 relative
-        return float(np.sum(sigma * np.abs(inc @ x) ** p))
+        # pairwise summation: a dot product drifts by 6e-15 relative at 256x1024
+        return float(np.sum(sigma * np.abs(x[e1] - x[e0]) ** p))
+
+    def net_flux(flux):
+        return np.bincount(e1, flux, N) - np.bincount(e0, flux, N)
 
     phi = np.ones(N)          # nodes the source does not reach take the sink's potential
     phi[graph.source] = phi[free] = 0.0
-    phi[free] = solve(sigma, -(inc_free_t @ (sigma * (inc @ phi))))
+    phi[free] = solve(*first, -net_flux(sigma * (phi[e1] - phi[e0]))[free])
     solves = 1
     while True:
-        dphi = inc @ phi
+        dphi = phi[e1] - phi[e0]
         scale = np.abs(dphi) ** (p - 2.0)
-        flux = p * sigma * scale * dphi
-        net = inc.T @ flux
+        net = net_flux(p * sigma * scale * dphi)
         grad = net[free]
         residual = float(np.linalg.norm(grad) / np.linalg.norm(net[fixed]))
         if p == 2.0 or residual <= _NEWTON_RTOL:
@@ -455,7 +462,7 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
             raise ConvergenceError(f"Newton did not converge in {_NEWTON_CAP} steps "
                                    f"(residual {residual:.3g})")
         hess = p * (p - 1.0) * sigma * scale
-        step = solve(np.maximum(hess, _WEIGHT_FLOOR * hess.max()), -grad)
+        step = solve(*laplacian(np.maximum(hess, _WEIGHT_FLOOR * hess.max())), -grad)
         solves += 1
         f0, slope, t = energy(phi), float(grad @ step), 1.0
         while True:
@@ -470,15 +477,9 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
         phi = trial
 
     m_gamma = energy(phi)
-    return ModulusEstimate(
-        m_gamma=m_gamma,
-        mo=mo_from_gamma(m_gamma, graph.kind, graph.nodes.shape[1]),
-        iterations=solves,
-        cg_iterations=cg_steps,
-        residual=residual,
-        resolution=graph.resolution,
-        potential=phi,
-    )
+    mo = mo_from_gamma(m_gamma, graph.kind, graph.nodes.shape[1])
+    return ModulusEstimate(m_gamma=m_gamma, mo=mo, iterations=solves, cg_iterations=len(cg_steps),
+                           residual=residual, resolution=graph.resolution, potential=phi)
 
 
 # ---------------------------------------------------------------------------

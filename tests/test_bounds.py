@@ -542,6 +542,32 @@ def test_continuity_bounds():
         continuity_bounds(3, 1.0, 0.01, 1.0, 1.0, 1e-3)   # 1 + sigma < 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bounds_refuse_non_finite_inputs(bad):
+    # each call is valid with 1.0 in place of bad; the range tests alone
+    # (m <= 1/n, M <= 0, gamma <= 0, ...) let NaN through
+    lin = DominatingFactor.linear(1.0)
+    calls = [
+        lambda x: dominated_modulus_bound(10.0 * x, PI, 1.0, 2, lin),
+        lambda x: dominated_modulus_bound(10.0, PI * x, 1.0, 2, lin),
+        lambda x: dominated_modulus_bound(10.0, PI, x, 2, lin),
+        lambda x: continuity_bounds(2, x, PI, 1.0, 1.0, 1e-3),
+        lambda x: continuity_bounds(2, 1.0, PI * x, 1.0, 1.0, 1e-3),
+        lambda x: continuity_bounds(2, 1.0, PI, x, 1.0, 1e-3),
+        lambda x: continuity_bounds(2, 1.0, PI, 1.0, x, 1e-3),
+        lambda x: continuity_bounds(2, 1.0, PI, 1.0, 1.0, 1e-3 * x),
+        lambda x: separation_bound(10.0 * x, 2),
+        lambda x: boundary_estimate(10.0 * x, 1.0, 2),
+        lambda x: boundary_estimate(10.0, x, 2),
+        lambda x: lipschitz_constants(x, 1.0, 2),
+        lambda x: lipschitz_constants(0.0, x, 2),
+    ]
+    for call in calls:
+        call(1.0)
+        with pytest.raises(ValueError, match="finite"):
+            call(bad)
+
+
 # ---------------------------------------------------------------------------
 # averaged identity and the tail trend
 # ---------------------------------------------------------------------------

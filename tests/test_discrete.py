@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -172,7 +173,34 @@ def test_sink_only_component():
         assert est_isolated.residual <= 1e-8
 
 
-def test_level_prolongation_levels():
+def reference_levels(g):
+    """Free nodes and levels by the definition: the nodes off the source and
+    sink that a BFS from the source through edges with no end on the sink
+    reaches, at hop distance minus one."""
+    N = len(g.nodes)
+    is_sink = np.zeros(N, dtype=bool)
+    is_sink[g.sink] = True
+    edges = g.edges[~is_sink[g.edges].any(axis=1)]
+    adj = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(N, N))
+    hops = dijkstra(adj, directed=False, indices=g.source, unweighted=True, min_only=True)
+    hops[g.source] = np.inf
+    free = np.flatnonzero(np.isfinite(hops))
+    return free, hops[free].astype(int) - 1
+
+
+def dense_free_operators(g, c, free, level):
+    """B^T diag(c) B on the free nodes, B the dense edge-node incidence matrix,
+    and P^T L P with P the 0/1 indicator of the levels."""
+    rows = np.arange(len(g.edges))
+    B = np.zeros((len(g.edges), len(g.nodes)))
+    np.add.at(B, (rows, g.edges[:, 0]), -1.0)
+    np.add.at(B, (rows, g.edges[:, 1]), 1.0)
+    L = ((B.T * c) @ B)[np.ix_(free, free)]
+    P = np.eye(level.max() + 1)[level]
+    return L, P.T @ L @ P
+
+
+def test_level_system_levels():
     # sources 0, 1 and 10, sink 6; node 3 is two hops from source 0 and three
     # from source 1, node 7 hangs off the sink, nodes 8 and 9 touch neither
     # terminal, and source 10 is adjacent to the sink
@@ -184,15 +212,74 @@ def test_level_prolongation_levels():
         source=np.array([0, 1, 10]), sink=np.array([6]),
         p=2.0, kind="ring", resolution=(12, 1),
     )
-    free, prolong = discrete._level_prolongation(g)
+    free, level, _, _ = discrete._level_system(g)
     np.testing.assert_array_equal(free, [2, 3, 4, 5, 11])
-    np.testing.assert_array_equal(prolong.toarray(), np.eye(3)[[0, 1, 0, 1, 2]])
+    np.testing.assert_array_equal(level, [0, 1, 0, 1, 2])
     # without the edge at source 10 the path through node 11 still connects;
     # cutting that one as well leaves no source-sink path
-    discrete._level_prolongation(replace(g, edges=edges[:-1], conductance=np.ones(9)))
+    discrete._level_system(replace(g, edges=edges[:-1], conductance=np.ones(9)))
     with pytest.raises(ValueError, match="disconnected"):
-        discrete._level_prolongation(replace(g, edges=np.delete(edges, [6, 9], axis=0),
-                                             conductance=np.ones(8)))
+        discrete._level_system(replace(g, edges=np.delete(edges, [6, 9], axis=0),
+                                       conductance=np.ones(8)))
+    # an edge of conductance 0 still links its ends: node 12, joined to node 5
+    # by it alone, is free at level 2 and leaves the other levels as they
+    # are, and the solve refuses its Laplacian diagonal of 0
+    g12 = replace(g, nodes=np.vstack([g.nodes, [[12.0, 0.0]]]), edges=np.vstack([edges, [[5, 12]]]),
+                  conductance=np.append(np.ones(len(edges)), 0.0))
+    free, level, _, _ = discrete._level_system(g12)
+    np.testing.assert_array_equal(free, [2, 3, 4, 5, 11, 12])
+    np.testing.assert_array_equal(level, [0, 1, 0, 1, 2, 2])
+    with pytest.raises(ValueError, match="non-positive Laplacian diagonal"):
+        modulus_connect(g12)
+
+
+def test_level_system_long_chain():
+    # 20,000 nodes in a row: one free node on each of 19,998 levels, so the
+    # level solve is exact and CG has nothing left to do
+    n = 20_000
+    g = chain_graph([np.ones(n - 1)], 2.0)
+    t0 = time.perf_counter()
+    est = modulus_connect(g)
+    assert time.perf_counter() - t0 < 1.0
+    free, level, _, _ = discrete._level_system(g)
+    np.testing.assert_array_equal(free, np.arange(1, n - 1))
+    np.testing.assert_array_equal(level, np.arange(n - 2))
+    assert est.m_gamma == pytest.approx(1.0 / (n - 1), rel=1e-12)
+    assert est.cg_iterations == 0
+
+
+def test_level_system_assembles_the_free_laplacian():
+    # a graph with parallel edges 1-2 and 1-5, self-loops at 2 and at the
+    # source, and a node 3 that hangs off the sink; a sheared image grid,
+    # whose conductances are signed; and a 3D grid with the Newton weights of
+    # its p = 3 potential
+    hand = GridGraph(
+        nodes=np.zeros((7, 2)),
+        edges=np.array([[0, 1], [1, 2], [2, 1], [2, 2], [2, 5], [1, 5], [5, 1], [5, 6],
+                        [0, 4], [4, 6], [6, 3], [0, 0]]),
+        conductance=np.array([1.0, 2.0, 0.5, 3.0, 1.5, 0.7, 0.2, 1.1, 0.9, 1.3, 0.8, 4.0]),
+        source=np.array([0]), sink=np.array([6]), p=2.0, kind="ring", resolution=(7, 1),
+    )
+    shear = discrete.build_image_grid(Linear(np.array([[1.0, 0.6], [0.0, 1.0]])),
+                                      Annulus(n=2, r0=1.0, r1=E), (8, 16))
+    assert np.any(shear.conductance < 0)
+    g3 = build_grid(Annulus(n=3, r0=1.0, r1=E), 8, 8)
+    phi = modulus_connect(g3).potential
+    hess = 6.0 * g3.conductance * np.abs(phi[g3.edges[:, 1]] - phi[g3.edges[:, 0]])
+    for g, c in ((hand, hand.conductance), (shear, shear.conductance), (g3, g3.conductance),
+                 (g3, np.maximum(hess, 1e-12 * hess.max()))):
+        free, level, first, laplacian = discrete._level_system(g)
+        ref_free, ref_level = reference_levels(g)
+        np.testing.assert_array_equal(free, ref_free)
+        np.testing.assert_array_equal(level, ref_level)
+        L, bands = first if c is g.conductance else laplacian(c)
+        L_ref, galerkin_ref = dense_free_operators(g, c, free, level)
+        galerkin = (np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1))
+        tol = 1e-13 * np.abs(c).sum()
+        np.testing.assert_allclose(L.toarray(), L_ref, rtol=0, atol=tol)
+        np.testing.assert_allclose(galerkin, galerkin_ref, rtol=0, atol=tol)
+        # the same operator whether it comes with the BFS or is assembled anew
+        np.testing.assert_allclose(laplacian(c)[0].toarray(), L.toarray(), rtol=0, atol=tol)
 
 
 def test_level_start_matches_direct_solve():

@@ -401,6 +401,11 @@ def test_cli_error_exit_codes(capsys):
     for bad in ("nan", "inf"):
         assert main(["--tol-scale", bad, "verify", "--filter", "special"]) == 2
         capsys.readouterr()
+    # NaN bound inputs exit 2 instead of printing NaN JSON
+    for argv in (["domfac", "--m", "10", "--M", "nan"], ["domfac", "--m", "nan"],
+                 ["continuity", "--gamma", "nan", "--dist", "0.5"], ["separation", "--mo", "nan"]):
+        assert main(["bounds", *argv]) == 2
+        assert "must be finite" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
