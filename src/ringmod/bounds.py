@@ -463,8 +463,11 @@ def _require_finite(**values: float) -> None:
 def _bound_constants(n: int, big_m: float, r0: float, gamma: float | None = None) -> dict:
     """sigma = log(2 n M / (omega_{n-1} r0^n)) and, for a linear factor of
     slope gamma, C2 = gamma^(1/(n-1))/n (n = 2) or
-    C1 = (n-1) gamma^(1/(n-1)) / (n (n-2)) and mu = (n-2)/(n-1) (n >= 3)."""
-    out = {"sigma": math.log(2.0 * n * big_m / (sphere_area(n) * r0 ** n))}
+    C1 = (n-1) gamma^(1/(n-1)) / (n (n-2)) and mu = (n-2)/(n-1) (n >= 3).
+    sigma is summed in logs, log(2 n / omega_{n-1}) + log M - n log r0, so it
+    stays finite for every finite positive M and r0, even where r0^n
+    underflows or 2 n M overflows."""
+    out = {"sigma": math.log(2.0 * n / sphere_area(n)) + math.log(big_m) - n * math.log(r0)}
     if gamma is not None:
         g = gamma ** (1.0 / (n - 1.0))
         if n == 2:

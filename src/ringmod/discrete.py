@@ -16,13 +16,13 @@ path family (Duffin, "The extremal length of a network", 1962).
 ``modulus_connect`` finds the potential with one Jacobi-preconditioned
 conjugate-gradient solve for p = 2 and with Newton's method, one such solve
 per step, for p > 2.  One sparse matrix, assembled from the edge arrays,
-gives the hop levels from the source (by a BFS) and the Laplacian.  Each
-solve starts from the Galerkin solution over potentials constant on the
-levels (the radial shells of a product grid; Nicolaides, "Deflation of
-conjugate gradients", 1987), so on aligned grids CG starts converged.
-scipy (the sparse matrix, the BFS, CG and the banded solve) is imported by
-the first solve, so a caller that never solves loads numpy only.  Every CG
-solve calls the module-level ``cg``.
+gives the hop levels from the source (by a BFS) and the Laplacian, and the
+sink edges alone the first right-hand side.  Each solve starts from the
+Galerkin solution over potentials constant on the levels (the radial shells
+of a product grid; Nicolaides, "Deflation of conjugate gradients", 1987), so
+on aligned grids CG starts converged.  scipy (the sparse matrix, the BFS, CG
+and the banded solve) is imported by the first solve, so a caller that never
+solves loads numpy only.  Every CG solve calls the module-level ``cg``.
 
 Grids are structured log-polar (log-spherical for n = 3) products aligned
 with the shapes, which keeps level sets of the extremal potentials along
@@ -343,7 +343,8 @@ def _level_system(graph: GridGraph):
     free nodes are the candidates it reaches, and a level is a hop distance
     minus one.  Adjacent levels differ by at most one, so P^T L P (P the 0/1
     level indicator) is tridiagonal.  Returns L and the (3, levels) bands of
-    P^T L P for the conductances, and a function giving them for weights c.
+    P^T L P for the conductances, the first right-hand side (each free node's
+    summed sink-edge conductance) and a function giving L and bands for c.
     """
     import scipy.sparse as sp
     from scipy.sparse.csgraph import breadth_first_order
@@ -355,7 +356,7 @@ def _level_system(graph: GridGraph):
     idx[graph.source], idx[graph.sink] = K, K + 1
     ends = idx[graph.edges.T]
     lo, hi = np.minimum(*ends), np.maximum(*ends)
-    inner, at_root = hi < K, hi == K
+    inner, at_root, at_sink = hi < K, hi == K, hi > K
     lo_in, hi_in, diag = lo[inner], hi[inner], np.arange(K)
     coords = (np.concatenate([lo_in, hi_in, hi[at_root], diag]),
               np.concatenate([hi_in, lo_in, lo[at_root], diag]))
@@ -370,7 +371,7 @@ def _level_system(graph: GridGraph):
     order, pred = breadth_first_order(A, K, return_predecessors=True)
     pos = np.full(K + 2, len(order))             # unreached and the sink: past the order
     pos[order] = np.arange(len(order))
-    if not np.any(pos[lo[hi > K]] < len(order)):     # no sink edge has an end reached
+    if not np.any(pos[lo[at_sink]] < len(order)):    # no sink edge has an end reached
         raise ValueError("graph is disconnected between source and sink")
     # BFS appends each node's children as it takes the nodes in order: parent
     # positions never decrease, and each hop starts after the last one's children
@@ -394,7 +395,8 @@ def _level_system(graph: GridGraph):
         L = sp.csr_matrix((rows.data, renumber[rows.indices], rows.indptr), shape=(len(free),) * 2)
         return L, np.array([np.roll(upper, 1), main, upper])
 
-    return (np.flatnonzero(candidate)[free], level, restrict(A, c_in, d),
+    rhs = np.bincount(lo[at_sink], graph.conductance[at_sink], K + 2)[free]
+    return (np.flatnonzero(candidate)[free], level, restrict(A, c_in, d), rhs,
             lambda c: restrict(*assemble(c)))
 
 
@@ -404,13 +406,15 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     Minimizes F(phi) = sum_e sigma_e |dphi_e|^p, sigma = ``graph.conductance``,
     over potentials phi = 0 on the source and 1 on the sink, and returns
     m_gamma = F(phi) with the minimizing ``potential``.  The unknowns are the
-    free nodes of ``_level_system``; the others take the sink's potential.
-    Newton (p > 2) backtracks on F from the p = 2 potential.  Each CG solve,
-    on the weighted Laplacian L, starts from x0 = P (P^T L P)^-1 P^T rhs, the
-    level-constant vector of least energy error.  With positive conductances
-    m_gamma is the graph's path-family modulus up to the solver tolerance.
-    Signed ones need a positive Laplacian diagonal at every free node, for
-    the Jacobi preconditioner; otherwise ValueError.  Deterministic.
+    free nodes of ``_level_system``, which also returns the first right-hand
+    side; the others take the sink's potential.  Newton (p > 2) backtracks on F
+    from the p = 2 potential, and the edge differences of each potential give
+    its flux, Hessian weights and energy.  Each CG solve, on the weighted
+    Laplacian L, starts from x0 = P (P^T L P)^-1 P^T rhs, the level-constant
+    vector of least energy error.  With positive conductances m_gamma is the
+    graph's path-family modulus up to the solver tolerance.  Signed ones need a
+    positive Laplacian diagonal at every free node, for the Jacobi
+    preconditioner; otherwise ValueError.  Deterministic.
     """
     import scipy.sparse as sp
     from scipy.linalg import solve_banded
@@ -418,12 +422,8 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     p = graph.p
     if p < 2:
         raise ValueError(f"modulus exponent must be at least 2, got {p}")
-    N = len(graph.nodes)
-    fixed = np.zeros(N, dtype=bool)
-    fixed[graph.source] = fixed[graph.sink] = True
-    free, level, first, laplacian = _level_system(graph)
+    free, level, first, rhs, laplacian = _level_system(graph)
     e0, e1 = graph.edges.T.copy()     # contiguous: bincount would copy a strided column
-    sigma = graph.conductance
     cg_steps = []             # one entry per CG iteration
 
     def solve(L, bands, rhs):
@@ -439,47 +439,46 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
             raise ConvergenceError(f"conjugate gradients did not converge (info={info})")
         return x
 
-    def energy(x):
-        # pairwise summation: a dot product drifts by 6e-15 relative at 256x1024
-        return float(np.sum(sigma * np.abs(x[e1] - x[e0]) ** p))
+    def differences(x):
+        # pairwise summation of F: a dot product drifts by 6e-15 relative at 256x1024
+        dphi = x[e1] - x[e0]
+        w = graph.conductance * np.abs(dphi) ** (p - 2.0)
+        return dphi, w, float(np.sum(w * (dphi * dphi)))
 
-    def net_flux(flux):
-        return np.bincount(e1, flux, N) - np.bincount(e0, flux, N)
-
-    phi = np.ones(N)          # nodes the source does not reach take the sink's potential
-    phi[graph.source] = phi[free] = 0.0
-    phi[free] = solve(*first, -net_flux(sigma * (phi[e1] - phi[e0]))[free])
+    phi = np.ones(len(graph.nodes))   # unreached nodes take the sink's potential
+    phi[graph.source] = 0.0
+    phi[free] = solve(*first, rhs)
+    dphi, w, f = differences(phi)
     solves = 1
     while True:
-        dphi = phi[e1] - phi[e0]
-        scale = np.abs(dphi) ** (p - 2.0)
-        net = net_flux(p * sigma * scale * dphi)
-        grad = net[free]
-        residual = float(np.linalg.norm(grad) / np.linalg.norm(net[fixed]))
+        flux = p * w * dphi
+        net = np.bincount(e1, flux, phi.size) - np.bincount(e0, flux, phi.size)
+        grad, ends = net[free], net[np.r_[graph.source, graph.sink]]
+        residual = float(np.linalg.norm(grad) / np.linalg.norm(ends))
         if p == 2.0 or residual <= _NEWTON_RTOL:
             break
         if solves > _NEWTON_CAP:
             raise ConvergenceError(f"Newton did not converge in {_NEWTON_CAP} steps "
                                    f"(residual {residual:.3g})")
-        hess = p * (p - 1.0) * sigma * scale
+        hess = p * (p - 1.0) * w
         step = solve(*laplacian(np.maximum(hess, _WEIGHT_FLOOR * hess.max())), -grad)
         solves += 1
-        f0, slope, t = energy(phi), float(grad @ step), 1.0
+        f0, slope, t = f, float(grad @ step), 1.0
         while True:
             trial = phi.copy()
             trial[free] += t * step
+            dphi, w, f = differences(trial)
             # the allowance admits steps whose gain is below rounding in F
-            if energy(trial) <= f0 + 1e-4 * t * slope + 1e-14 * f0:
+            if f <= f0 + 1e-4 * t * slope + 1e-14 * f0:
                 break
             t *= 0.5
             if t < 1e-10:
                 raise ConvergenceError(f"Newton line search failed (residual {residual:.3g})")
         phi = trial
 
-    m_gamma = energy(phi)
-    mo = mo_from_gamma(m_gamma, graph.kind, graph.nodes.shape[1])
-    return ModulusEstimate(m_gamma=m_gamma, mo=mo, iterations=solves, cg_iterations=len(cg_steps),
-                           residual=residual, resolution=graph.resolution, potential=phi)
+    return ModulusEstimate(m_gamma=f, mo=mo_from_gamma(f, graph.kind, graph.nodes.shape[1]),
+                           iterations=solves, cg_iterations=len(cg_steps), residual=residual,
+                           resolution=graph.resolution, potential=phi)
 
 
 # ---------------------------------------------------------------------------

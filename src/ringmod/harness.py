@@ -340,14 +340,13 @@ def _sc_chains(cfg):
     out = []
     worst_relat = 0.0
     for n in (2, 3, 4):
+        # the first 1000 draws with |det| >= 1e-3, drawn in batches
         rng = np.random.default_rng(2000 + n)
-        As = []
-        for _ in range(1000):
-            A = rng.standard_normal((n, n))
-            while abs(np.linalg.det(A)) < 1e-3:
-                A = rng.standard_normal((n, n))
-            As.append(A)
-        md = matrix_dilatations(np.array(As))
+        As = np.empty((0, n, n))
+        while len(As) < 1000:
+            draws = rng.standard_normal((1100, n, n))
+            As = np.concatenate([As, draws[np.abs(np.linalg.det(draws)) >= 1e-3]])
+        md = matrix_dilatations(As[:1000])
         h, lo, hi = md.linear, np.minimum(md.inner, md.outer), np.maximum(md.inner, md.outer)
         v = np.max([h - lo, lo - h ** (n / 2.0), h ** (n / 2.0) - hi, hi - h ** (n - 1.0)], axis=0)
         worst_relat = max(worst_relat, float(np.max(v / np.maximum(1.0, hi))))

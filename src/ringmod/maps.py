@@ -87,7 +87,7 @@ class Identity(Mapping):
 
 @dataclass(frozen=True)
 class RadialStretch(Mapping):
-    """x -> |x|^(a-1) x for a > 0; singular at the origin.
+    """x -> |x|^(a-1) x for finite a > 0; singular at the origin.
 
     At |x| = r the derivative has singular values {a r^(a-1)} radially and
     {r^(a-1)} tangentially, so det = a r^(n(a-1)).
@@ -96,8 +96,8 @@ class RadialStretch(Mapping):
     a: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"stretch exponent must be positive, got {self.a}")
+        if not 0 < self.a < float("inf"):
+            raise ValueError(f"stretch exponent a must be positive and finite, got {self.a}")
 
     def _eval(self, x):
         r = np.linalg.norm(x, axis=-1, keepdims=True)
@@ -167,7 +167,7 @@ class RotationTwist(Mapping):
 
 @dataclass(frozen=True, eq=False)
 class Linear(Mapping):
-    """x -> A x for an invertible matrix A."""
+    """x -> A x for a finite invertible matrix A."""
 
     matrix: np.ndarray
 
@@ -175,6 +175,8 @@ class Linear(Mapping):
         A = np.asarray(self.matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("linear map needs a square matrix")
+        if not np.all(np.isfinite(A)):
+            raise ValueError(f"linear map matrix must be finite, got {A.tolist()}")
         if abs(np.linalg.det(A)) < 1e-300:
             raise ValueError("linear map matrix must be invertible")
         A = A.copy()

@@ -542,6 +542,20 @@ def test_continuity_bounds():
         continuity_bounds(3, 1.0, 0.01, 1.0, 1.0, 1e-3)   # 1 + sigma < 0
 
 
+def test_bound_constants_survive_underflow_and_overflow():
+    # r0^n underflows to 0 and 2 n M overflows to inf, but sigma, summed in
+    # logs, stays finite, and so do the bounds built on it
+    lin = DominatingFactor.linear(1.0)
+    for m, big_m, r0, n in ((10.0, PI, 1e-300, 2), (10.0, PI, 1e-100, 4), (10.0, 1e308, 1.0, 4)):
+        res = dominated_modulus_bound(m, big_m, r0, n, lin)
+        assert math.isfinite(res.details["sigma"])
+        assert math.isfinite(res.left) and math.isfinite(res.right)
+        assert res.left == pytest.approx(res.right, rel=1e-8)
+    for n, big_m, r0, d in ((2, PI, 1e-300, 1e-301), (3, 1e308, 1.0, 1e-3)):
+        res = continuity_bounds(n, 1.0, big_m, r0, 0.5, d)
+        assert math.isfinite(res.details["sigma"]) and math.isfinite(res.left)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_bounds_refuse_non_finite_inputs(bad):
     # each call is valid with 1.0 in place of bad; the range tests alone

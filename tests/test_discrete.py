@@ -190,14 +190,16 @@ def reference_levels(g):
 
 def dense_free_operators(g, c, free, level):
     """B^T diag(c) B on the free nodes, B the dense edge-node incidence matrix,
-    and P^T L P with P the 0/1 indicator of the levels."""
+    P^T L P with P the 0/1 indicator of the levels, and the right-hand side
+    -(B^T diag(c) B)[free, sink] @ 1 of the potential 1 on the sink."""
     rows = np.arange(len(g.edges))
     B = np.zeros((len(g.edges), len(g.nodes)))
     np.add.at(B, (rows, g.edges[:, 0]), -1.0)
     np.add.at(B, (rows, g.edges[:, 1]), 1.0)
-    L = ((B.T * c) @ B)[np.ix_(free, free)]
+    L_all = (B.T * c) @ B
+    L = L_all[np.ix_(free, free)]
     P = np.eye(level.max() + 1)[level]
-    return L, P.T @ L @ P
+    return L, P.T @ L @ P, -L_all[np.ix_(free, g.sink)] @ np.ones(len(g.sink))
 
 
 def test_level_system_levels():
@@ -212,7 +214,7 @@ def test_level_system_levels():
         source=np.array([0, 1, 10]), sink=np.array([6]),
         p=2.0, kind="ring", resolution=(12, 1),
     )
-    free, level, _, _ = discrete._level_system(g)
+    free, level, _, _, _ = discrete._level_system(g)
     np.testing.assert_array_equal(free, [2, 3, 4, 5, 11])
     np.testing.assert_array_equal(level, [0, 1, 0, 1, 2])
     # without the edge at source 10 the path through node 11 still connects;
@@ -226,7 +228,7 @@ def test_level_system_levels():
     # are, and the solve refuses its Laplacian diagonal of 0
     g12 = replace(g, nodes=np.vstack([g.nodes, [[12.0, 0.0]]]), edges=np.vstack([edges, [[5, 12]]]),
                   conductance=np.append(np.ones(len(edges)), 0.0))
-    free, level, _, _ = discrete._level_system(g12)
+    free, level, _, _, _ = discrete._level_system(g12)
     np.testing.assert_array_equal(free, [2, 3, 4, 5, 11, 12])
     np.testing.assert_array_equal(level, [0, 1, 0, 1, 2, 2])
     with pytest.raises(ValueError, match="non-positive Laplacian diagonal"):
@@ -241,7 +243,7 @@ def test_level_system_long_chain():
     t0 = time.perf_counter()
     est = modulus_connect(g)
     assert time.perf_counter() - t0 < 1.0
-    free, level, _, _ = discrete._level_system(g)
+    free, level, _, _, _ = discrete._level_system(g)
     np.testing.assert_array_equal(free, np.arange(1, n - 1))
     np.testing.assert_array_equal(level, np.arange(n - 2))
     assert est.m_gamma == pytest.approx(1.0 / (n - 1), rel=1e-12)
@@ -250,14 +252,17 @@ def test_level_system_long_chain():
 
 def test_level_system_assembles_the_free_laplacian():
     # a graph with parallel edges 1-2 and 1-5, self-loops at 2 and at the
-    # source, and a node 3 that hangs off the sink; a sheared image grid,
-    # whose conductances are signed; and a 3D grid with the Newton weights of
-    # its p = 3 potential
+    # source, a source-sink edge, parallel sink edges 5-6 (one of them
+    # reversed), a sink edge 4-6 of conductance 0 beside one of 1.3, and a
+    # node 3 that hangs off the sink and adds nothing to the right-hand side;
+    # a sheared image grid, whose conductances are signed; and a 3D grid with
+    # the Newton weights of its p = 3 potential
     hand = GridGraph(
         nodes=np.zeros((7, 2)),
         edges=np.array([[0, 1], [1, 2], [2, 1], [2, 2], [2, 5], [1, 5], [5, 1], [5, 6],
-                        [0, 4], [4, 6], [6, 3], [0, 0]]),
-        conductance=np.array([1.0, 2.0, 0.5, 3.0, 1.5, 0.7, 0.2, 1.1, 0.9, 1.3, 0.8, 4.0]),
+                        [0, 4], [4, 6], [6, 3], [0, 0], [0, 6], [6, 5], [6, 4]]),
+        conductance=np.array([1.0, 2.0, 0.5, 3.0, 1.5, 0.7, 0.2, 1.1, 0.9, 1.3, 0.8, 4.0,
+                              2.5, 0.6, 0.0]),
         source=np.array([0]), sink=np.array([6]), p=2.0, kind="ring", resolution=(7, 1),
     )
     shear = discrete.build_image_grid(Linear(np.array([[1.0, 0.6], [0.0, 1.0]])),
@@ -268,18 +273,35 @@ def test_level_system_assembles_the_free_laplacian():
     hess = 6.0 * g3.conductance * np.abs(phi[g3.edges[:, 1]] - phi[g3.edges[:, 0]])
     for g, c in ((hand, hand.conductance), (shear, shear.conductance), (g3, g3.conductance),
                  (g3, np.maximum(hess, 1e-12 * hess.max()))):
-        free, level, first, laplacian = discrete._level_system(g)
+        free, level, first, rhs, laplacian = discrete._level_system(g)
         ref_free, ref_level = reference_levels(g)
         np.testing.assert_array_equal(free, ref_free)
         np.testing.assert_array_equal(level, ref_level)
         L, bands = first if c is g.conductance else laplacian(c)
-        L_ref, galerkin_ref = dense_free_operators(g, c, free, level)
+        L_ref, galerkin_ref, rhs_ref = dense_free_operators(g, c, free, level)
         galerkin = (np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1))
         tol = 1e-13 * np.abs(c).sum()
         np.testing.assert_allclose(L.toarray(), L_ref, rtol=0, atol=tol)
         np.testing.assert_allclose(galerkin, galerkin_ref, rtol=0, atol=tol)
         # the same operator whether it comes with the BFS or is assembled anew
         np.testing.assert_allclose(laplacian(c)[0].toarray(), L.toarray(), rtol=0, atol=tol)
+        if c is g.conductance:
+            np.testing.assert_allclose(rhs, rhs_ref, rtol=0, atol=tol)
+    # free nodes 1, 2, 4 and 5: the sink edges of 4 and 5, and nothing from node 3
+    np.testing.assert_array_equal(discrete._level_system(hand)[3], [0.0, 0.0, 1.3, 1.1 + 0.6])
+
+
+def test_m_gamma_is_the_energy_of_the_potential():
+    # p = 2 on an aligned and on a sheared image grid, and p = 3 on unequal
+    # parallel chains, where Newton steps from the p = 2 potential
+    shear = Linear(np.array([[1.0, 0.6], [0.0, 1.0]]))
+    chains = chain_graph([[1.0, 2.0, 0.5], [3.0, 0.25], [1.5, 1.5, 4.0, 0.7]], 3.0)
+    for g in (build_grid(Annulus(n=2, r0=1.0, r1=E), 32, 128),
+              discrete.build_image_grid(shear, Annulus(n=2, r0=1.0, r1=E), (32, 128)), chains):
+        est = modulus_connect(g)
+        dphi = est.potential[g.edges[:, 1]] - est.potential[g.edges[:, 0]]
+        assert est.m_gamma == pytest.approx(np.sum(g.conductance * np.abs(dphi) ** g.p), rel=1e-14)
+        assert est.iterations > 1 if g is chains else est.iterations == 1
 
 
 def test_level_start_matches_direct_solve():

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,25 @@ def test_scenario_registry_complete():
     rep = harness.run_scenario("a2")
     assert rep.passed
     assert all(c.provenance in ("literature", "trivial", "derived") for c in rep.checks)
+
+
+def test_chain_matrices_are_the_draws_of_one_at_a_time(monkeypatch):
+    # the dilatation-chains scenario draws its matrices in batches; they are
+    # the first 1000 single draws with |det| >= 1e-3, in order
+    seen = []
+    real = harness.matrix_dilatations
+    monkeypatch.setattr(harness, "matrix_dilatations", lambda A: seen.append(A) or real(A))
+    assert harness.run_scenario("dilatation-chains").passed
+    assert len(seen) >= 3
+    for n, As in zip((2, 3, 4), seen):
+        rng = np.random.default_rng(2000 + n)
+        ref = []
+        for _ in range(1000):
+            A = rng.standard_normal((n, n))
+            while abs(np.linalg.det(A)) < 1e-3:
+                A = rng.standard_normal((n, n))
+            ref.append(A)
+        np.testing.assert_array_equal(As, ref)
 
 
 def test_unknown_scenario():
@@ -196,6 +216,20 @@ def test_cli_bounds_separation_and_domfac(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["left"] == pytest.approx(out["right"], rel=1e-8)
     assert out["details"]["divergence"] == "divergent"
+
+
+def test_cli_bounds_with_underflowing_or_overflowing_constants(capsys):
+    # r0^n underflows or 2 n M overflows: finite values and exit 0
+    for argv in (["domfac", "--m", "10", "--r0", "1e-300"],
+                 ["domfac", "--m", "10", "--n", "4", "--r0", "1e-100"],
+                 ["domfac", "--m", "10", "--M", "1e308", "--n", "4"],
+                 ["continuity", "--dist", "0.5", "--d", "1e-301", "--r0", "1e-300"],
+                 ["continuity", "--dist", "0.5", "--M", "1e308", "--n", "3"]):
+        assert main(["bounds", *argv]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert math.isfinite(out["left"]) and math.isfinite(out["details"]["sigma"])
+        if argv[0] == "domfac":
+            assert out["left"] == pytest.approx(out["right"], rel=1e-8)
 
 
 def test_cli_bounds_not_checked(capsys):
@@ -406,6 +440,14 @@ def test_cli_error_exit_codes(capsys):
                  ["continuity", "--gamma", "nan", "--dist", "0.5"], ["separation", "--mo", "nan"]):
         assert main(["bounds", *argv]) == 2
         assert "must be finite" in capsys.readouterr().err
+    # non-finite map parameters are refused when the map is built, before
+    # numpy warns about them
+    for spec, message in (("linear:nan,0,0,1", "matrix must be finite"),
+                          ("radial:a=inf", "exponent a must be positive and finite")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["dilatation", "--map", spec, "--x", "0.5,0.2", "--x0", "0,0"]) == 2
+        assert message in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2

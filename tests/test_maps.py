@@ -95,6 +95,20 @@ def test_domain_errors():
         Linear(matrix=np.zeros((2, 2)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_parameters_refused_at_construction():
+    # refused before numpy's det or the map ever sees them
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            Linear(matrix=np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="exponent a must be positive and finite"):
+            RadialStretch(a=bad)
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        parse_map("linear:nan,0,0,1")
+    with pytest.raises(ValueError, match="exponent a"):
+        parse_map("radial:a=inf")
+
+
 def test_singularity_distance():
     assert RotationTwist().singularity_distance(np.array([0.0, 0.0, 2.0])) == 0.0
     assert RadialStretch(a=2.0).singularity_distance(np.array([3.0, 4.0])) == pytest.approx(5.0)
