@@ -15,14 +15,14 @@ path family (Duffin, "The extremal length of a network", 1962).
 
 ``modulus_connect`` finds the potential with one Jacobi-preconditioned
 conjugate-gradient solve for p = 2 and with Newton's method, one such solve
-per step, for p > 2.  One sparse matrix, assembled from the edge arrays,
-gives the hop levels from the source (by a BFS) and the Laplacian, and the
-sink edges alone the first right-hand side.  Each solve starts from the
-Galerkin solution over potentials constant on the levels (the radial shells
-of a product grid; Nicolaides, "Deflation of conjugate gradients", 1987), so
-on aligned grids CG starts converged.  scipy (the sparse matrix, the BFS, CG
-and the banded solve) is imported by the first solve, so a caller that never
-solves loads numpy only.  Every CG solve calls the module-level ``cg``.
+per step, for p > 2.  Each solve starts from the Galerkin solution over
+potentials constant on the levels (Nicolaides, "Deflation of conjugate
+gradients", 1987): the radial layers a builder numbers the nodes by, or the
+hop layers from the source of a graph without them.  Only a start that fails
+CG's own stopping test, its residual from a pass over the edge arrays, has
+the Laplacian assembled and CG run; on aligned grids none has.  scipy is
+imported by the first solve, so a caller that never solves loads numpy only,
+and every CG solve calls the module-level ``cg``.
 
 Grids are structured log-polar (log-spherical for n = 3) products aligned
 with the shapes, which keeps level sets of the extremal potentials along
@@ -76,6 +76,9 @@ class GridGraph:
     p: float                   # modulus exponent (ambient dimension for conformal)
     kind: str                  # "ring" or "semiring" (modulus normalization)
     resolution: tuple
+    # radial layer of each node, set by the builders; None on a graph built by
+    # hand or edited with dataclasses.replace, whose hop layers the solver finds
+    layer: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if len(self.source) == 0 or len(self.sink) == 0:
@@ -136,10 +139,12 @@ def _grid_edges(ids: np.ndarray, wrap_axis: int | None) -> np.ndarray:
 def _grid_graph(shape: Shape, ids: np.ndarray, nodes: np.ndarray, edges: np.ndarray,
                 conductance: np.ndarray) -> GridGraph:
     """Graph of a product grid whose first axis is radial: the first radial
-    layer is the source and the last the sink."""
-    return GridGraph(nodes=nodes, edges=edges, conductance=conductance,
-                     source=ids[0].ravel(), sink=ids[-1].ravel(), p=float(shape.n),
-                     kind=shape.kind, resolution=ids.shape)
+    layer is the source and the last the sink, and every node keeps its layer."""
+    graph = GridGraph(nodes=nodes, edges=edges, conductance=conductance,
+                      source=ids[0].ravel(), sink=ids[-1].ravel(), p=float(shape.n),
+                      kind=shape.kind, resolution=ids.shape)
+    graph.layer = np.arange(ids.size) // ids[0].size
+    return graph
 
 
 def _cot(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -335,69 +340,65 @@ def cg(A, b, **kwargs):
 
 
 def _level_system(graph: GridGraph):
-    """Free node ids, their hop levels, and their weighted Laplacians.
+    """Free node ids, their levels, the first right-hand side and the level operators.
 
-    Nodes off the source and sink are the candidates 0..K-1, the source set
-    is one root K.  A BFS from the root of one CSR, a Laplacian row per
-    candidate and a root row, counts every edge whatever its weight: the
-    free nodes are the candidates it reaches, and a level is a hop distance
-    minus one.  Adjacent levels differ by at most one, so P^T L P (P the 0/1
-    level indicator) is tridiagonal.  Returns L and the (3, levels) bands of
-    P^T L P for the conductances, the first right-hand side (each free node's
-    summed sink-edge conductance) and a function giving L and bands for c.
+    A node's layer is the radial layer its builder numbered it by, or on a
+    graph without layers (built by hand, or edited by ``dataclasses.replace``)
+    its hop distance from the source over the edges with no end on the sink,
+    whatever their weight.  The free nodes are the nodes off the source and
+    sink with a layer, at level layer - 1; every other node touches at most the
+    sink.  Adjacent levels differ by at most one, so P^T L P (P the 0/1 level
+    indicator) is tridiagonal.  Returns the free nodes, their levels, the first
+    right-hand side (each free node's summed sink-edge conductance) and
+    ``operators(c)``: for conductances c, the Laplacian diagonal of the free
+    nodes, the (3, levels) bands of P^T L P and a function assembling L.
     """
     import scipy.sparse as sp
-    from scipy.sparse.csgraph import breadth_first_order
 
-    candidate = np.ones(len(graph.nodes), dtype=bool)
-    candidate[graph.source] = candidate[graph.sink] = False
-    idx = np.cumsum(candidate) - 1
-    K = int(idx[-1]) + 1
-    idx[graph.source], idx[graph.sink] = K, K + 1
+    N = len(graph.nodes)
+    layer = graph.layer
+    if layer is None:
+        from scipy.sparse.csgraph import dijkstra
+        edges = graph.edges[~np.isin(graph.edges, graph.sink).any(axis=1)]
+        adj = sp.csr_matrix((np.ones(len(edges)), edges.T), shape=(N, N))
+        layer = dijkstra(adj, directed=False, indices=graph.source, unweighted=True, min_only=True)
+    reached = layer < np.inf
+    reached[graph.source] = reached[graph.sink] = False
+    free = np.flatnonzero(reached)
+    level = (layer[free] - 1).astype(np.intp)
+    F, D = len(free), int(level.max(initial=-1)) + 1
+    idx = np.full(N, F + 2)                      # nodes neither free nor terminal: F + 2
+    idx[free] = np.arange(F)
+    idx[graph.source], idx[graph.sink] = F, F + 1
     ends = idx[graph.edges.T]
+    ends[:, ends[0] == ends[1]] = F + 2  # a self-loop or an edge within a terminal adds nothing
     lo, hi = np.minimum(*ends), np.maximum(*ends)
-    inner, at_root, at_sink = hi < K, hi == K, hi > K
-    lo_in, hi_in, diag = lo[inner], hi[inner], np.arange(K)
-    coords = (np.concatenate([lo_in, hi_in, hi[at_root], diag]),
-              np.concatenate([hi_in, lo_in, lo[at_root], diag]))
-
-    def assemble(c):
-        c_in = c[inner]
-        d = np.bincount(ends[0], c, K + 2)[:K] + np.bincount(ends[1], c, K + 2)[:K]
-        data = np.concatenate([c_in, c_in, c[at_root], -d])
-        return sp.csr_matrix((np.negative(data, out=data), coords), shape=(K + 1, K + 1)), c_in, d
-
-    A, c_in, d = assemble(graph.conductance)
-    order, pred = breadth_first_order(A, K, return_predecessors=True)
-    pos = np.full(K + 2, len(order))             # unreached and the sink: past the order
-    pos[order] = np.arange(len(order))
-    if not np.any(pos[lo[at_sink]] < len(order)):    # no sink edge has an end reached
+    at_sink = hi == F + 1
+    if not np.any(lo[at_sink] <= F):             # no sink edge reaches a free node or the source
         raise ValueError("graph is disconnected between source and sink")
-    # BFS appends each node's children as it takes the nodes in order: parent
-    # positions never decrease, and each hop starts after the last one's children
-    parent = pos[pred[order[1:]]]
-    start = [1]
-    while start[-1] < len(order):
-        start.append(1 + int(parent.searchsorted(start[-1])))
-    D = len(start) - 1
-    lev = np.full(K, 2 * D)                      # unreached: past every band
-    lev[order[1:]] = np.repeat(np.arange(D), np.diff(start))
-    free = np.flatnonzero(lev < D)
-    level = lev[free]
-    band_of = lev[lo_in] + lev[hi_in]            # 2a within level a, 2a + 1 from a to a + 1
-    renumber = (np.cumsum(lev < D) - 1).astype(A.indices.dtype)
+    inner = hi < F
+    lo_in, hi_in = lo[inner], hi[inner]
+    step = level[lo_in] != level[hi_in]          # inner edges from a level to the next
+    cross = np.flatnonzero(inner)[step]
+    below = np.minimum(level[lo_in], level[hi_in])[step]
+    bound = (lo < F) & (hi >= F)                 # from a free node to the source or the sink
 
-    def restrict(A, c_in, d):
-        band = np.bincount(band_of, c_in, 2 * D)[:2 * D]
-        upper = -band[1::2]                      # its last entry, from level D - 1 to D, is 0
-        main = np.bincount(level, d[free], D) - 2.0 * band[0::2]
-        rows = A[free]                           # free rows reach no unreached candidate
-        L = sp.csr_matrix((rows.data, renumber[rows.indices], rows.indptr), shape=(len(free),) * 2)
-        return L, np.array([np.roll(upper, 1), main, upper])
+    def operators(c):
+        diag = np.bincount(ends[0], c, F + 3)[:F] + np.bincount(ends[1], c, F + 3)[:F]
+        up = np.bincount(below, c[cross], D)     # its last entry, from level D - 1 to D, is 0
+        # the main band from the same sums as its neighbours: P^T L P keeps the
+        # zero row sums of L between levels in rounding
+        main = up + np.roll(up, 1) + np.bincount(level[lo[bound]], c[bound], D)
+        bands = np.array([-np.roll(up, 1), main, -up])
 
-    rhs = np.bincount(lo[at_sink], graph.conductance[at_sink], K + 2)[free]
-    return (np.flatnonzero(candidate)[free], level, restrict(A, c_in, d), rhs,
-            lambda c: restrict(*assemble(c)))
+        def laplacian():
+            coords = (np.r_[lo_in, hi_in, :F], np.r_[hi_in, lo_in, :F])
+            return sp.csr_matrix((np.r_[-c[inner], -c[inner], diag], coords), shape=(F, F))
+
+        return diag, bands, laplacian
+
+    rhs = np.bincount(lo[at_sink], graph.conductance[at_sink], F + 2)[:F]
+    return free, level, rhs, operators
 
 
 def modulus_connect(graph: GridGraph) -> ModulusEstimate:
@@ -409,12 +410,13 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     free nodes of ``_level_system``, which also returns the first right-hand
     side; the others take the sink's potential.  Newton (p > 2) backtracks on F
     from the p = 2 potential, and the edge differences of each potential give
-    its flux, Hessian weights and energy.  Each CG solve, on the weighted
+    its flux, Hessian weights and energy.  Each solve, on the weighted
     Laplacian L, starts from x0 = P (P^T L P)^-1 P^T rhs, the level-constant
-    vector of least energy error.  With positive conductances m_gamma is the
-    graph's path-family modulus up to the solver tolerance.  Signed ones need a
-    positive Laplacian diagonal at every free node, for the Jacobi
-    preconditioner; otherwise ValueError.  Deterministic.
+    vector of least energy error, and runs CG only if x0 fails CG's stopping
+    test.  With positive conductances m_gamma is the graph's path-family
+    modulus up to the solver tolerance.  Signed ones need a positive Laplacian
+    diagonal at every free node, for the Jacobi preconditioner; otherwise
+    ValueError.  Deterministic.
     """
     import scipy.sparse as sp
     from scipy.linalg import solve_banded
@@ -422,19 +424,28 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     p = graph.p
     if p < 2:
         raise ValueError(f"modulus exponent must be at least 2, got {p}")
-    free, level, first, rhs, laplacian = _level_system(graph)
+    free, level, rhs, operators = _level_system(graph)
     e0, e1 = graph.edges.T.copy()     # contiguous: bincount would copy a strided column
+    N = len(graph.nodes)
     cg_steps = []             # one entry per CG iteration
 
-    def solve(L, bands, rhs):
+    def net(flux):
+        # net flux at every node, L_c x for flux = c * (x[e1] - x[e0])
+        return np.bincount(e1, flux, N) - np.bincount(e0, flux, N)
+
+    def solve(c, rhs):
         if not len(free):
             return rhs
-        diag = L.diagonal()
+        diag, bands, laplacian = operators(c)
         if np.any(diag <= 0):
             raise ValueError("a free node has a non-positive Laplacian diagonal")
-        x0 = solve_banded((1, 1), bands, np.bincount(level, rhs, bands.shape[1]))[level]
-        x, info = cg(L, rhs, x0=x0, rtol=_CG_RTOL, atol=0.0, M=sp.diags(1.0 / diag),
-                     callback=lambda _: cg_steps.append(1))
+        x = np.zeros(N)
+        x[free] = solve_banded((1, 1), bands, np.bincount(level, rhs, bands.shape[1]))[level]
+        # CG's own stopping test at the level start: L is assembled only if it fails
+        if np.linalg.norm(rhs - net(c * (x[e1] - x[e0]))[free]) < _CG_RTOL * np.linalg.norm(rhs):
+            return x[free]
+        x, info = cg(laplacian(), rhs, x0=x[free], rtol=_CG_RTOL, atol=0.0,
+                     M=sp.diags(1.0 / diag), callback=lambda _: cg_steps.append(1))
         if info != 0:
             raise ConvergenceError(f"conjugate gradients did not converge (info={info})")
         return x
@@ -447,13 +458,12 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
 
     phi = np.ones(len(graph.nodes))   # unreached nodes take the sink's potential
     phi[graph.source] = 0.0
-    phi[free] = solve(*first, rhs)
+    phi[free] = solve(graph.conductance, rhs)
     dphi, w, f = differences(phi)
     solves = 1
     while True:
-        flux = p * w * dphi
-        net = np.bincount(e1, flux, phi.size) - np.bincount(e0, flux, phi.size)
-        grad, ends = net[free], net[np.r_[graph.source, graph.sink]]
+        net_flux = net(p * w * dphi)
+        grad, ends = net_flux[free], net_flux[np.r_[graph.source, graph.sink]]
         residual = float(np.linalg.norm(grad) / np.linalg.norm(ends))
         if p == 2.0 or residual <= _NEWTON_RTOL:
             break
@@ -461,7 +471,7 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
             raise ConvergenceError(f"Newton did not converge in {_NEWTON_CAP} steps "
                                    f"(residual {residual:.3g})")
         hess = p * (p - 1.0) * w
-        step = solve(*laplacian(np.maximum(hess, _WEIGHT_FLOOR * hess.max())), -grad)
+        step = solve(np.maximum(hess, _WEIGHT_FLOOR * hess.max()), -grad)
         solves += 1
         f0, slope, t = f, float(grad @ step), 1.0
         while True:

@@ -177,7 +177,12 @@ class Linear(Mapping):
             raise ValueError("linear map needs a square matrix")
         if not np.all(np.isfinite(A)):
             raise ValueError(f"linear map matrix must be finite, got {A.tolist()}")
-        if abs(np.linalg.det(A)) < 1e-300:
+        # a finite matrix can still overflow det: refuse that rather than warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.linalg.det(A)
+        if not np.isfinite(det):
+            raise ValueError(f"linear map matrix {A.tolist()} has a non-finite determinant")
+        if abs(det) < 1e-300:
             raise ValueError("linear map matrix must be invertible")
         A = A.copy()
         A.setflags(write=False)

@@ -214,7 +214,7 @@ def test_level_system_levels():
         source=np.array([0, 1, 10]), sink=np.array([6]),
         p=2.0, kind="ring", resolution=(12, 1),
     )
-    free, level, _, _, _ = discrete._level_system(g)
+    free, level, _, _ = discrete._level_system(g)
     np.testing.assert_array_equal(free, [2, 3, 4, 5, 11])
     np.testing.assert_array_equal(level, [0, 1, 0, 1, 2])
     # without the edge at source 10 the path through node 11 still connects;
@@ -228,7 +228,7 @@ def test_level_system_levels():
     # are, and the solve refuses its Laplacian diagonal of 0
     g12 = replace(g, nodes=np.vstack([g.nodes, [[12.0, 0.0]]]), edges=np.vstack([edges, [[5, 12]]]),
                   conductance=np.append(np.ones(len(edges)), 0.0))
-    free, level, _, _, _ = discrete._level_system(g12)
+    free, level, _, _ = discrete._level_system(g12)
     np.testing.assert_array_equal(free, [2, 3, 4, 5, 11, 12])
     np.testing.assert_array_equal(level, [0, 1, 0, 1, 2, 2])
     with pytest.raises(ValueError, match="non-positive Laplacian diagonal"):
@@ -243,7 +243,7 @@ def test_level_system_long_chain():
     t0 = time.perf_counter()
     est = modulus_connect(g)
     assert time.perf_counter() - t0 < 1.0
-    free, level, _, _, _ = discrete._level_system(g)
+    free, level, _, _ = discrete._level_system(g)
     np.testing.assert_array_equal(free, np.arange(1, n - 1))
     np.testing.assert_array_equal(level, np.arange(n - 2))
     assert est.m_gamma == pytest.approx(1.0 / (n - 1), rel=1e-12)
@@ -273,22 +273,49 @@ def test_level_system_assembles_the_free_laplacian():
     hess = 6.0 * g3.conductance * np.abs(phi[g3.edges[:, 1]] - phi[g3.edges[:, 0]])
     for g, c in ((hand, hand.conductance), (shear, shear.conductance), (g3, g3.conductance),
                  (g3, np.maximum(hess, 1e-12 * hess.max()))):
-        free, level, first, rhs, laplacian = discrete._level_system(g)
+        free, level, rhs, operators = discrete._level_system(g)
         ref_free, ref_level = reference_levels(g)
         np.testing.assert_array_equal(free, ref_free)
         np.testing.assert_array_equal(level, ref_level)
-        L, bands = first if c is g.conductance else laplacian(c)
+        diag, bands, laplacian = operators(c)
+        L = laplacian()
         L_ref, galerkin_ref, rhs_ref = dense_free_operators(g, c, free, level)
         galerkin = (np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1))
         tol = 1e-13 * np.abs(c).sum()
         np.testing.assert_allclose(L.toarray(), L_ref, rtol=0, atol=tol)
+        np.testing.assert_array_equal(diag, L.diagonal())
         np.testing.assert_allclose(galerkin, galerkin_ref, rtol=0, atol=tol)
-        # the same operator whether it comes with the BFS or is assembled anew
-        np.testing.assert_allclose(laplacian(c)[0].toarray(), L.toarray(), rtol=0, atol=tol)
         if c is g.conductance:
             np.testing.assert_allclose(rhs, rhs_ref, rtol=0, atol=tol)
     # free nodes 1, 2, 4 and 5: the sink edges of 4 and 5, and nothing from node 3
-    np.testing.assert_array_equal(discrete._level_system(hand)[3], [0.0, 0.0, 1.3, 1.1 + 0.6])
+    np.testing.assert_array_equal(discrete._level_system(hand)[2], [0.0, 0.0, 1.3, 1.1 + 0.6])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_grid(Annulus(n=2, r0=1.0, r1=E), 16, 64),
+    lambda: build_grid(HalfSemiring(n=2, r0=1.0, r1=E), 16, 33),
+    lambda: build_grid(ApollonianSemiring(n=2, r0=0.1, r1=1.0), 16, 33),
+    # the twist keeps every diagonal, an edge between layers
+    lambda: discrete.build_image_grid(RotationTwist(), Annulus(n=2, r0=1.0, r1=E), (16, 64)),
+    lambda: build_grid(Annulus(n=3, r0=1.0, r1=E), 8, 8),
+    lambda: build_grid(HalfSemiring(n=3, r0=1.0, r1=E), 8, 8),
+], ids=["ring", "semiring", "apollonian", "twist-image", "ring-3d", "semiring-3d"])
+def test_builder_layers_are_the_hop_layers(build):
+    # a builder numbers its nodes by radial layer; dataclasses.replace drops
+    # the layers, so the copy takes its hop layers from the source instead,
+    # and both give the same system and the same potential, bit for bit
+    g = build()
+    hops = replace(g)
+    assert g.layer is not None and hops.layer is None
+    system, hop_system = discrete._level_system(g), discrete._level_system(hops)
+    for a, b in zip(system[:3], hop_system[:3]):
+        np.testing.assert_array_equal(a, b)
+    (diag, bands, laplacian), (hop_diag, hop_bands, hop_laplacian) = (
+        system[3](g.conductance), hop_system[3](g.conductance))
+    np.testing.assert_array_equal(diag, hop_diag)
+    np.testing.assert_array_equal(bands, hop_bands)
+    np.testing.assert_array_equal(laplacian().toarray(), hop_laplacian().toarray())
+    np.testing.assert_array_equal(modulus_connect(g).potential, modulus_connect(hops).potential)
 
 
 def test_m_gamma_is_the_energy_of_the_potential():
@@ -320,6 +347,21 @@ def test_aligned_annulus_needs_no_cg_iterations():
     assert est.iterations == 1
     assert est.cg_iterations <= 2
     assert est.residual <= 1e-8
+
+
+def test_aligned_annulus_potential_is_linear_in_the_layer(monkeypatch):
+    # the discrete potential of an aligned annulus is k/(K - 1) on layer k,
+    # and the level start meets it, so the solve never calls CG
+    def refuse(A, b, **kwargs):
+        raise AssertionError("CG called on an aligned grid")
+
+    monkeypatch.setattr(discrete, "cg", refuse)
+    K, M = 256, 1024
+    est = modulus_connect(build_grid(Annulus(n=2, r0=1.0, r1=E), K, M))
+    exact = np.arange(K) / (K - 1.0)
+    assert np.abs(est.potential.reshape(K, M) - exact[:, None]).max() <= 1e-13
+    assert est.residual <= 1e-12
+    assert est.cg_iterations == 0
 
 
 def test_mo_from_gamma():

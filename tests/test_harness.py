@@ -440,10 +440,11 @@ def test_cli_error_exit_codes(capsys):
                  ["continuity", "--gamma", "nan", "--dist", "0.5"], ["separation", "--mo", "nan"]):
         assert main(["bounds", *argv]) == 2
         assert "must be finite" in capsys.readouterr().err
-    # non-finite map parameters are refused when the map is built, before
-    # numpy warns about them
+    # non-finite map parameters, and a determinant that overflows, are refused
+    # when the map is built, before numpy warns about them
     for spec, message in (("linear:nan,0,0,1", "matrix must be finite"),
-                          ("radial:a=inf", "exponent a must be positive and finite")):
+                          ("radial:a=inf", "exponent a must be positive and finite"),
+                          ("linear:1e200,0,0,1e200", "has a non-finite determinant")):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["dilatation", "--map", spec, "--x", "0.5,0.2", "--x0", "0,0"]) == 2

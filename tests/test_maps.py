@@ -107,6 +107,10 @@ def test_non_finite_parameters_refused_at_construction():
         parse_map("linear:nan,0,0,1")
     with pytest.raises(ValueError, match="exponent a"):
         parse_map("radial:a=inf")
+    # a finite matrix whose determinant overflows is refused by name
+    named = r"matrix \[\[1e\+200, 0.0\], \[0.0, 1e\+200\]\] has a non-finite determinant"
+    with pytest.raises(ValueError, match=named):
+        Linear(matrix=np.diag([1e200, 1e200]))
 
 
 def test_singularity_distance():
