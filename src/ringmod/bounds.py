@@ -265,6 +265,18 @@ def quad_weighted(g: Callable, shape: Shape, spec: QuadratureSpec = DEFAULT_SPEC
 # moduli sandwich (averages of the directional dilatations)
 # ---------------------------------------------------------------------------
 
+def _require_image_mo(image_mo: float | None, image_mo_error: float) -> None:
+    """ValueError unless ``image_mo`` is None or finite and positive, and
+    ``image_mo_error`` finite and nonnegative."""
+    _require_finite(image_mo_error=image_mo_error)
+    if not image_mo_error >= 0:
+        raise ValueError(f"image_mo_error must be nonnegative, got {image_mo_error}")
+    if image_mo is not None:
+        _require_finite(image_mo=image_mo)
+        if not image_mo > 0:
+            raise ValueError(f"image_mo must be positive, got {image_mo}")
+
+
 def eq1est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT_SPEC,
                   image_mo: float | None = None, image_mo_error: float = 0.0) -> BoundReport:
     """Two-sided bound on mo f(S) / mo S from the directional dilatations.
@@ -274,6 +286,7 @@ def eq1est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
     the verdict checks lower <= image_mo / mo S <= upper within the combined
     error estimates, and the reported error includes image_mo_error / mo S.
     """
+    _require_image_mo(image_mo, image_mo_error)
     n = shape.n
     nu = nu_measure(shape)
     I_d, e_d = quad_weighted_with_error(angular_dilatation_field(mapping, shape.x0), shape, spec)
@@ -310,6 +323,7 @@ def eq2est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
     mo S >= mo f(S), otherwise it is reported inconclusive.  With
     ``image_mo`` the reported error includes ``image_mo_error``.
     """
+    _require_image_mo(image_mo, image_mo_error)
     pref = 1.0 / span_area(shape.kind, shape.n)
     d_field = angular_dilatation_field(mapping, shape.x0)
     t_field = normal_dilatation_field(mapping, shape.x0)

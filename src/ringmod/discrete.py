@@ -38,8 +38,8 @@ consistent on any shape-regular mesh.  A diagonal is written as an edge only
 where its conductance is nonzero beyond rounding; on a cyclic quad (every
 quad of an aligned grid, of the Apollonian chart and of a radial image) it
 is zero.  An image grid is the same grid with its nodes pushed through the
-map, so no map needs special treatment.  The 3D grids are orthogonal and
-take two-point tube conductances.
+map, so no map needs special treatment.  The 3D grids are orthogonal, with
+two-point tube conductances from closed-form chords that ignore the centre.
 """
 
 from __future__ import annotations
@@ -83,10 +83,15 @@ class GridGraph:
     def __post_init__(self):
         if len(self.source) == 0 or len(self.sink) == 0:
             raise ValueError("source and sink sets must be nonempty")
+        if not np.issubdtype(self.edges.dtype, np.integer) or self.edges.shape[1:] != (2,):
+            raise ValueError(f"edges must be an integer array of shape (E, 2), got "
+                             f"{self.edges.dtype} of shape {self.edges.shape}")
+        for name in ("edges", "source", "sink"):      # a negative id would wrap
+            ids = getattr(self, name)
+            if np.any((ids < 0) | (ids >= len(self.nodes))):
+                raise ValueError(f"{name} holds a node id outside [0, {len(self.nodes)})")
         if set(self.source.tolist()) & set(self.sink.tolist()):
             raise ValueError("source and sink sets must be disjoint")
-        if np.any((self.edges < 0) | (self.edges >= len(self.nodes))):
-            raise ValueError(f"every end of edges must be a node index in [0, {len(self.nodes)})")
         if self.conductance.shape != (len(self.edges),):
             raise ValueError(f"conductance must have shape ({len(self.edges)},), one value per "
                              f"edge, got {self.conductance.shape}")
@@ -258,50 +263,45 @@ def _build_3d(shape: Shape, K: int, J: int) -> GridGraph:
     """Log-spherical product grid; azimuthal count is 2*J.
 
     Node ids run over (radius, polar, azimuth) in C order and edges come axis
-    by axis: radial, polar, then the wrapping azimuthal edges.  Conductances
-    come from the two-point flux rule for the p = 3 energy.  The tube of an
-    edge has the volume weight = (area of its dual face) * (arc between its
-    nodes along the grid line), and its conductance is weight / chord^3, so
-    that sigma |dphi|^3 = weight (|dphi| / chord)^3: the numerator uses the
-    arc, the denominator the chord.  Polar cells are cell-centered, which
-    keeps nodes off the axis.
+    by axis: radial, polar, then the wrapping azimuthal edges.  A node is its
+    radius times a unit direction from the (polar, azimuth) table, plus the
+    shape's centre, which moves the nodes only.  Conductances come from the
+    two-point flux rule for the p = 3 energy: an edge's tube has the volume
+    weight = (area of its dual face) * (arc between its nodes along the grid
+    line), and sigma = weight / chord^3, so that sigma |dphi|^3 = weight
+    (|dphi| / chord)^3.  The chords are closed forms: r_{k+1} - r_k radially,
+    2 r sin(dphi/2) along a meridian and 2 r sin(phi) sin(dpsi/2) along a
+    parallel.  Weights and chords are (radius, polar) tables repeated along
+    the azimuth.  Polar cells are cell-centered, keeping nodes off the axis.
     """
-    if isinstance(shape, Annulus):
-        hemi = False
-    elif isinstance(shape, HalfSemiring):
-        hemi = True
-    else:
+    if not isinstance(shape, (Annulus, HalfSemiring)):
         raise NotImplementedError("three-dimensional grids support annuli and half semirings only")
     I = 2 * J
     radii = np.exp(np.linspace(math.log(shape.r0), math.log(shape.r1), K))
-    phimax = math.pi / 2 if hemi else math.pi
-    dphi = phimax / J
+    dphi = (math.pi / 2 if isinstance(shape, HalfSemiring) else math.pi) / J
     phis = (np.arange(J) + 0.5) * dphi
     dpsi = 2.0 * math.pi / I
     psis = np.arange(I) * dpsi
 
     ids = np.arange(K * J * I).reshape(K, J, I)
-    rr, pp, ss = np.meshgrid(radii, phis, psis, indexing="ij")
-    nodes = np.stack([rr * np.sin(pp) * np.cos(ss),
-                      rr * np.sin(pp) * np.sin(ss),
-                      rr * np.cos(pp)], axis=-1).reshape(-1, 3) + shape.center
-    edges = _grid_edges(ids, 2)
-
-    r_half = np.sqrt(radii[:-1] * radii[1:])
-    r_lo = np.concatenate([[radii[0]], r_half])
-    r_hi = np.concatenate([r_half, [radii[-1]]])
-    ring_area = (0.5 * (r_hi ** 2 - r_lo ** 2))[:, None, None]
     r = radii[:, None, None]
     phi = phis[:, None]
+    directions = np.stack([np.sin(phi) * np.cos(psis), np.sin(phi) * np.sin(psis),
+                           np.broadcast_to(np.cos(phi), (J, I))], axis=-1)
+    nodes = (r[..., None] * directions).reshape(-1, 3) + shape.center
+
+    r_half = np.sqrt(radii[:-1] * radii[1:])
+    cell_ends = np.concatenate([[radii[0]], r_half, [radii[-1]]])
+    ring_area = 0.5 * np.diff(cell_ends ** 2)[:, None, None]
     cell_solid = dpsi * (np.cos(phi - dphi / 2) - np.cos(phi + dphi / 2))
-    # (radius, polar) tables of the radial, polar and azimuthal tube weights,
-    # which do not vary along the azimuth
+    # radial, polar and azimuthal tube weights and chords, constant along the azimuth
     tube = [r_half[:, None, None] ** 2 * cell_solid * np.diff(r, axis=0),
             np.sin(phi[:-1] + dphi / 2) * dpsi * ring_area * r * dphi,
             dphi * ring_area * r * np.sin(phi) * dpsi]
-    weights = np.concatenate([np.repeat(w, I) for w in tube])
-    chord = np.linalg.norm(nodes[edges[:, 1]] - nodes[edges[:, 0]], axis=1)
-    return _grid_graph(shape, ids, nodes, edges, weights / chord ** 3)
+    chord = [np.diff(r, axis=0), 2.0 * r * math.sin(dphi / 2),
+             2.0 * r * np.sin(phi) * math.sin(dpsi / 2)]
+    sigma = np.concatenate([np.repeat(w / c ** 3, I) for w, c in zip(tube, chord)])
+    return _grid_graph(shape, ids, nodes, _grid_edges(ids, 2), sigma)
 
 
 def build_grid(shape: Shape, radial_cells: int, angular_cells: int) -> GridGraph:

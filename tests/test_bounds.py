@@ -582,6 +582,20 @@ def test_bounds_refuse_non_finite_inputs(bad):
             call(bad)
 
 
+def test_sandwich_refuses_a_bad_image_modulus():
+    # a NaN, infinite or non-positive image modulus would read as "violated",
+    # a false finding, and a negative or NaN image error would enter the report
+    shape, spec = HalfSemiring(n=2, r0=1.0, r1=E), QuadratureSpec(8, 8, 1)
+    for evaluator in (eq1est_bounds, eq2est_bounds):
+        assert evaluator(Identity(), shape, spec, image_mo=1.0, image_mo_error=0.0).verdict == "holds"
+        for image_mo in (math.nan, math.inf, -math.inf, -1.0, 0.0):
+            with pytest.raises(ValueError, match="image_mo must"):
+                evaluator(Identity(), shape, spec, image_mo=image_mo)
+        for error in (math.nan, math.inf, -0.5):
+            with pytest.raises(ValueError, match="image_mo_error must"):
+                evaluator(Identity(), shape, spec, image_mo=1.0, image_mo_error=error)
+
+
 # ---------------------------------------------------------------------------
 # averaged identity and the tail trend
 # ---------------------------------------------------------------------------

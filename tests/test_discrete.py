@@ -432,12 +432,28 @@ def test_build_grid_structure():
         step[:, 2] = np.minimum(step[:, 2], I - step[:, 2])
         assert np.all(step.sum(axis=1) == 1)
         # the tube weights conductance * chord^3 of a layer's radial edges
-        # telescope to the full (hemi)sphere's shell
+        # telescope to the full (hemi)sphere's shell; the chords here come from
+        # the nodes, independently of the builder's closed forms
         radial = step[:, 0] == 1
         layer = np.minimum(tail[radial, 0], head[radial, 0])
         chord = np.linalg.norm(g.nodes[g.edges[:, 1]] - g.nodes[g.edges[:, 0]], axis=1)
         sums = np.bincount(layer, weights=(g.conductance * chord ** 3)[radial], minlength=K - 1)
         np.testing.assert_allclose(sums, c * r_half ** 2 * np.diff(radii), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("shape", [Annulus, HalfSemiring])
+def test_3d_conductances_ignore_the_centre(shape):
+    # the chords are closed forms in the radii and angles, so the centre moves
+    # the nodes only: conductances and moduli match the centred grid's bit for
+    # bit, even where the node coordinates carry 1e6 and lose digits
+    centred = build_grid(shape(n=3, r0=1.0, r1=E), 16, 16)
+    m_gamma = modulus_connect(centred).m_gamma
+    for c in (10.0, 1e3, 1e6):
+        moved = build_grid(shape(n=3, r0=1.0, r1=E, center=np.array([c, 0.0, 0.0])), 16, 16)
+        np.testing.assert_allclose(moved.nodes - [c, 0.0, 0.0], centred.nodes,
+                                   rtol=0, atol=4 * np.finfo(float).eps * c)
+        np.testing.assert_array_equal(moved.conductance, centred.conductance)
+        assert modulus_connect(moved).m_gamma == m_gamma
 
 
 def shoelace(xy):
@@ -726,3 +742,20 @@ def test_graph_validation():
                   p=2.0, kind="ring", resolution=(3, 1))
     with pytest.raises(ValueError, match="diagonal"):
         modulus_connect(g)
+
+
+def test_graph_refuses_malformed_edges_and_terminals():
+    # a 4-node chain 0 - 1 - 2 - 3 from source 0 to sink 3
+    chain = chain_graph([[1.0, 1.0, 1.0]], 2.0)
+    assert modulus_connect(chain).m_gamma == pytest.approx(1.0 / 3.0, rel=1e-12)
+    # a sink id N would fail inside the solver's indexing, and a negative id
+    # would wrap: source -4 is node 0, the sink, named twice
+    for source, sink, name in (([0], [4], "sink"), ([-4], [0], "source"),
+                               ([0], [-1], "sink"), ([5], [3], "source")):
+        with pytest.raises(ValueError, match=name):
+            replace(chain, source=np.array(source), sink=np.array(sink))
+    # edges must be integer node ids in an (E, 2) array
+    for edges in (chain.edges.astype(float), np.array([[0, 1, 2], [1, 2, 3]]),
+                  chain.edges.ravel(), chain.edges[:, :, None]):
+        with pytest.raises(ValueError, match="edges"):
+            replace(chain, edges=edges, conductance=np.ones(len(edges)))
