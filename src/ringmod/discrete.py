@@ -13,16 +13,21 @@ two-point conductances, so F is a two-point p-energy, and on a finite graph
 with positive conductances its minimum is the modulus of the source-sink
 path family (Duffin, "The extremal length of a network", 1962).
 
-``modulus_connect`` finds the potential with one Jacobi-preconditioned
+``modulus_connect`` finds the potential with one preconditioned
 conjugate-gradient solve for p = 2 and with Newton's method, one such solve
 per step, for p > 2.  Each solve starts from the Galerkin solution over
 potentials constant on the levels (Nicolaides, "Deflation of conjugate
 gradients", 1987): the radial layers a builder numbers the nodes by, or the
 hop layers from the source of a graph without them.  Only a start that fails
 CG's own stopping test, its residual from a pass over the edge arrays, has
-the Laplacian assembled and CG run; on aligned grids none has.  scipy is
-imported by the first solve, so a caller that never solves loads numpy only,
-and every CG solve calls the module-level ``cg``.
+the Laplacian assembled and CG run; on aligned grids none has.  CG on a
+planar builder grid is preconditioned with the Laplacian of the aligned
+log-polar grid the builder started from, which fast transforms invert
+(``_source_inverse``), so its iteration count does not grow with the mesh;
+on 3D grids and on graphs built by hand or edited, with the Laplacian
+diagonal (Jacobi).  scipy is imported by the first solve, so a caller that
+never solves loads numpy only, and every CG solve calls the module-level
+``cg``.
 
 Grids are structured log-polar (log-spherical for n = 3) products aligned
 with the shapes, which keeps level sets of the extremal potentials along
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -79,6 +85,10 @@ class GridGraph:
     # radial layer of each node, set by the builders; None on a graph built by
     # hand or edited with dataclasses.replace, whose hop layers the solver finds
     layer: np.ndarray = field(init=False, default=None, repr=False)
+    # angular over radial P1 conductance of the aligned log-polar grid a planar
+    # builder starts from, before the chart and the map; None on 3D grids and
+    # on graphs built by hand or edited, whose CG the solver Jacobi-preconditions
+    ratio: float = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if len(self.source) == 0 or len(self.sink) == 0:
@@ -218,7 +228,8 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
 
     radii = np.exp(np.linspace(math.log(shape.r0), math.log(shape.r1), K))
     theta = np.arange(M) * (2.0 * math.pi / M) if wrap else np.linspace(0.0, math.pi, M)
-    z = chart(radii[:, None] * np.exp(1j * theta))                  # (K, M) complex nodes
+    source = radii[:, None] * np.exp(1j * theta)
+    z = chart(source)                                               # (K, M) complex nodes
     pts = np.stack([z.real, z.imag], axis=-1).reshape(-1, 2)
     if mapping is not None:
         pts = mapping(pts)
@@ -256,7 +267,13 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
     diagonal = np.where(ac[..., None], np.stack([ids[:-1, :Q], nxt[1:]], axis=-1),
                         np.stack([ids[1:, :Q], nxt[:-1]], axis=-1))
     edges = np.concatenate([_grid_edges(ids, 1 if wrap else None), diagonal[keep]])
-    return _grid_graph(shape, ids, pts, edges, sigma)
+    graph = _grid_graph(shape, ids, pts, edges, sigma)
+    # the quads of the log-polar source grid are similar, so its first quad
+    # gives every interior conductance: radial (s_ab + s_cd) / 2 and angular
+    # (s_da + s_bc) / 2, with the cotangents of an a-c split as above
+    a, b, c, d = source[0, 0], source[1, 0], source[1, 1], source[0, 1]
+    graph.ratio = float((_cot(d, c, a) + _cot(b, a, c)) / (_cot(a, c, b) + _cot(c, a, d)))
+    return graph
 
 
 def _build_3d(shape: Shape, K: int, J: int) -> GridGraph:
@@ -401,6 +418,49 @@ def _level_system(graph: GridGraph):
     return free, level, rhs, operators
 
 
+def _source_inverse(graph: GridGraph):
+    """r -> S^-1 r on the free nodes of a planar builder grid, by fast transforms.
+
+    The free nodes of a (K, M) grid are its (K - 2, M) inner layers.  On them
+    the Laplacian of the aligned log-polar source grid, over its radial
+    conductance, is S = T (x) H + ratio I (x) L_theta, ratio = ``graph.ratio``:
+    T is the radial path Laplacian held at both ends, L_theta the angular
+    cycle (ring) or path (semiring) Laplacian, and H = I on a ring and
+    diag(1/2, 1, ..., 1, 1/2) on a semiring, whose end columns carry half the
+    radial conductance.  A DST-I diagonalises T, with eigenvalues
+    2 - 2 cos(pi i / (K - 1)), i = 1 .. K - 2.  An rfft diagonalises the cycle,
+    with eigenvalues 2 - 2 cos(2 pi j / M), and a DCT-I diagonalises H^-1 times
+    the path, with eigenvalues 2 - 2 cos(pi j / (M - 1)).  So S^-1 r is a
+    division by mu_i + ratio lambda_j between the transforms, of r / H on a
+    semiring.  On an image grid it preconditions the image Laplacian L
+    (Concus and Golub, "Use of fast direct methods for the efficient
+    numerical solution of nonseparable elliptic equations", 1973).  A linear
+    map with singular values s1 >= s2 changes the Dirichlet energy of every
+    triangle by at most K = s1/s2 each way, and both splits of a cyclic
+    source quad give the same energy, so S^-1 L has condition number at
+    most K^2 on any mesh; the chart and smooth maps come close to that.
+    """
+    from scipy import fft
+
+    K, M = graph.resolution
+    mu = 2.0 - 2.0 * np.cos(np.arange(1, K - 1) * (math.pi / (K - 1)))
+    if graph.kind == "ring":
+        h = 1.0
+        lam = 2.0 - 2.0 * np.cos(np.arange(M // 2 + 1) * (2.0 * math.pi / M))
+        forward, backward = partial(fft.rfft, axis=1), partial(fft.irfft, n=M, axis=1)
+    else:
+        h = np.r_[0.5, np.ones(M - 2), 0.5]
+        lam = 2.0 - 2.0 * np.cos(np.arange(M) * (math.pi / (M - 1)))
+        forward, backward = partial(fft.dct, type=1, axis=1), partial(fft.idct, type=1, axis=1)
+    scale = 1.0 / (mu[:, None] + graph.ratio * lam)
+
+    def apply(r):
+        y = forward(fft.dst(r.reshape(K - 2, M) / h, type=1, axis=0)) * scale
+        return fft.idst(backward(y), type=1, axis=0).ravel()
+
+    return apply
+
+
 def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     """Discrete p-modulus of the connecting family: the least edge energy.
 
@@ -413,10 +473,14 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     its flux, Hessian weights and energy.  Each solve, on the weighted
     Laplacian L, starts from x0 = P (P^T L P)^-1 P^T rhs, the level-constant
     vector of least energy error, and runs CG only if x0 fails CG's stopping
-    test.  With positive conductances m_gamma is the graph's path-family
-    modulus up to the solver tolerance.  Signed ones need a positive Laplacian
-    diagonal at every free node, for the Jacobi preconditioner; otherwise
-    ValueError.  Deterministic.
+    test.  The first solve tests x0 on the potential itself, so at p = 2 its
+    net flux is also the reported residual's.  CG is preconditioned with the
+    source grid's Laplacian where the graph carries its ``ratio`` (planar
+    builder grids, see ``_source_inverse``) and with the Laplacian diagonal
+    (Jacobi) elsewhere.  With positive conductances m_gamma is the graph's
+    path-family modulus up to the solver tolerance.  Where Jacobi runs,
+    signed conductances need a positive Laplacian diagonal at every free
+    node; otherwise ValueError.  Deterministic.
     """
     import scipy.sparse as sp
     from scipy.linalg import solve_banded
@@ -433,22 +497,35 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
         # net flux at every node, L_c x for flux = c * (x[e1] - x[e0])
         return np.bincount(e1, flux, N) - np.bincount(e0, flux, N)
 
-    def solve(c, rhs):
+    def solve(c, rhs, phi=None):
+        # the free values y of L_c y = rhs and, for a level start that passes
+        # CG's stopping test, the net flux of the start: of the potential phi
+        # with y filled in, whose boundary values give rhs, or of y alone
         if not len(free):
-            return rhs
+            return rhs, None
         diag, bands, laplacian = operators(c)
-        if np.any(diag <= 0):
-            raise ValueError("a free node has a non-positive Laplacian diagonal")
-        x = np.zeros(N)
+        if graph.ratio is None and np.any(diag <= 0):
+            raise ValueError("a free node has a non-positive Laplacian diagonal, "
+                             "which Jacobi cannot precondition")
+        x = np.zeros(N) if phi is None else phi.copy()
         x[free] = solve_banded((1, 1), bands, np.bincount(level, rhs, bands.shape[1]))[level]
-        # CG's own stopping test at the level start: L is assembled only if it fails
-        if np.linalg.norm(rhs - net(c * (x[e1] - x[e0]))[free]) < _CG_RTOL * np.linalg.norm(rhs):
-            return x[free]
+        # CG's own stopping test at the level start, L assembled only if it
+        # fails: at the free nodes the net flux of phi is L y - rhs, of y L y
+        flux = net(c * (x[e1] - x[e0]))
+        if np.linalg.norm((0.0 if phi is not None else rhs) - flux[free]) < \
+                _CG_RTOL * np.linalg.norm(rhs):
+            return x[free], flux
+        if graph.ratio is None:
+            precondition = sp.diags(1.0 / diag)
+        else:
+            from scipy.sparse.linalg import LinearOperator
+            precondition = LinearOperator((len(free),) * 2, matvec=_source_inverse(graph),
+                                          dtype=float)
         x, info = cg(laplacian(), rhs, x0=x[free], rtol=_CG_RTOL, atol=0.0,
-                     M=sp.diags(1.0 / diag), callback=lambda _: cg_steps.append(1))
+                     M=precondition, callback=lambda _: cg_steps.append(1))
         if info != 0:
             raise ConvergenceError(f"conjugate gradients did not converge (info={info})")
-        return x
+        return x, None
 
     def differences(x):
         # pairwise summation of F: a dot product drifts by 6e-15 relative at 256x1024
@@ -458,11 +535,12 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
 
     phi = np.ones(len(graph.nodes))   # unreached nodes take the sink's potential
     phi[graph.source] = 0.0
-    phi[free] = solve(graph.conductance, rhs)
+    phi[free], flux = solve(graph.conductance, rhs, phi)
     dphi, w, f = differences(phi)
     solves = 1
     while True:
-        net_flux = net(p * w * dphi)
+        # at p = 2, w = sigma, so an accepted level start has the flux already
+        net_flux = p * flux if p == 2.0 and flux is not None else net(p * w * dphi)
         grad, ends = net_flux[free], net_flux[np.r_[graph.source, graph.sink]]
         residual = float(np.linalg.norm(grad) / np.linalg.norm(ends))
         if p == 2.0 or residual <= _NEWTON_RTOL:
@@ -471,7 +549,7 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
             raise ConvergenceError(f"Newton did not converge in {_NEWTON_CAP} steps "
                                    f"(residual {residual:.3g})")
         hess = p * (p - 1.0) * w
-        step = solve(np.maximum(hess, _WEIGHT_FLOOR * hess.max()), -grad)
+        step = solve(np.maximum(hess, _WEIGHT_FLOOR * hess.max()), -grad)[0]
         solves += 1
         f0, slope, t = f, float(grad @ step), 1.0
         while True:

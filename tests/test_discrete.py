@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, spsolve
 
 from ringmod import (
     Annulus,
@@ -20,6 +20,7 @@ from ringmod import (
     RotationTwist,
     build_grid,
     image_modulus,
+    matrix_dilatations,
     mo_from_gamma,
     modulus_connect,
 )
@@ -303,10 +304,14 @@ def test_level_system_assembles_the_free_laplacian():
 def test_builder_layers_are_the_hop_layers(build):
     # a builder numbers its nodes by radial layer; dataclasses.replace drops
     # the layers, so the copy takes its hop layers from the source instead,
-    # and both give the same system and the same potential, bit for bit
+    # and both give the same system and the same potential, bit for bit.  It
+    # drops the planar source ratio too; the copy gets it back, so that both
+    # solves run the same preconditioner
     g = build()
     hops = replace(g)
     assert g.layer is not None and hops.layer is None
+    assert (g.ratio is not None) == (g.p == 2.0) and hops.ratio is None
+    hops.ratio = g.ratio
     system, hop_system = discrete._level_system(g), discrete._level_system(hops)
     for a, b in zip(system[:3], hop_system[:3]):
         np.testing.assert_array_equal(a, b)
@@ -362,6 +367,46 @@ def test_aligned_annulus_potential_is_linear_in_the_layer(monkeypatch):
     assert np.abs(est.potential.reshape(K, M) - exact[:, None]).max() <= 1e-13
     assert est.residual <= 1e-12
     assert est.cg_iterations == 0
+
+
+@pytest.mark.parametrize("M", [64, 65])
+@pytest.mark.parametrize("shape", [Annulus(n=2, r0=1.0, r1=E), HalfSemiring(n=2, r0=1.0, r1=E)],
+                         ids=["ring", "semiring"])
+def test_source_inverse_is_exact_on_aligned_grids(shape, M):
+    # an aligned grid is its own source grid: its free Laplacian is c_r S,
+    # with c_r the radial conductance of an interior column (edge 1 joins
+    # nodes (0, 1) and (1, 1)), so the fast transforms invert it
+    g = build_grid(shape, 24, M)
+    free, _, _, operators = discrete._level_system(g)
+    L = operators(g.conductance)[2]()
+    x = np.random.default_rng(M).standard_normal(len(free))
+    y = discrete._source_inverse(g)(L @ x / g.conductance[1])
+    assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_preconditioned_iterations_do_not_grow_with_the_mesh():
+    """CG iterations of image grids over three levels, each twice as fine.
+
+    A K-quasiconformal map changes a Dirichlet energy by at most a factor K
+    each way, so the source-preconditioned Laplacian has condition number at
+    most K^2, and CG reduces the energy-norm error by rtol within
+    (K/2) ln(2/rtol) iterations.  For a linear map that holds per triangle,
+    with K the ratio of its singular values.  CG stops on the residual and
+    starts from the level start, so the ceiling is measured, not a theorem.
+    Jacobi's counts double with each halving (shear: 162, 324, 1180 at
+    256x1024); these stay within 5 percent of the coarsest (twist: 68, 70, 69).
+    """
+    ring, semi = Annulus(n=2, r0=1.0, r1=E), HalfSemiring(n=2, r0=1.0, r1=E)
+    rings = ((32, 128), (64, 256), (128, 512))
+    for mapping, shape, grids in ((Linear(np.array([[1.0, 0.6], [0.0, 1.0]])), ring, rings),
+                                  (Linear(np.diag([2.0, 1.0])), ring, rings),
+                                  (RotationTwist(), semi, ((32, 65), (64, 129), (128, 257)))):
+        counts = [image_modulus(mapping, shape, grid).cg_iterations for grid in grids]
+        assert max(counts) <= 1.05 * counts[0], (mapping.describe(), counts)
+        if isinstance(mapping, Linear):
+            K = float(matrix_dilatations(mapping.matrix).linear)
+            ceiling = math.ceil(K / 2 * math.log(2 / 1e-12))     # 26 and 29
+            assert max(counts) <= ceiling, (mapping.describe(), counts, ceiling)
 
 
 def test_mo_from_gamma():
@@ -694,15 +739,23 @@ def test_disconnected_graph_rejected():
 
 
 def test_solver_failures_raise_convergence_error(monkeypatch):
-    g = build_grid(ApollonianSemiring(n=2, r0=0.1, r1=1.0), 16, 33)
+    # builder grids run CG with the source transforms, and a copy made by
+    # dataclasses.replace with Jacobi: a stalled CG is caught under either
+    apollonian = build_grid(ApollonianSemiring(n=2, r0=0.1, r1=1.0), 16, 33)
+    shear = discrete.build_image_grid(Linear(np.array([[1.0, 0.6], [0.0, 1.0]])),
+                                      Annulus(n=2, r0=1.0, r1=E), (16, 64))
+    preconditioners = []
 
     def stalled_cg(A, b, **kwargs):
+        preconditioners.append(kwargs["M"])
         return np.zeros_like(b), 17
 
     with monkeypatch.context() as m:
         m.setattr(discrete, "cg", stalled_cg)
-        with pytest.raises(ConvergenceError, match="conjugate gradients"):
-            modulus_connect(g)
+        for g in (apollonian, shear, replace(shear)):
+            with pytest.raises(ConvergenceError, match="conjugate gradients"):
+                modulus_connect(g)
+    assert [isinstance(M, LinearOperator) for M in preconditioners] == [True, True, False]
     # a Newton step cap of one is too few for unequal chain conductances at p = 3
     monkeypatch.setattr(discrete, "_NEWTON_CAP", 1)
     with pytest.raises(ConvergenceError, match="Newton"):
