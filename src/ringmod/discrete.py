@@ -363,12 +363,19 @@ def _level_system(graph: GridGraph):
     graph without layers (built by hand, or edited by ``dataclasses.replace``)
     its hop distance from the source over the edges with no end on the sink,
     whatever their weight.  The free nodes are the nodes off the source and
-    sink with a layer, at level layer - 1; every other node touches at most the
-    sink.  Adjacent levels differ by at most one, so P^T L P (P the 0/1 level
-    indicator) is tridiagonal.  Returns the free nodes, their levels, the first
-    right-hand side (each free node's summed sink-edge conductance) and
-    ``operators(c)``: for conductances c, the Laplacian diagonal of the free
-    nodes, the (3, levels) bands of P^T L P and a function assembling L.
+    sink with a layer.  Every node carries one level: layer - 1, in 0 .. D - 1,
+    on a free node, -1 on the source and D on the sink and on the nodes
+    without a layer, which only the sink reaches.  An edge is classed by the
+    lower and higher level of its ends: one inside a level (a self-loop too)
+    adds nothing to P^T L P (P the 0/1 level indicator), one between adjacent
+    free levels adds to its off-diagonal bands, one with a single free end to
+    its main band, and one from the sink to a free node to the right-hand
+    side.  Levels of neighbouring free nodes differ by at most one, so
+    P^T L P is tridiagonal.  Returns the free nodes, their levels,
+    the first right-hand side (each free node's summed sink-edge conductance)
+    and ``operators(c)``: for conductances c, the Laplacian diagonal of the
+    free nodes, the (3, D) bands of P^T L P and a function assembling L, the
+    only code that numbers the free nodes.
     """
     import scipy.sparse as sp
 
@@ -382,40 +389,40 @@ def _level_system(graph: GridGraph):
     reached = layer < np.inf
     reached[graph.source] = reached[graph.sink] = False
     free = np.flatnonzero(reached)
-    level = (layer[free] - 1).astype(np.intp)
-    F, D = len(free), int(level.max(initial=-1)) + 1
-    idx = np.full(N, F + 2)                      # nodes neither free nor terminal: F + 2
-    idx[free] = np.arange(F)
-    idx[graph.source], idx[graph.sink] = F, F + 1
-    ends = idx[graph.edges.T]
-    ends[:, ends[0] == ends[1]] = F + 2  # a self-loop or an edge within a terminal adds nothing
-    lo, hi = np.minimum(*ends), np.maximum(*ends)
-    at_sink = hi == F + 1
-    if not np.any(lo[at_sink] <= F):             # no sink edge reaches a free node or the source
+    D = int(layer[free].max(initial=0))
+    level = np.full(N, D, np.intp)               # D on the sink and the nodes only it reaches
+    level[free], level[graph.source] = layer[free] - 1, -1
+    e0, e1 = graph.edges.T.copy()     # contiguous: bincount would copy a strided column
+    lo, hi = np.minimum(level[e0], level[e1]), np.maximum(level[e0], level[e1])
+    to_sink = np.flatnonzero((hi == D) & (lo < D))
+    if not len(to_sink):                         # no sink edge reaches a free node or the source
         raise ValueError("graph is disconnected between source and sink")
-    inner = hi < F
-    lo_in, hi_in = lo[inner], hi[inner]
-    step = level[lo_in] != level[hi_in]          # inner edges from a level to the next
-    cross = np.flatnonzero(inner)[step]
-    below = np.minimum(level[lo_in], level[hi_in])[step]
-    bound = (lo < F) & (hi >= F)                 # from a free node to the source or the sink
+    nonloop = e0 != e1
+    inner = (lo >= 0) & (hi < D) & nonloop       # both ends free
+    cross = np.flatnonzero(inner & (lo < hi))    # from a free level to the next
+    # with lo < hi, one end is free where exactly one of lo >= 0 and hi < D holds
+    bound = np.flatnonzero(((lo >= 0) != (hi < D)) & (lo < hi))
+    near = np.where(hi[bound] < D, hi[bound], lo[bound])          # the free end's level
 
     def operators(c):
-        diag = np.bincount(ends[0], c, F + 3)[:F] + np.bincount(ends[1], c, F + 3)[:F]
-        up = np.bincount(below, c[cross], D)     # its last entry, from level D - 1 to D, is 0
+        kept = c * nonloop                       # a self-loop adds nothing
+        diag = (np.bincount(e0, kept, N) + np.bincount(e1, kept, N))[free]
+        up = np.bincount(lo[cross], c[cross], D)  # its last entry, from level D - 1 to D, is 0
         # the main band from the same sums as its neighbours: P^T L P keeps the
         # zero row sums of L between levels in rounding
-        main = up + np.roll(up, 1) + np.bincount(level[lo[bound]], c[bound], D)
+        main = up + np.roll(up, 1) + np.bincount(near, c[bound], D)
         bands = np.array([-np.roll(up, 1), main, -up])
 
         def laplacian():
-            coords = (np.r_[lo_in, hi_in, :F], np.r_[hi_in, lo_in, :F])
-            return sp.csr_matrix((np.r_[-c[inner], -c[inner], diag], coords), shape=(F, F))
+            i, j = (np.cumsum(reached) - 1)[graph.edges[inner].T]   # free nodes as 0 .. F - 1
+            F, v = len(free), -c[inner]
+            return sp.csr_matrix((np.r_[v, v, diag], (np.r_[i, j, :F], np.r_[j, i, :F])), shape=(F, F))
 
         return diag, bands, laplacian
 
-    rhs = np.bincount(lo[at_sink], graph.conductance[at_sink], F + 2)[:F]
-    return free, level, rhs, operators
+    # a sink edge adds its conductance to both ends, and only the free one is kept
+    rhs = np.bincount(graph.edges[to_sink].ravel(), np.repeat(graph.conductance[to_sink], 2), N)
+    return free, level[free], rhs[free], operators
 
 
 def _source_inverse(graph: GridGraph):
@@ -530,7 +537,7 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     def differences(x):
         # pairwise summation of F: a dot product drifts by 6e-15 relative at 256x1024
         dphi = x[e1] - x[e0]
-        w = graph.conductance * np.abs(dphi) ** (p - 2.0)
+        w = graph.conductance if p == 2.0 else graph.conductance * np.abs(dphi) ** (p - 2.0)
         return dphi, w, float(np.sum(w * (dphi * dphi)))
 
     phi = np.ones(len(graph.nodes))   # unreached nodes take the sink's potential

@@ -212,17 +212,19 @@ class Composition(Mapping):
             raise ValueError("composition needs at least one stage")
         object.__setattr__(self, "stages", stages)
 
+    # the outer check, through _singularity_distance, already checked each
+    # stage at its own input, so the stages run unchecked
     def _eval(self, x):
         for m in self.stages:
-            x = m(x)
+            x = m._eval(x)
         return x
 
     def _jacobian(self, x):
         J = None
         for m in self.stages:
-            Jm = m.jacobian(x)
+            Jm = m._jacobian(x)
             J = Jm if J is None else Jm @ J
-            x = m(x)
+            x = m._eval(x)
         return J
 
     def _singularity_distance(self, x):
@@ -250,7 +252,9 @@ def parse_map(spec: str) -> Mapping:
 
     Forms: 'identity', 'radial:a=<float>', 'twist',
     'linear:<n^2 comma-separated floats, row-major>',
-    'compose:<spec>;<spec>;...' (stages may not nest another compose).
+    'compose:<spec>;<spec>;...'.  ';' always splits the outer stages, so a
+    stage that is itself 'compose:<spec>' holds that one spec and gives the
+    same map as the spec alone.
     """
     spec = spec.strip()
     if spec == "identity":

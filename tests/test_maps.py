@@ -84,6 +84,34 @@ def test_composition_chain_rule():
     assert np.allclose(J, J2 @ J1, atol=1e-12)
 
 
+
+def test_composition_checks_each_stage_once(monkeypatch):
+    # the outer domain check walks every stage at its own input, so the
+    # stages then run unchecked: one check per stage for a call or a
+    # Jacobian, and the same numbers as the stages chained by hand
+    checks = []
+    for cls in (RadialStretch, RotationTwist):
+        def counted(self, x, original=cls._singularity_distance):
+            checks.append(self)
+            return original(self, x)
+        monkeypatch.setattr(cls, "_singularity_distance", counted)
+    radial, twist = RadialStretch(a=0.7), RotationTwist()
+    comp = Composition(stages=(radial, twist))
+    x = np.array([[0.8, -0.4], [0.3, 1.1]])
+    J = comp.jacobian(x)
+    assert checks == [radial, twist]
+    y = comp(x)
+    assert checks == [radial, twist] * 2
+    middle = radial(x)
+    np.testing.assert_array_equal(y, twist(middle))
+    np.testing.assert_array_equal(J, twist.jacobian(middle) @ radial.jacobian(x))
+    # a second stage singular at the first stage's image is still refused
+    doubled = Composition(stages=(Linear(matrix=2.0 * np.eye(2)), RadialStretch(a=0.5)))
+    with pytest.raises(MapDomainError):
+        doubled(np.zeros(2))
+    with pytest.raises(MapDomainError):
+        doubled.jacobian(np.zeros(2))
+
 def test_domain_errors():
     with pytest.raises(MapDomainError):
         RadialStretch(a=0.5)(np.zeros(2))
@@ -122,7 +150,8 @@ def test_singularity_distance():
 def test_parse_map_roundtrip():
     x = np.array([0.7, -0.3])
     for spec in ("identity", "twist", "radial:a=0.8",
-                 "linear:2,1,0,0.5", "compose:radial:a=0.7;twist"):
+                 "linear:2,1,0,0.5", "compose:radial:a=0.7;twist",
+                 "compose:compose:radial:a=0.7;twist"):
         m = parse_map(spec)
         again = parse_map(m.describe())
         assert np.allclose(m(x), again(x))
