@@ -25,9 +25,11 @@ planar builder grid is preconditioned with the Laplacian of the aligned
 log-polar grid the builder started from, which fast transforms invert
 (``_source_inverse``), so its iteration count does not grow with the mesh;
 on 3D grids and on graphs built by hand or edited, with the Laplacian
-diagonal (Jacobi).  scipy is imported by the first solve, so a caller that
-never solves loads numpy only, and every CG solve calls the module-level
-``cg``.
+diagonal (Jacobi).  The Laplacian diagonal is summed only where it is read:
+in the assembled Laplacian, and by the refusal of a non-positive diagonal on
+the graphs that Jacobi would precondition.  scipy is imported by the first
+solve, so a caller that never solves loads numpy only, and every CG solve
+calls the module-level ``cg``.
 
 Grids are structured log-polar (log-spherical for n = 3) products aligned
 with the shapes, which keeps level sets of the extremal potentials along
@@ -371,11 +373,14 @@ def _level_system(graph: GridGraph):
     free levels adds to its off-diagonal bands, one with a single free end to
     its main band, and one from the sink to a free node to the right-hand
     side.  Levels of neighbouring free nodes differ by at most one, so
-    P^T L P is tridiagonal.  Returns the free nodes, their levels,
-    the first right-hand side (each free node's summed sink-edge conductance)
-    and ``operators(c)``: for conductances c, the Laplacian diagonal of the
-    free nodes, the (3, D) bands of P^T L P and a function assembling L, the
-    only code that numbers the free nodes.
+    P^T L P is tridiagonal.  Returns the free nodes, their levels, the first
+    right-hand side (each free node's summed sink-edge conductance), the
+    contiguous edge ends (e0, e1) and three functions of the conductances c:
+    ``bands(c)``, the (3, D) bands of P^T L P; ``diagonal(c)``, the free
+    nodes' Laplacian diagonal, without self-loops; and ``laplacian(c)``, the
+    free Laplacian L as CSR with that diagonal, the only code that numbers the
+    free nodes.  The self-loop and inner-edge masks are built inside the last
+    two, which only CG and the Jacobi refusal call.
     """
     import scipy.sparse as sp
 
@@ -397,32 +402,31 @@ def _level_system(graph: GridGraph):
     to_sink = np.flatnonzero((hi == D) & (lo < D))
     if not len(to_sink):                         # no sink edge reaches a free node or the source
         raise ValueError("graph is disconnected between source and sink")
-    nonloop = e0 != e1
-    inner = (lo >= 0) & (hi < D) & nonloop       # both ends free
-    cross = np.flatnonzero(inner & (lo < hi))    # from a free level to the next
+    cross = np.flatnonzero((lo >= 0) & (hi < D) & (lo < hi))     # from a free level to the next
     # with lo < hi, one end is free where exactly one of lo >= 0 and hi < D holds
     bound = np.flatnonzero(((lo >= 0) != (hi < D)) & (lo < hi))
     near = np.where(hi[bound] < D, hi[bound], lo[bound])          # the free end's level
 
-    def operators(c):
-        kept = c * nonloop                       # a self-loop adds nothing
-        diag = (np.bincount(e0, kept, N) + np.bincount(e1, kept, N))[free]
+    def bands(c):
         up = np.bincount(lo[cross], c[cross], D)  # its last entry, from level D - 1 to D, is 0
         # the main band from the same sums as its neighbours: P^T L P keeps the
         # zero row sums of L between levels in rounding
         main = up + np.roll(up, 1) + np.bincount(near, c[bound], D)
-        bands = np.array([-np.roll(up, 1), main, -up])
+        return np.array([-np.roll(up, 1), main, -up])
 
-        def laplacian():
-            i, j = (np.cumsum(reached) - 1)[graph.edges[inner].T]   # free nodes as 0 .. F - 1
-            F, v = len(free), -c[inner]
-            return sp.csr_matrix((np.r_[v, v, diag], (np.r_[i, j, :F], np.r_[j, i, :F])), shape=(F, F))
+    def diagonal(c):
+        kept = c * (e0 != e1)                    # a self-loop adds nothing
+        return (np.bincount(e0, kept, N) + np.bincount(e1, kept, N))[free]
 
-        return diag, bands, laplacian
+    def laplacian(c):
+        inner = (lo >= 0) & (hi < D) & (e0 != e1)                 # both ends free
+        i, j = (np.cumsum(reached) - 1)[graph.edges[inner].T]    # free nodes as 0 .. F - 1
+        F, v = len(free), -c[inner]
+        return sp.csr_matrix((np.r_[v, v, diagonal(c)], (np.r_[i, j, :F], np.r_[j, i, :F])), shape=(F, F))
 
     # a sink edge adds its conductance to both ends, and only the free one is kept
     rhs = np.bincount(graph.edges[to_sink].ravel(), np.repeat(graph.conductance[to_sink], 2), N)
-    return free, level[free], rhs[free], operators
+    return free, level[free], rhs[free], (e0, e1), bands, diagonal, laplacian
 
 
 def _source_inverse(graph: GridGraph):
@@ -481,13 +485,14 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     Laplacian L, starts from x0 = P (P^T L P)^-1 P^T rhs, the level-constant
     vector of least energy error, and runs CG only if x0 fails CG's stopping
     test.  The first solve tests x0 on the potential itself, so at p = 2 its
-    net flux is also the reported residual's.  CG is preconditioned with the
-    source grid's Laplacian where the graph carries its ``ratio`` (planar
-    builder grids, see ``_source_inverse``) and with the Laplacian diagonal
-    (Jacobi) elsewhere.  With positive conductances m_gamma is the graph's
-    path-family modulus up to the solver tolerance.  Where Jacobi runs,
-    signed conductances need a positive Laplacian diagonal at every free
-    node; otherwise ValueError.  Deterministic.
+    net flux is also the reported residual's.  Only a failed start assembles
+    L, once per solve.  CG is preconditioned with the source grid's Laplacian
+    where the graph carries its ``ratio`` (planar builder grids, see
+    ``_source_inverse``) and with the diagonal of L (Jacobi) elsewhere.  With
+    positive conductances m_gamma is the graph's path-family modulus up to
+    the solver tolerance.  Where Jacobi would run, signed conductances need
+    a positive Laplacian diagonal at every free node, which each solve
+    checks before its level start; otherwise ValueError.  Deterministic.
     """
     import scipy.sparse as sp
     from scipy.linalg import solve_banded
@@ -495,8 +500,7 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     p = graph.p
     if p < 2:
         raise ValueError(f"modulus exponent must be at least 2, got {p}")
-    free, level, rhs, operators = _level_system(graph)
-    e0, e1 = graph.edges.T.copy()     # contiguous: bincount would copy a strided column
+    free, level, rhs, (e0, e1), bands, diagonal, laplacian = _level_system(graph)
     N = len(graph.nodes)
     cg_steps = []             # one entry per CG iteration
 
@@ -510,25 +514,26 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
         # with y filled in, whose boundary values give rhs, or of y alone
         if not len(free):
             return rhs, None
-        diag, bands, laplacian = operators(c)
-        if graph.ratio is None and np.any(diag <= 0):
+        if graph.ratio is None and np.any(diagonal(c) <= 0):
             raise ValueError("a free node has a non-positive Laplacian diagonal, "
                              "which Jacobi cannot precondition")
         x = np.zeros(N) if phi is None else phi.copy()
-        x[free] = solve_banded((1, 1), bands, np.bincount(level, rhs, bands.shape[1]))[level]
+        tri = bands(c)
+        x[free] = solve_banded((1, 1), tri, np.bincount(level, rhs, tri.shape[1]))[level]
         # CG's own stopping test at the level start, L assembled only if it
         # fails: at the free nodes the net flux of phi is L y - rhs, of y L y
         flux = net(c * (x[e1] - x[e0]))
         if np.linalg.norm((0.0 if phi is not None else rhs) - flux[free]) < \
                 _CG_RTOL * np.linalg.norm(rhs):
             return x[free], flux
+        L = laplacian(c)
         if graph.ratio is None:
-            precondition = sp.diags(1.0 / diag)
+            precondition = sp.diags(1.0 / L.diagonal())
         else:
             from scipy.sparse.linalg import LinearOperator
             precondition = LinearOperator((len(free),) * 2, matvec=_source_inverse(graph),
                                           dtype=float)
-        x, info = cg(laplacian(), rhs, x0=x[free], rtol=_CG_RTOL, atol=0.0,
+        x, info = cg(L, rhs, x0=x[free], rtol=_CG_RTOL, atol=0.0,
                      M=precondition, callback=lambda _: cg_steps.append(1))
         if info != 0:
             raise ConvergenceError(f"conjugate gradients did not converge (info={info})")

@@ -20,6 +20,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -46,6 +47,11 @@ class HarnessConfig:
         # written so that NaN fails it too
         if not 1.0 <= self.tol_scale < math.inf:
             raise ValueError("tol_scale must be finite and >= 1 (tolerances may only tighten)")
+        # a float would reach the process pool and a bool the config JSON; a
+        # numpy integer is stored as int, which the JSON takes
+        if isinstance(self.jobs, bool) or not isinstance(self.jobs, numbers.Integral):
+            raise ValueError(f"jobs must be an integer, got {self.jobs!r}")
+        object.__setattr__(self, "jobs", int(self.jobs))
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 

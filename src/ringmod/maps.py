@@ -212,28 +212,34 @@ class Composition(Mapping):
             raise ValueError("composition needs at least one stage")
         object.__setattr__(self, "stages", stages)
 
-    # the outer check, through _singularity_distance, already checked each
-    # stage at its own input, so the stages run unchecked
+    # a call and a Jacobian check each stage at its own input as they go,
+    # which evaluates each stage once; _eval runs the stages unchecked, for
+    # an outer call that has already checked them
+    def __call__(self, x):
+        for m in self.stages:
+            x = m(x)
+        return x
+
+    def jacobian(self, x):
+        x = _as_points(x)
+        J = self.stages[0].jacobian(x)
+        for prev, m in zip(self.stages, self.stages[1:]):
+            x = prev._eval(x)           # checked by prev.jacobian
+            J = m.jacobian(x) @ J
+        return J
+
     def _eval(self, x):
         for m in self.stages:
             x = m._eval(x)
         return x
 
-    def _jacobian(self, x):
-        J = None
-        for m in self.stages:
-            Jm = m._jacobian(x)
-            J = Jm if J is None else Jm @ J
-            x = m._eval(x)
-        return J
-
     def _singularity_distance(self, x):
-        d = np.full(x.shape[:-1], np.inf)
-        for m in self.stages:
-            d = np.minimum(d, m._singularity_distance(x))
+        d = self.stages[0]._singularity_distance(x)
+        for prev, m in zip(self.stages, self.stages[1:]):
             if np.any(d < SINGULAR_EPS):
                 break
-            x = m._eval(x)
+            x = prev._eval(x)
+            d = np.minimum(d, m._singularity_distance(x))
         return d
 
     def describe(self):

@@ -76,6 +76,11 @@ def test_config_validation():
         harness.HarnessConfig(tol_scale=0.5)
     with pytest.raises(ValueError):
         harness.HarnessConfig(jobs=0)
+    # a float would reach the process pool and a bool the config JSON
+    for bad in (2.0, 1.5, True):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            harness.HarnessConfig(jobs=bad)
+    assert harness.HarnessConfig(jobs=np.int64(2)).digest() == harness.HarnessConfig(jobs=2).digest()
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             harness.HarnessConfig(tol_scale=bad)

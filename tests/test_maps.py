@@ -86,22 +86,26 @@ def test_composition_chain_rule():
 
 
 def test_composition_checks_each_stage_once(monkeypatch):
-    # the outer domain check walks every stage at its own input, so the
-    # stages then run unchecked: one check per stage for a call or a
+    # each stage is checked at its own input as the composition walks the
+    # stages: one check per stage for a call or a Jacobian, one evaluation
+    # per stage for a call, only the images a later stage needs for a
     # Jacobian, and the same numbers as the stages chained by hand
-    checks = []
+    checks, evals, jacobians = [], [], []
     for cls in (RadialStretch, RotationTwist):
-        def counted(self, x, original=cls._singularity_distance):
-            checks.append(self)
-            return original(self, x)
-        monkeypatch.setattr(cls, "_singularity_distance", counted)
+        for name, calls in (("_singularity_distance", checks), ("_eval", evals),
+                            ("_jacobian", jacobians)):
+            def counted(self, x, original=getattr(cls, name), calls=calls):
+                calls.append(self)
+                return original(self, x)
+            monkeypatch.setattr(cls, name, counted)
     radial, twist = RadialStretch(a=0.7), RotationTwist()
     comp = Composition(stages=(radial, twist))
     x = np.array([[0.8, -0.4], [0.3, 1.1]])
     J = comp.jacobian(x)
-    assert checks == [radial, twist]
+    assert (checks, evals, jacobians) == ([radial, twist], [radial], [radial, twist])
     y = comp(x)
     assert checks == [radial, twist] * 2
+    assert evals == [radial, radial, twist]
     middle = radial(x)
     np.testing.assert_array_equal(y, twist(middle))
     np.testing.assert_array_equal(J, twist.jacobian(middle) @ radial.jacobian(x))
@@ -111,6 +115,10 @@ def test_composition_checks_each_stage_once(monkeypatch):
         doubled(np.zeros(2))
     with pytest.raises(MapDomainError):
         doubled.jacobian(np.zeros(2))
+    with pytest.raises(MapDomainError):
+        doubled.jacobian_fd(np.zeros(2))
+    assert doubled.singularity_distance(np.zeros(2)) == 0.0
+
 
 def test_domain_errors():
     with pytest.raises(MapDomainError):
