@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -58,8 +59,16 @@ class QuadratureSpec:
     max_refine: int = 3
 
     def __post_init__(self):
+        # the counts are doubled by shifts and max_refine counts doublings;
+        # numpy integers pass, bools and floats do not
+        for name in ("radial", "angular", "max_refine"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.radial < 8 or self.angular < 8:
             raise ValueError("quadrature needs at least 8 nodes each way")
+        if self.max_refine < 0:
+            raise ValueError(f"max_refine must be >= 0, got {self.max_refine}")
 
 
 DEFAULT_SPEC = QuadratureSpec()

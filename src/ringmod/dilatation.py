@@ -17,9 +17,10 @@ u = (x - x0)/|x - x0|:
 
 and combine with the Jacobian determinant J into the angular and normal
 dilatations D = J / min^n and T = (max^n / J)^(1/(n-1)).  Both can be < 1,
-unlike the classical coefficients.  Both stretches are exact: the minimum in
-the closed form above, the maximum from the real roots of a polynomial, with
-no sampling and no iterative optimizer.
+unlike the classical coefficients.  Both stretches are exact to rounding:
+the minimum in the closed form above, the maximum from the real roots of a
+cubic at n = 2 and from the one root of a secular equation in a proven
+bracket for n >= 3, with no sampling, no tolerance and no optimizer.
 Since A^{-T} u = w / J with the cofactor product w = cof(A) u, the minimum
 is |J| / |w| and D = |w|^n / J^(n-1) = J |A^{-T} u|^n.  For n = 2 and 3,
 J and A^{-T} u are written out (Cramer's rule at n = 2; one pivoted
@@ -30,11 +31,11 @@ For the maximum each A is first divided by the power of two of its largest
 entry, which is exact, so the result does not depend on the scale of A.
 At n = 2 the stationary points of |Ah| |h.u| solve a cubic, rooted in closed
 form in numpy with no LAPACK call (see ``_max_stretch_planar``).  For
-n >= 3 they solve a secular polynomial of degree 2n - 1, rooted through one
-companion matrix per point, shifted to the top eigenvalue beta_max of A^T A
-and scaled by it, since the maximizer's multiplier lies in
-[beta_max, 2 beta_max], plus the hard-case branch at beta_max (see
-``_max_stretch_block``).
+n >= 3 the maximizer's multiplier lies in [beta_max, 2 beta_max], beta_max
+the top eigenvalue of A^T A, where the secular equation of the stationary
+points changes sign exactly once; bisection over the bit patterns of the
+doubles closes on that root in 62 halvings, one eigh per point, and the
+hard-case branch at beta_max covers the rest (see ``_max_stretch_block``).
 
 Every function takes stacks: matrices A of shape (..., n, n), directions u
 and points x of shape (..., n).  Results have the batch shape, and a single
@@ -168,11 +169,13 @@ def _det_dual(A: np.ndarray, u: np.ndarray):
 def max_directional_stretch(A, u):
     """max over |h| = 1 of |Ah| * |h.u| for a unit vector u, exactly.
 
-    The stationary points on the sphere are enumerated in closed form: the
-    real roots of a cubic at n = 2 (see ``_max_stretch_planar``) and of a
-    secular polynomial of degree 2n - 1 for n >= 3 (see
-    ``_max_stretch_block``), after A is divided by the power of two of its
-    largest entry.  The value also equals
+    After A is divided by the power of two of its largest entry, the
+    stationary points on the sphere come in closed form at n = 2, the real
+    roots of a cubic (see ``_max_stretch_planar``).  For n >= 3 only one of
+    them outside the hard case can be the maximizer: the root of a secular
+    equation that changes sign exactly once in a proven bracket, which
+    bisection closes on to adjacent doubles (see ``_max_stretch_block``).
+    The value also equals
     min over k > 0 of lambda_max(A^T A / k + k u u^T) / 2: AM-GM gives
     |Ah| |h.u| <= h^T (A^T A / k + k u u^T) h / 2, and equality holds for the
     best k because the joint numerical range of two quadratic forms is convex
@@ -189,8 +192,8 @@ def max_directional_stretch(A, u):
     return _max_stretch_batch(A, u)
 
 
-# points per call of the maximal-stretch kernel, which peaks at about 0.8 kB
-# per point at n = 3 and 1.4 kB at n = 4 on random, radial and twist input
+# points per call of the maximal-stretch kernel, which peaks at about 0.5 kB
+# per point at n = 3 and 0.8 kB at n = 4 on random, radial and twist input
 # alike (tracemalloc, 4096 points); a fixed block keeps fine quadrature
 # levels within memory
 _BLOCK = 4096
@@ -242,10 +245,10 @@ def _max_stretch_planar(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     (h = u) is a candidate too, which is also the maximizer when d = 0.  A
     candidate that is not finite counts as 0.  The unpolished roots are not
     kept as candidates: the maximum over two values that differ by rounding
-    alone is biased upwards.  Against ``_max_stretch_block`` this agrees to
-    9e-16 relative on random, badly conditioned (to cond(A) = 1e15), radial
-    (u an eigenvector of A^T A) and nearly radial input and near double and
-    triple roots.
+    alone is biased upwards.  Against ``_max_stretch_block``, the bisection
+    of the secular equation, this agrees to 8.4e-16 relative on random,
+    badly conditioned (to cond(A) = 1e15), radial (u an eigenvector of
+    A^T A) and nearly radial input and near double and triple roots.
     """
     u0, u1 = u[:, 0], u[:, 1]
     a00, a01, a10, a11 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
@@ -271,24 +274,35 @@ def _max_stretch_block(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The maximal stretch for A: (N, n, n) and unit u: (N, n), the kernel
     for n >= 3 and the test oracle of ``_max_stretch_planar`` at n = 2.
     ``_max_stretch_batch`` scales A to entries below 1 in size first, so
-    that A^T A neither overflows nor underflows; the coefficients below, in
+    that A^T A neither overflows nor underflows; the terms below, in
     beta / beta_max, do not depend on the scale of A.
 
     With B = A^T A = V diag(beta) V^T and y = V^T u, the squared objective
     (h^T B h)(h.u)^2 is stationary on the sphere where (beta_i - alpha) h_i
-    is proportional to y_i, with alpha = 2 h^T B h.  Eliminating h leaves the
-    secular equation sum_i y_i^2 (alpha - 2 beta_i) / (beta_i - alpha)^2 = 0,
-    a polynomial of degree 2n - 1.  Its roots come from companion-matrix
-    eigenvalues in the scaled variable s = (alpha - beta_max) / beta_max, in
-    which the poles d_i = (beta_i - beta_max) / beta_max lie in [-1, 0],
-    beta_i - alpha = beta_max (d_i - s) needs no cancelling subtraction and
-    h is proportional to y / (d - s).  The maximizer has
-    beta_max <= alpha <= 2 beta_max, so s in [0, 1]: h^T B h <= beta_max
-    gives the upper end; by the dual below h is the top eigenvector of
-    B / k + k u u^T, with eigenvalue 2 h^T B h / k >= beta_max / k, which
-    gives the lower.  Roots near a pole with a small y_i lose their accuracy
-    unless the shift sits at that pole, and only the top one can hold the
-    maximizer, so each point is rooted once, at the top shift.
+    is proportional to y_i, with alpha = 2 h^T B h.  In the scaled variable
+    s = (alpha - beta_max) / beta_max the poles d_i = (beta_i - beta_max) /
+    beta_max lie in [-1, 0], beta_i - alpha = beta_max (d_i - s) needs no
+    cancelling subtraction, h is proportional to y / (d - s), and
+    eliminating h leaves the secular equation
+    f(s) = sum_i y_i^2 (1 + 2 d_i - s) / (d_i - s)^2 = 0 (Bunch, Nielsen
+    and Sorensen 1978).  The maximizer has beta_max <= alpha <= 2 beta_max,
+    so s in [0, 1]: h^T B h <= beta_max gives the upper end; by the dual
+    below h is the top eigenvector of B / k + k u u^T, with eigenvalue
+    2 h^T B h / k >= beta_max / k, which gives the lower.  On (0, 1],
+    f = (sum_i w_i) phi(s) with w_i = y_i^2 / (d_i - s)^2 > 0 and
+    phi = 2 R - (1 + s), R the w-weighted mean of 1 + d_i.  R falls as s
+    grows, since the weights of the larger d_i, nearer s, fall fastest; so
+    phi' <= -1, phi(1) = 2 R - 2 <= 0, phi(0+) = 1 when y_top != 0, and f
+    changes sign exactly once.  Bisection closes on that root with no
+    tolerance: on the int64 bit patterns of the doubles, which are ordered
+    like the doubles, it ends on two adjacent doubles whatever the size of
+    the root.  The objective is stationary at the root, so an ulp of s moves
+    the value only to second order, and the upper end, which is never 0, is
+    the candidate.  Both ends are not: the larger of two values that differ
+    by rounding alone is biased upwards, by 0.3 ulp on average on twist
+    Jacobians.  With y_top = 0, f may be negative on all of (0, 1]; the
+    bracket then closes on 0 and the hard-case pair below holds the
+    maximizer.
 
     The hard case alpha = beta_k with y_k = 0 (More & Sorensen 1983) then
     has beta_k = beta_max, and h = gamma z +- tau e_top with z = y / d off
@@ -298,40 +312,36 @@ def _max_stretch_block(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     multiplicity m by rounding, which leaves y / d of order 1 in the tied
     components, so one candidate pair is taken for each possible m = 1 ..
     n - 1, with the top m components of z set to 0; no threshold decides m.
-    Every candidate is a unit vector after scaling, so none exceeds the
-    maximum, and the maximizer is among them.
+    Every candidate is a direction, scaled to a unit vector, so none
+    exceeds the maximum.
     """
     beta, V = np.linalg.eigh(np.swapaxes(A, -1, -2) @ A)
     y = np.einsum("nji,nj->ni", V, u)
     N, n = y.shape
-    deg = 2 * n - 1
     top = np.fmax(beta[:, -1:], np.finfo(float).tiny)    # A = 0 has beta_max = 0
     d = (beta - top) / top
-    # ascending coefficients in s of sum_i y_i^2 (s - 1 - 2 d_i) prod_{j != i} (d_j - s)^2
-    coef = np.zeros((N, deg + 1))
-    for i in range(n):
-        p = np.zeros((N, deg + 1))
-        p[:, 0] = -1.0 - 2.0 * d[:, i]
-        p[:, 1] = 1.0
-        for j in range(n):
-            if j != i:      # times (d_j - s)^2; the rolled-over top entries are still zero
-                c = d[:, j, None]
-                p = c * c * p - 2.0 * c * np.roll(p, 1, axis=-1) + np.roll(p, 2, axis=-1)
-        coef += y[:, i, None] ** 2 * p
-    companion = np.zeros((N, deg, deg))
-    companion[:, 1:, :-1] = np.eye(deg - 1)
-    companion[:, :, -1] = -coef[:, :-1] / coef[:, -1:]
-    s = np.linalg.eigvals(companion).real             # (N, deg)
-
+    e = 1.0 + 2.0 * d
+    one = np.float64(1.0).view(np.int64)
+    lo, hi = np.zeros(N, np.int64), np.full(N, one)
+    # y_i / (d_i - s) overflows near s = 0 to an inf that f's sign takes, and
     # infeasible or degenerate candidates come out non-finite and count as 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        generic = _best_candidate(y[:, None, :] / (d[:, None, :] - s[..., None]), beta, y)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # the bit patterns of the doubles in [0, 1] lie below 2^62, 2 to the bit
+        # length of 1.0's, so 62 halvings leave lo and hi adjacent: the step
+        # count is that of the float64 format
+        for _ in range(int(one).bit_length()):
+            mid = (lo + hi) >> 1
+            s = mid.view(float)[:, None]
+            w = y / (d - s)
+            positive = np.einsum("ni,ni->n", w * w, e - s) > 0.0      # f(s) > 0
+            lo, hi = np.where(positive, mid, lo), np.where(positive, hi, mid)
+        root = _best_candidate((y / (d - hi.view(float)[:, None]))[:, None, :], beta, y)
         # z[:, m - 1] is y / d with its top m components set to 0
         z = np.where(np.arange(n) < n - np.arange(1, n)[:, None], (y / d)[:, None, :], 0.0)
         gamma = np.sqrt(-1.0 / (2.0 * np.einsum("nmi,ni->nm", z, y)))
         tau = np.sqrt(1.0 - gamma ** 2 * np.einsum("nmi,nmi->nm", z, z))
         hard = [gamma[..., None] * z + sign * tau[..., None] * np.eye(n)[-1] for sign in (1.0, -1.0)]
-        return np.maximum.reduce([generic, *(_best_candidate(H, beta, y) for H in hard)])
+        return np.maximum.reduce([root, *(_best_candidate(H, beta, y) for H in hard)])
 
 
 def _best_candidate(H: np.ndarray, beta: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -26,10 +26,10 @@ log-polar grid the builder started from, which fast transforms invert
 (``_source_inverse``), so its iteration count does not grow with the mesh;
 on 3D grids and on graphs built by hand or edited, with the Laplacian
 diagonal (Jacobi).  The Laplacian diagonal is summed only where it is read:
-in the assembled Laplacian, and by the refusal of a non-positive diagonal on
-the graphs that Jacobi would precondition.  scipy is imported by the first
-solve, so a caller that never solves loads numpy only, and every CG solve
-calls the module-level ``cg``.
+in the assembled Laplacian, and at p = 2 by the refusal of a non-positive
+diagonal on the graphs that Jacobi would precondition.  scipy is imported
+by the first solve, so a caller that never solves loads numpy only, and
+every CG solve calls the module-level ``cg``.
 
 Grids are structured log-polar (log-spherical for n = 3) products aligned
 with the shapes, which keeps level sets of the extremal potentials along
@@ -490,9 +490,10 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     where the graph carries its ``ratio`` (planar builder grids, see
     ``_source_inverse``) and with the diagonal of L (Jacobi) elsewhere.  With
     positive conductances m_gamma is the graph's path-family modulus up to
-    the solver tolerance.  Where Jacobi would run, signed conductances need
-    a positive Laplacian diagonal at every free node, which each solve
-    checks before its level start; otherwise ValueError.  Deterministic.
+    the solver tolerance.  Where Jacobi would run at p = 2, signed
+    conductances need a positive Laplacian diagonal at every free node,
+    which the solve checks before its level start; otherwise ValueError.
+    Deterministic.
     """
     import scipy.sparse as sp
     from scipy.linalg import solve_banded
@@ -514,7 +515,9 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
         # with y filled in, whose boundary values give rhs, or of y alone
         if not len(free):
             return rhs, None
-        if graph.ratio is None and np.any(diagonal(c) <= 0):
+        # at p != 2 conductances are positive and Newton floors its weights, so
+        # only p = 2 can have a free node with a diagonal of 0 or less
+        if p == 2.0 and graph.ratio is None and np.any(diagonal(c) <= 0):
             raise ValueError("a free node has a non-positive Laplacian diagonal, "
                              "which Jacobi cannot precondition")
         x = np.zeros(N) if phi is None else phi.copy()

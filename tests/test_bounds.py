@@ -227,6 +227,14 @@ def test_quad_rejects_bad_input():
         quad_weighted(ONE, ApollonianSemiring(n=2, r0=0.1, r1=1.0))
     with pytest.raises(ValueError):
         QuadratureSpec(radial=4)
+    # a float count failed later, in a shift; a negative max_refine read as 0
+    for field, value in (("radial", 16.0), ("angular", 24.0), ("max_refine", 1.0),
+                         ("max_refine", -1), ("radial", True)):
+        with pytest.raises(ValueError, match=field):
+            QuadratureSpec(**{field: value})
+    shape = HalfSemiring(n=2, r0=1.0, r1=E)
+    spec = QuadratureSpec(radial=np.int64(8), angular=np.int32(8), max_refine=np.int64(1))
+    assert quad_weighted(ONE, shape, spec) == quad_weighted(ONE, shape, QuadratureSpec(8, 8, 1))
     with pytest.raises(ValueError):
         quad_weighted(lambda X: np.full(len(X), np.nan),
                       HalfSemiring(n=2, r0=1.0, r1=E))

@@ -18,6 +18,8 @@ from ringmod import (
 )
 from ringmod.bounds import modintbound_with_error
 from ringmod.dilatation import (
+    _BLOCK,
+    _best_candidate,
     _det_dual,
     _max_stretch_block,
     _max_stretch_planar,
@@ -196,27 +198,159 @@ def test_max_stretch_near_hard_window(n):
         assert e == pytest.approx(d, rel=1e-12)
 
 
-def test_max_stretch_roots_one_companion_per_point_and_small_component(monkeypatch):
+def _companion_max_stretch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The maximal stretch for A: (N, n, n) and unit u: (N, n) from all roots of
+    the secular polynomial: the former kernel for n >= 3, kept as a test oracle.
+    ``_max_stretch_batch`` scales A to entries below 1 in size first, so
+    that A^T A neither overflows nor underflows; the coefficients below, in
+    beta / beta_max, do not depend on the scale of A.
+
+    With B = A^T A = V diag(beta) V^T and y = V^T u, the squared objective
+    (h^T B h)(h.u)^2 is stationary on the sphere where (beta_i - alpha) h_i
+    is proportional to y_i, with alpha = 2 h^T B h.  Eliminating h leaves the
+    secular equation sum_i y_i^2 (alpha - 2 beta_i) / (beta_i - alpha)^2 = 0,
+    a polynomial of degree 2n - 1.  Its roots come from companion-matrix
+    eigenvalues in the scaled variable s = (alpha - beta_max) / beta_max, in
+    which the poles d_i = (beta_i - beta_max) / beta_max lie in [-1, 0],
+    beta_i - alpha = beta_max (d_i - s) needs no cancelling subtraction and
+    h is proportional to y / (d - s).  The maximizer has
+    beta_max <= alpha <= 2 beta_max, so s in [0, 1]: h^T B h <= beta_max
+    gives the upper end; by the dual (``_dual_max_stretch``) h is the top
+    eigenvector of B / k + k u u^T, with eigenvalue 2 h^T B h / k >=
+    beta_max / k, which gives the lower.  Roots near a pole with a small y_i lose their accuracy
+    unless the shift sits at that pole, and only the top one can hold the
+    maximizer, so each point is rooted once, at the top shift.
+
+    The hard case alpha = beta_k with y_k = 0 (More & Sorensen 1983) then
+    has beta_k = beta_max, and h = gamma z +- tau e_top with z = y / d off
+    the top eigenspace and 0 on it, where |h| = 1 and h^T B h = beta_max / 2
+    fix gamma^2 and tau^2; both signs are kept, since a tiny nonzero y_top
+    decides which one is larger.  ``eigh`` splits a top eigenvalue of
+    multiplicity m by rounding, which leaves y / d of order 1 in the tied
+    components, so one candidate pair is taken for each possible m = 1 ..
+    n - 1, with the top m components of z set to 0; no threshold decides m.
+    Every candidate is a unit vector after scaling, so none exceeds the
+    maximum, and the maximizer is among them.
+    """
+    beta, V = np.linalg.eigh(np.swapaxes(A, -1, -2) @ A)
+    y = np.einsum("nji,nj->ni", V, u)
+    N, n = y.shape
+    deg = 2 * n - 1
+    top = np.fmax(beta[:, -1:], np.finfo(float).tiny)    # A = 0 has beta_max = 0
+    d = (beta - top) / top
+    # ascending coefficients in s of sum_i y_i^2 (s - 1 - 2 d_i) prod_{j != i} (d_j - s)^2
+    coef = np.zeros((N, deg + 1))
+    for i in range(n):
+        p = np.zeros((N, deg + 1))
+        p[:, 0] = -1.0 - 2.0 * d[:, i]
+        p[:, 1] = 1.0
+        for j in range(n):
+            if j != i:      # times (d_j - s)^2; the rolled-over top entries are still zero
+                c = d[:, j, None]
+                p = c * c * p - 2.0 * c * np.roll(p, 1, axis=-1) + np.roll(p, 2, axis=-1)
+        coef += y[:, i, None] ** 2 * p
+    companion = np.zeros((N, deg, deg))
+    companion[:, 1:, :-1] = np.eye(deg - 1)
+    companion[:, :, -1] = -coef[:, :-1] / coef[:, -1:]
+    s = np.linalg.eigvals(companion).real             # (N, deg)
+
+    # infeasible or degenerate candidates come out non-finite and count as 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        generic = _best_candidate(y[:, None, :] / (d[:, None, :] - s[..., None]), beta, y)
+        # z[:, m - 1] is y / d with its top m components set to 0
+        z = np.where(np.arange(n) < n - np.arange(1, n)[:, None], (y / d)[:, None, :], 0.0)
+        gamma = np.sqrt(-1.0 / (2.0 * np.einsum("nmi,ni->nm", z, y)))
+        tau = np.sqrt(1.0 - gamma ** 2 * np.einsum("nmi,nmi->nm", z, z))
+        hard = [gamma[..., None] * z + sign * tau[..., None] * np.eye(n)[-1] for sign in (1.0, -1.0)]
+        return np.maximum.reduce([generic, *(_best_candidate(H, beta, y) for H in hard)])
+
+
+def _unit_scaled(A):
+    """A over the power of two of its largest entry, as ``_max_stretch_batch`` scales it."""
+    return np.ldexp(A, -np.frexp(np.abs(A).max(axis=(1, 2)))[1][:, None, None])
+
+
+def _oracle_families(rng, n):
+    """(A, u) at n: random; columns scaled by 1e-3 .. 1e3; the near-hard
+    windows; u an eigenvector of A^T A, exactly and perturbed by 1e-12 ..
+    1e-4; and the hard cases of ``_hard_cases``."""
+    count = 300
+    A = rng.standard_normal((4, count, n, n))
+    A[1] *= 10.0 ** rng.uniform(-3.0, 3.0, (count, 1, n))
+    u = rng.standard_normal((2, count, n))
+    _, V = np.linalg.eigh(np.swapaxes(A[2:], -1, -2) @ A[2:])
+    axis = np.take_along_axis(V, rng.integers(n, size=(1, count, 1, 1)), axis=-1)[..., 0]
+    axis[1] += 10.0 ** rng.uniform(-12.0, -4.0, (count, 1)) * rng.standard_normal((count, n))
+    near_A, near_u = _near_hard_window(rng, n, 10)
+    hard = [(a, v) for a, v, _ in _hard_cases(rng) if len(v) == n]
+    As = np.concatenate([A.reshape(-1, n, n), near_A, [a for a, _ in hard]])
+    us = np.concatenate([u.reshape(-1, n), axis.reshape(-1, n), near_u, [v for _, v in hard]])
+    return _unit_scaled(As), us / np.linalg.norm(us, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_max_stretch_matches_dual_and_companion_oracle(n):
+    A, u = _oracle_families(np.random.default_rng(80 + n), n)
+    mx = _max_stretch_block(A, u)
+    np.testing.assert_allclose(mx, _companion_max_stretch(A, u), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(mx, _dual_max_stretch(A, u), rtol=1e-12, atol=0.0)
+
+
+def _tied_top_family(n, noise):
+    """(A, u) with beta = (0.5, .., 4, 4), tied at the top, and y = V^T u = e1
+    plus noise of the given size on the top two components: 200 seeded
+    rotations, u nearly orthogonal to the top eigenspace."""
+    beta = np.array([0.5, 1.0, 2.0][:n - 2] + [4.0, 4.0])
+    rng = np.random.default_rng(round(-math.log10(noise)))
+    Q = np.linalg.qr(rng.standard_normal((200, n, n)))[0]
+    y = np.zeros((200, n))
+    y[:, 0] = 1.0
+    y[:, -2:] += noise * rng.standard_normal((200, 2))
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    return np.sqrt(beta)[:, None] * np.swapaxes(Q, 1, 2), np.einsum("nij,nj->ni", Q, y)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_max_stretch_tied_top_with_u_nearly_off_it(n):
+    # eigh splits the tie into poles 0 and about -6e-16, and the root sits
+    # near |y_top|: the companion kernel read up to 3e-10 low here at n = 5
+    for noise in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8):
+        A, u = _tied_top_family(n, noise)
+        np.testing.assert_allclose(max_directional_stretch(A, u), _dual_max_stretch(A, u),
+                                   rtol=1e-12, atol=0.0, err_msg=f"noise {noise}")
+
+
+def test_max_stretch_calls_no_eigvals_and_one_eigh_per_block(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("eigvals called")
+
+    decomposed = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        decomposed.append(math.prod(a.shape[:-2]))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     rng = np.random.default_rng(31)
     A = rng.standard_normal((3000, 3, 3))
     u = rng.standard_normal((3000, 3))
     # u near an eigenvector of A^T A: two small components at some points
-    _, V = np.linalg.eigh(np.swapaxes(A[:40], 1, 2) @ A[:40])
+    _, V = eigh(np.swapaxes(A[:40], 1, 2) @ A[:40])
     u[:40] = V[:, :, 0] + 10.0 ** rng.uniform(-9, -2, (40, 1)) * rng.standard_normal((40, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    _, V = np.linalg.eigh(np.swapaxes(A, 1, 2) @ A)
+    _, V = eigh(np.swapaxes(A, 1, 2) @ A)
     small = (np.abs(np.einsum("nji,nj->ni", V, u)) < 1e-2).sum(axis=1)
     assert (small >= 2).sum() >= 20
-    rooted = []
-    eigvals = np.linalg.eigvals
-
-    def counted(a):
-        rooted.append(math.prod(a.shape[:-2]))
-        return eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
     max_directional_stretch(A, u)
-    assert sum(rooted) == 3000
+    assert decomposed == [3000]
+    for n in (3, 4, 5):
+        decomposed.clear()
+        A = rng.standard_normal((4100, n, n))
+        u = rng.standard_normal((4100, n))
+        max_directional_stretch(A, u / np.linalg.norm(u, axis=1, keepdims=True))
+        assert decomposed == [_BLOCK, 4100 - _BLOCK]
 
 
 def test_max_stretch_exact_at_every_scale():

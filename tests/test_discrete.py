@@ -370,7 +370,8 @@ def test_aligned_annulus_potential_is_linear_in_the_layer(monkeypatch):
 
 def test_solver_sums_the_diagonal_only_where_it_reads_it(monkeypatch):
     # the free Laplacian's diagonal is read by the Jacobi refusal, on a graph
-    # without the source ratio, and L by CG, after a failed level start
+    # without the source ratio at p = 2, and L by CG, after a failed level
+    # start; at p = 3 the 3D annulus needs neither
     real, calls = discrete._level_system, []
 
     def counted(graph):
@@ -393,6 +394,9 @@ def test_solver_sums_the_diagonal_only_where_it_reads_it(monkeypatch):
         calls.clear()
         modulus_connect(g)
         assert calls == expected, (g.resolution, g.ratio, calls)
+    calls.clear()
+    modulus_connect(build_grid(Annulus(n=3, r0=1.0, r1=E), 32, 32))
+    assert calls and set(calls) == {"bands"}, calls
 
 
 @pytest.mark.parametrize("M", [64, 65])
