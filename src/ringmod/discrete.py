@@ -25,9 +25,10 @@ planar builder grid is preconditioned with the Laplacian of the aligned
 log-polar grid the builder started from, which fast transforms invert
 (``_source_inverse``), so its iteration count does not grow with the mesh;
 on 3D grids and on graphs built by hand or edited, with the Laplacian
-diagonal (Jacobi).  The Laplacian diagonal is summed only where it is read:
-in the assembled Laplacian, and at p = 2 by the refusal of a non-positive
-diagonal on the graphs that Jacobi would precondition.  scipy is imported
+diagonal (Jacobi).  The Laplacian diagonal is summed at most once per
+solve and only where it is read: in the assembled Laplacian, and at p = 2 by
+the refusal of a non-positive diagonal on the graphs that Jacobi would
+precondition, whose sum the Laplacian then takes.  scipy is imported
 by the first solve, so a caller that never solves loads numpy only, and
 every CG solve calls the module-level ``cg``.
 
@@ -37,16 +38,18 @@ grid lines and the discretization error small.  Builders are array code over
 the product index grid: node ids form an array with the radial axis first,
 one helper pairs every node with its neighbour along each axis (only the
 angular or azimuthal axis wraps), and the first and last radial layers are
-the source and sink.  Planar grids are built from node positions alone:
-each quad is split along its local Delaunay diagonal and every edge gets the
-cotangent conductance of the triangles beside it (Pinkall and Polthier,
-"Computing discrete minimal surfaces and their conjugates", 1993), which is
-consistent on any shape-regular mesh.  A diagonal is written as an edge only
-where its conductance is nonzero beyond rounding; on a cyclic quad (every
-quad of an aligned grid, of the Apollonian chart and of a radial image) it
-is zero.  An image grid is the same grid with its nodes pushed through the
-map, so no map needs special treatment.  The 3D grids are orthogonal, with
-two-point tube conductances from closed-form chords that ignore the centre.
+the source and sink.  Planar grids carry the cotangent conductances of a
+triangulation of their quads (Pinkall and Polthier, "Computing discrete
+minimal surfaces and their conjugates", 1993), which are consistent on any
+shape-regular mesh.  Where the Apollonian chart or a map moves the nodes,
+each quad is split along its local Delaunay diagonal, which is always an
+edge, and the cotangents come from the moved nodes.  An aligned grid's quads
+are similar cyclic trapezoids that a centre only translates: every quad
+takes the cotangents of the first one, and no diagonal, whose conductance
+is 0, so an off-centre grid has the centred conductances bit for bit.  An
+image grid is the same grid with its nodes pushed through the map, so no map
+needs special treatment.  The 3D grids are orthogonal, with two-point tube
+conductances from closed-form chords that ignore the centre.
 """
 
 from __future__ import annotations
@@ -192,31 +195,26 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
     """Log-polar product grid, through the shape's chart and then ``mapping``,
     with the P1 conductances of its triangulation.
 
-    Each quad (k, m), (k+1, m), (k+1, m+1), (k, m+1) is split along the
-    diagonal of larger cotangent weight (the local Delaunay choice).  Every
-    triangle adds half the cotangent of each of its angles to the conductance
-    of the opposite edge (Pinkall and Polthier 1993), so the edge energy
-    sum_e sigma_e dphi_e^2 is the Dirichlet energy of the piecewise-linear
-    potential.
+    Each quad a, b, c, d = (k, m), (k+1, m), (k+1, m+1), (k, m+1) is split
+    into two triangles along a diagonal, and every triangle adds half the
+    cotangent of each of its angles to the conductance of the opposite edge
+    (Pinkall and Polthier 1993), so the edge energy sum_e sigma_e dphi_e^2 is
+    the Dirichlet energy of the piecewise-linear potential.
 
-    The diagonal's conductance is s / 2, s = cot B + cot D over the two
-    corners facing it, and s = 0 in exact arithmetic on a cyclic quad
-    (B + D = pi).  It is kept only where |s| exceeds the rounding of ``_cot``
-    for that quad.  Each node carries an error |dz| <= k eps R, with R the
-    largest corner modulus of the quad, so a side, of length at least the
-    quad's shortest side h, moves by up to 2 k eps R.  The cotangent of the
-    angle between sides e1 and e2 then moves by
-
-        |d cot| <= 2 k eps R (1/|e1| + 1/|e2|) (1 + |cot|) / sin
-                <= 4 sqrt(2) k eps (R / h) (1 + cot^2),
-
-    so |ds| <= 4 sqrt(2) k eps (R / h) (2 + cot^2 B + cot^2 D).  The
-    diagonal is dropped where |s| is within 64 eps (R / h) (2 + cot^2 B +
-    cot^2 D), this bound for k = 11 (the log, linspace and exp of the radii,
-    the chart and the map round each node a few times).  A dropped diagonal
-    changes the energy by no more than the rounding of the side conductances
-    does.  Edges are the radial ones, the angular ones, then the kept
-    diagonals, each block in (k, m) order.
+    The quads of the log-polar source grid are similar isosceles trapezoids,
+    and a centre only translates them, which changes no cotangent.  So an
+    aligned grid (an annulus or half semiring with no map) takes every
+    quad's cotangents from the first source quad, split along a-c; its quads
+    are cyclic, so the diagonal's conductance, half the cotangent sum of the
+    corners facing it, is 0 and it is not an edge.  Where the Apollonian
+    chart or a map (``Identity`` too) moves the nodes, every quad takes its
+    own cotangents, is split along the diagonal of larger cotangent weight
+    (the local Delaunay choice) and keeps that diagonal, so the energy is
+    exactly the P1 energy of the triangulation.  Both assemble the same way:
+    the sides on the semiring's end columns and on the source and sink
+    layers border one triangle.  Edges are the radial ones, the angular
+    ones, then the diagonals, each block in (k, m) order.  ``ratio`` is the
+    first source quad's angular over radial conductance.
     """
     if isinstance(shape, ApollonianSemiring):
         wrap, chart = False, _apollonian_embed(shape.pole)
@@ -240,41 +238,36 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
                              "to non-finite points")
         z = (pts[:, 0] + 1j * pts[:, 1]).reshape(K, M)
 
+    def sides(a, b, c, d, ac):
+        # each side ab, bc, cd, da takes the cotangent at the corner opposite
+        # it in its triangle, the first of the pair for an a-c split
+        return [_cot(u, np.where(ac, o_ac, o_bd), w) for u, w, o_ac, o_bd in
+                ((a, b, c, d), (b, c, a, d), (c, d, a, b), (d, a, c, b))]
+
     ids = np.arange(K * M).reshape(K, M)
     Q = M if wrap else M - 1                      # quads per radial step
-    nxt = np.roll(ids, -1, axis=1)[:, :Q]        # one angular step on
-    zn = np.roll(z, -1, axis=1)[:, :Q]
-    a, b, c, d = z[:-1, :Q], z[1:, :Q], zn[1:], zn[:-1]
-    angle = [_cot(d, a, b), _cot(a, b, c), _cot(b, c, d), _cot(c, d, a)]
-    ac = angle[1] + angle[3] >= angle[0] + angle[2]      # split along a-c, else b-d
-    cot_b, cot_d = np.where(ac, angle[1], angle[0]), np.where(ac, angle[3], angle[2])
-    s_diag = cot_b + cot_d
-    # largest corner modulus R and shortest side h of each quad, from the
-    # moduli of the nodes and of the radial and angular sides
-    rz, rad, ang = np.abs(z), np.abs(z[1:] - z[:-1]), np.abs(zn - z[:, :Q])
-    R = np.maximum(rz[:-1], rz[1:])
-    R = np.maximum(R, np.roll(R, -1, axis=1))[:, :Q]
-    h = np.minimum(np.minimum(rad, np.roll(rad, -1, axis=1))[:, :Q], np.minimum(ang[:-1], ang[1:]))
-    # a NaN sum is kept, and the graph refuses it
-    keep = ~(np.abs(s_diag) <= 64 * np.finfo(float).eps * R / h * (2 + cot_b ** 2 + cot_d ** 2))
-    # each side ab, bc, cd, da takes the cotangent at the corner opposite it
-    # in its triangle, the first of the pair for an a-c split
-    s_ab, s_bc, s_cd, s_da = (_cot(u, np.where(ac, o_ac, o_bd), w) for u, w, o_ac, o_bd in
-                              ((a, b, c, d), (b, c, a, d), (c, d, a, b), (d, a, c, b)))
+    # the first source quad, split along a-c: its cotangents give the ratio
+    # and, on an aligned grid, the conductances of every quad
+    cots = sides(source[0, 0], source[1, 0], source[1, 1], source[0, 1], True)
+    ratio = float((cots[3] + cots[1]) / (cots[0] + cots[2]))      # (da + bc) / (ab + cd)
+    edges, s_diag = [_grid_edges(ids, 1 if wrap else None)], []
+    if mapping is not None or isinstance(shape, ApollonianSemiring):
+        nxt, zn = np.roll(ids, -1, axis=1)[:, :Q], np.roll(z, -1, axis=1)[:, :Q]
+        a, b, c, d = z[:-1, :Q], z[1:, :Q], zn[1:], zn[:-1]
+        angle = [_cot(d, a, b), _cot(a, b, c), _cot(b, c, d), _cot(c, d, a)]
+        ac = angle[1] + angle[3] >= angle[0] + angle[2]      # split along a-c, else b-d
+        cots = sides(a, b, c, d, ac)
+        # the kept diagonal's sum is the larger, and a NaN one reaches the graph, which refuses it
+        s_diag.append(np.maximum(angle[1] + angle[3], angle[0] + angle[2]).ravel())
+        edges.append(np.where(ac[..., None], np.stack([ids[:-1, :Q], nxt[1:]], axis=-1),
+                              np.stack([ids[1:, :Q], nxt[:-1]], axis=-1)).reshape(-1, 2))
+    s_ab, s_bc, s_cd, s_da = (np.broadcast_to(s, (K - 1, Q)) for s in cots)
     pad = ((0, 0), (0, M - Q))        # a semiring layer has one radial edge more than quads
     sigma = 0.5 * np.concatenate([
         (np.pad(s_ab, pad) + np.roll(np.pad(s_cd, pad), 1, axis=1)).ravel(),
-        (np.pad(s_da, ((0, 1), (0, 0))) + np.pad(s_bc, ((1, 0), (0, 0)))).ravel(),
-        s_diag[keep]])
-    diagonal = np.where(ac[..., None], np.stack([ids[:-1, :Q], nxt[1:]], axis=-1),
-                        np.stack([ids[1:, :Q], nxt[:-1]], axis=-1))
-    edges = np.concatenate([_grid_edges(ids, 1 if wrap else None), diagonal[keep]])
-    graph = _grid_graph(shape, ids, pts, edges, sigma)
-    # the quads of the log-polar source grid are similar, so its first quad
-    # gives every interior conductance: radial (s_ab + s_cd) / 2 and angular
-    # (s_da + s_bc) / 2, with the cotangents of an a-c split as above
-    a, b, c, d = source[0, 0], source[1, 0], source[1, 1], source[0, 1]
-    graph.ratio = float((_cot(d, c, a) + _cot(b, a, c)) / (_cot(a, c, b) + _cot(c, a, d)))
+        (np.pad(s_da, ((0, 1), (0, 0))) + np.pad(s_bc, ((1, 0), (0, 0)))).ravel(), *s_diag])
+    graph = _grid_graph(shape, ids, pts, np.concatenate(edges), sigma)
+    graph.ratio = ratio
     return graph
 
 
@@ -377,10 +370,11 @@ def _level_system(graph: GridGraph):
     right-hand side (each free node's summed sink-edge conductance), the
     contiguous edge ends (e0, e1) and three functions of the conductances c:
     ``bands(c)``, the (3, D) bands of P^T L P; ``diagonal(c)``, the free
-    nodes' Laplacian diagonal, without self-loops; and ``laplacian(c)``, the
-    free Laplacian L as CSR with that diagonal, the only code that numbers the
-    free nodes.  The self-loop and inner-edge masks are built inside the last
-    two, which only CG and the Jacobi refusal call.
+    nodes' Laplacian diagonal, without self-loops; and ``laplacian(c, diag)``,
+    the free Laplacian L as CSR with the diagonal ``diag`` that its caller
+    summed, the only code that numbers the free nodes.  The self-loop and
+    inner-edge masks are built inside the last two, which only CG and the
+    Jacobi refusal call.
     """
     import scipy.sparse as sp
 
@@ -418,11 +412,11 @@ def _level_system(graph: GridGraph):
         kept = c * (e0 != e1)                    # a self-loop adds nothing
         return (np.bincount(e0, kept, N) + np.bincount(e1, kept, N))[free]
 
-    def laplacian(c):
+    def laplacian(c, diag):
         inner = (lo >= 0) & (hi < D) & (e0 != e1)                 # both ends free
         i, j = (np.cumsum(reached) - 1)[graph.edges[inner].T]    # free nodes as 0 .. F - 1
         F, v = len(free), -c[inner]
-        return sp.csr_matrix((np.r_[v, v, diagonal(c)], (np.r_[i, j, :F], np.r_[j, i, :F])), shape=(F, F))
+        return sp.csr_matrix((np.r_[v, v, diag], (np.r_[i, j, :F], np.r_[j, i, :F])), shape=(F, F))
 
     # a sink edge adds its conductance to both ends, and only the free one is kept
     rhs = np.bincount(graph.edges[to_sink].ravel(), np.repeat(graph.conductance[to_sink], 2), N)
@@ -517,7 +511,8 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
             return rhs, None
         # at p != 2 conductances are positive and Newton floors its weights, so
         # only p = 2 can have a free node with a diagonal of 0 or less
-        if p == 2.0 and graph.ratio is None and np.any(diagonal(c) <= 0):
+        diag = diagonal(c) if p == 2.0 and graph.ratio is None else None
+        if diag is not None and np.any(diag <= 0):
             raise ValueError("a free node has a non-positive Laplacian diagonal, "
                              "which Jacobi cannot precondition")
         x = np.zeros(N) if phi is None else phi.copy()
@@ -529,9 +524,10 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
         if np.linalg.norm((0.0 if phi is not None else rhs) - flux[free]) < \
                 _CG_RTOL * np.linalg.norm(rhs):
             return x[free], flux
-        L = laplacian(c)
+        diag = diagonal(c) if diag is None else diag
+        L = laplacian(c, diag)
         if graph.ratio is None:
-            precondition = sp.diags(1.0 / L.diagonal())
+            precondition = sp.diags(1.0 / diag)
         else:
             from scipy.sparse.linalg import LinearOperator
             precondition = LinearOperator((len(free),) * 2, matvec=_source_inverse(graph),

@@ -278,7 +278,8 @@ def test_level_system_assembles_the_free_laplacian():
         ref_free, ref_level = reference_levels(g)
         np.testing.assert_array_equal(free, ref_free)
         np.testing.assert_array_equal(level, ref_level)
-        diag, bands, L = diagonal(c), bands(c), laplacian(c)
+        diag, bands = diagonal(c), bands(c)
+        L = laplacian(c, diag)
         L_ref, galerkin_ref, rhs_ref = dense_free_operators(g, c, free, level)
         galerkin = (np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1))
         tol = 1e-13 * np.abs(c).sum()
@@ -318,7 +319,8 @@ def test_builder_layers_are_the_hop_layers(build):
     c = g.conductance
     np.testing.assert_array_equal(diagonal(c), hop_diagonal(c))
     np.testing.assert_array_equal(bands(c), hop_bands(c))
-    np.testing.assert_array_equal(laplacian(c).toarray(), hop_laplacian(c).toarray())
+    np.testing.assert_array_equal(laplacian(c, diagonal(c)).toarray(),
+                                  hop_laplacian(c, hop_diagonal(c)).toarray())
     np.testing.assert_array_equal(modulus_connect(g).potential, modulus_connect(hops).potential)
 
 
@@ -370,27 +372,37 @@ def test_aligned_annulus_potential_is_linear_in_the_layer(monkeypatch):
 
 def test_solver_sums_the_diagonal_only_where_it_reads_it(monkeypatch):
     # the free Laplacian's diagonal is read by the Jacobi refusal, on a graph
-    # without the source ratio at p = 2, and L by CG, after a failed level
-    # start; at p = 3 the 3D annulus needs neither
-    real, calls = discrete._level_system, []
+    # without the source ratio at p = 2, and by L, after a failed level start;
+    # each solve sums it once, and L takes the sum the refusal made.  At p = 3
+    # the 3D annulus needs neither
+    real, calls, sums = discrete._level_system, [], []
 
     def counted(graph):
         *head, bands, diagonal, laplacian = real(graph)
 
-        def wrap(name, f):
-            def call(c):
-                calls.append(name)
-                return f(c)
-            return call
+        def counted_bands(c):
+            calls.append("bands")
+            return bands(c)
 
-        return (*head, wrap("bands", bands), wrap("diagonal", diagonal), wrap("laplacian", laplacian))
+        def counted_diagonal(c):
+            calls.append("diagonal")
+            sums.append(diagonal(c))
+            return sums[-1]
+
+        def counted_laplacian(c, diag):
+            calls.append("laplacian")
+            assert diag is sums[-1]
+            return laplacian(c, diag)
+
+        return (*head, counted_bands, counted_diagonal, counted_laplacian)
 
     monkeypatch.setattr(discrete, "_level_system", counted)
     aligned = build_grid(Annulus(n=2, r0=1.0, r1=E), 64, 256)
+    apollonian = build_grid(ApollonianSemiring(n=2, r0=0.1, r1=1.0), 64, 129)
     for g, expected in ((aligned, ["bands"]),
-                        (build_grid(ApollonianSemiring(n=2, r0=0.1, r1=1.0), 64, 129),
-                         ["bands", "laplacian"]),
-                        (replace(aligned), ["diagonal", "bands"])):
+                        (apollonian, ["bands", "diagonal", "laplacian"]),
+                        (replace(aligned), ["diagonal", "bands"]),
+                        (replace(apollonian), ["diagonal", "bands", "laplacian"])):
         calls.clear()
         modulus_connect(g)
         assert calls == expected, (g.resolution, g.ratio, calls)
@@ -407,8 +419,8 @@ def test_source_inverse_is_exact_on_aligned_grids(shape, M):
     # with c_r the radial conductance of an interior column (edge 1 joins
     # nodes (0, 1) and (1, 1)), so the fast transforms invert it
     g = build_grid(shape, 24, M)
-    free, *_, laplacian = discrete._level_system(g)
-    L = laplacian(g.conductance)
+    free, *_, diagonal, laplacian = discrete._level_system(g)
+    L = laplacian(g.conductance, diagonal(g.conductance))
     x = np.random.default_rng(M).standard_normal(len(free))
     y = discrete._source_inverse(g)(L @ x / g.conductance[1])
     assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
@@ -531,6 +543,21 @@ def test_3d_conductances_ignore_the_centre(shape):
         assert modulus_connect(moved).m_gamma == m_gamma
 
 
+@pytest.mark.parametrize("shape, M", [(Annulus, 256), (HalfSemiring, 129)], ids=["ring", "semiring"])
+def test_off_centre_planar_grids_equal_centred_ones(shape, M):
+    # an aligned grid's conductances come from its source quads, which the
+    # centre only translates: at (1e6, 0) they and m_gamma are the centred
+    # ones bit for bit, and neither solve needs a CG iteration
+    centred = build_grid(shape(n=2, r0=1.0, r1=E), 64, M)
+    far = build_grid(shape(n=2, r0=1.0, r1=E, center=np.array([1e6, 0.0])), 64, M)
+    np.testing.assert_array_equal(far.edges, centred.edges)
+    np.testing.assert_array_equal(far.conductance, centred.conductance)
+    assert far.ratio == centred.ratio
+    a, b = modulus_connect(centred), modulus_connect(far)
+    assert a.m_gamma.hex() == b.m_gamma.hex()
+    assert a.cg_iterations == b.cg_iterations == 0
+
+
 def shoelace(xy):
     x, y = xy[:, 0], xy[:, 1]
     return 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -591,26 +618,31 @@ def quad_cotangents(g, quads):
     return cots, R, h
 
 
-@pytest.mark.parametrize("build, keeps", [
+@pytest.mark.parametrize("build, moved", [
     (lambda: build_grid(Annulus(n=2, r0=1.0, r1=E), 16, 64), False),
     (lambda: build_grid(HalfSemiring(n=2, r0=0.5, r1=2.0, center=np.array([0.3, 0.0])), 16, 33),
      False),
-    (lambda: build_grid(ApollonianSemiring(n=2, r0=0.1, r1=1.0), 64, 129), False),
+    (lambda: build_grid(Annulus(n=2, r0=1.0, r1=E, center=np.array([1e6, 0.0])), 16, 64), False),
+    (lambda: build_grid(ApollonianSemiring(n=2, r0=0.1, r1=1.0), 64, 129), True),
     (lambda: discrete.build_image_grid(RadialStretch(a=0.8), Annulus(n=2, r0=1.0, r1=E), (16, 64)),
-     False),
+     True),
     (lambda: discrete.build_image_grid(RadialStretch(a=0.8), HalfSemiring(n=2, r0=1.0, r1=E),
-                                       (48, 97)), False),
+                                       (48, 97)), True),
     (lambda: discrete.build_image_grid(RotationTwist(), Annulus(n=2, r0=1.0, r1=E), (16, 64)), True),
     (lambda: discrete.build_image_grid(RotationTwist(), HalfSemiring(n=2, r0=1.0, r1=E), (16, 33)),
      True),
     (lambda: discrete.build_image_grid(SHEAR, Annulus(n=2, r0=1.0, r1=E), (16, 64)), True),
     (lambda: discrete.build_image_grid(SHEAR, HalfSemiring(n=2, r0=1.0, r1=E), (16, 33)), True),
-], ids=["aligned-ring", "aligned-semiring", "apollonian", "radial-ring", "radial-semiring",
-        "twist-ring", "twist-semiring", "shear-ring", "shear-semiring"])
-def test_diagonals_kept_beyond_rounding(build, keeps):
+], ids=["aligned-ring", "aligned-semiring", "aligned-ring-far", "apollonian", "radial-ring",
+        "radial-semiring", "twist-ring", "twist-semiring", "shear-ring", "shear-semiring"])
+def test_diagonals_kept_beyond_rounding(build, moved):
     # a diagonal's conductance is half the cotangent sum of the corners facing
-    # it, 0 on a cyclic quad; the builder drops it where the sum is within
-    # the rounding bound of _build_2d, 64 eps (R / h) (2 + cot^2 + cot^2)
+    # it, 0 on a cyclic quad.  An aligned grid, centred or not, writes none:
+    # its quads stay cyclic within 64 eps (R / h) (2 + cot^2 + cot^2), a bound
+    # on the rounding of the nodes.  Where the chart or a map moves the nodes,
+    # every quad keeps the diagonal of its Delaunay split, whose facing
+    # corners have the larger sum; on a cyclic quad (Apollonian, radial) the
+    # two sums tie within that bound
     g = build()
     K, M = g.resolution
     quads = M if g.kind == "ring" else M - 1
@@ -619,20 +651,59 @@ def test_diagonals_kept_beyond_rounding(build, keeps):
     cot_b, cot_d = np.where(ac, cots[1], cots[0]), np.where(ac, cots[3], cots[2])
     total = cot_b + cot_d
     bound = 64 * np.finfo(float).eps * R / h * (2 + cot_b ** 2 + cot_d ** 2)
-    diagonals = quad_diagonals(g, quads)
-    kept = np.zeros(total.shape, dtype=bool)
-    kept.flat[diagonals] = True
-    assert np.all(np.abs(total[~kept]) <= bound[~kept])
-    assert np.all(np.abs(total[kept]) > bound[kept])
-    assert kept.all() if keeps else not kept.any()
-    # each kept diagonal joins the corners of its split and carries half the sum
     first = (K - 1) * M + K * quads
-    k, m = np.divmod(diagonals, quads)
-    m1 = (m + 1) % M
-    split = np.where(ac[k, m][:, None], np.stack([k * M + m, (k + 1) * M + m1], axis=1),
-                     np.stack([(k + 1) * M + m, k * M + m1], axis=1))
-    np.testing.assert_array_equal(np.sort(g.edges[first:], axis=1), np.sort(split, axis=1))
-    np.testing.assert_allclose(g.conductance[first:], 0.5 * total[kept], rtol=0, atol=bound.max())
+    if not moved:
+        assert len(g.edges) == first
+        assert np.all(np.abs(total) <= bound)
+        return
+    # one diagonal per quad, joining the corners of a split whose sum is the
+    # larger up to the bound, and carrying half that sum
+    np.testing.assert_array_equal(quad_diagonals(g, quads), np.arange(total.size))
+    k, m = np.divmod(np.arange(total.size), quads)
+    a_c = np.sort(np.stack([k * M + m, (k + 1) * M + (m + 1) % M], axis=1), axis=1)
+    is_ac = np.all(np.sort(g.edges[first:], axis=1) == a_c, axis=1).reshape(total.shape)
+    written = np.where(is_ac, cots[1] + cots[3], cots[0] + cots[2])
+    assert np.all(written >= total - bound)
+    np.testing.assert_allclose(g.conductance[first:], 0.5 * written.ravel(), rtol=0,
+                               atol=bound.max())
+
+
+@pytest.mark.parametrize("shape", [
+    Annulus(n=2, r0=1.0, r1=E),
+    Annulus(n=2, r0=1.0, r1=E, center=np.array([1e6, 0.0])),
+    HalfSemiring(n=2, r0=1.0, r1=E),
+    HalfSemiring(n=2, r0=0.5, r1=2.0, center=np.array([-1e3, 0.0])),
+], ids=["ring", "ring-far", "semiring", "semiring-off-centre"])
+def test_aligned_grid_takes_one_quads_cotangents(monkeypatch, shape):
+    # an aligned build reads the cotangents of one source quad, which give
+    # every interior conductance and the ratio; the sides on the first and
+    # last layers, and on a semiring's end columns, border one triangle each,
+    # so each such line carries one value and the two sum to the interior one
+    real, sizes = discrete._cot, []
+
+    def counted(u, v, w):
+        sizes.extend(np.size(x) for x in (u, v, w))
+        return real(u, v, w)
+
+    monkeypatch.setattr(discrete, "_cot", counted)
+    K, M = 16, 64 if shape.kind == "ring" else 33
+    g = build_grid(shape, K, M)
+    assert sizes and set(sizes) == {1}
+    Q = M if shape.kind == "ring" else M - 1
+    assert len(g.edges) == (K - 1) * M + K * Q
+    radial = g.conductance[:(K - 1) * M].reshape(K - 1, M)
+    angular = g.conductance[(K - 1) * M:].reshape(K, Q)
+    inner = radial if shape.kind == "ring" else radial[:, 1:-1]
+    assert len(np.unique(inner)) == 1 and len(np.unique(angular[1:-1])) == 1
+    ends = [(angular[0], angular[-1], angular[1, 0])]
+    if shape.kind == "semiring":
+        ends.append((radial[:, 0], radial[:, -1], inner[0, 0]))
+        # the two radial sides of a source quad are equal in exact arithmetic
+        assert radial[0, 0] == pytest.approx(inner[0, 0] / 2, rel=1e-13)
+    for first, last, interior in ends:
+        assert len(np.unique(first)) == len(np.unique(last)) == 1
+        assert first[0] + last[0] == interior
+    assert g.ratio == angular[1, 0] / inner[0, 0]
 
 
 def test_apollonian_grid_in_unit_ball():
