@@ -208,19 +208,24 @@ def _shell_sums(g: Callable, x0: np.ndarray, radii: np.ndarray, rule) -> np.ndar
     """Spherical-rule sums of g over the shells x0 + radius z, one per radius.
 
     ``rule`` is a (directions, weights) pair from ``_sphere_rule``.  Blocks of
-    points in row-major (radius, direction) order bound the memory; each
-    point is computed as in one whole-level array, so the values are too.  A
-    non-finite value raises ValueError.
+    at most QUAD_BLOCK points in row-major (radius, direction) order bound the
+    memory.  A block's points are formed by broadcasting x0 + radius * z over
+    the shells the block spans (fewer than QUAD_BLOCK + 2 len(directions)
+    points), then cut to the block; each point is computed as in one
+    whole-level array, so the values are too.  A non-finite value raises
+    ValueError.
     """
     Z, wz = rule
-    vals = np.empty(len(radii) * len(Z))
+    m = len(Z)
+    vals = np.empty(len(radii) * m)
     for lo in range(0, len(vals), QUAD_BLOCK):
-        idx = np.arange(lo, min(lo + QUAD_BLOCK, len(vals)))
-        X = x0 + radii[idx // len(Z), None] * Z[idx % len(Z)]
-        vals[idx] = np.asarray(g(X), dtype=float)
+        hi = min(lo + QUAD_BLOCK, len(vals))
+        i0, i1 = lo // m, (hi - 1) // m + 1
+        X = (x0 + radii[i0:i1, None, None] * Z).reshape(-1, Z.shape[-1])
+        vals[lo:hi] = np.asarray(g(X[lo - i0 * m:hi - i0 * m]), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite integrand sample")
-    return vals.reshape(len(radii), len(Z)) @ wz
+    return vals.reshape(len(radii), m) @ wz
 
 
 def _capped(val: float, err: float, rel_tol: float = QUAD_RTOL) -> bool:

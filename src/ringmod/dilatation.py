@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import Mapping
+from .maps import Mapping, _norm
 
 
 class IrregularPointError(ValueError):
@@ -377,7 +377,7 @@ def _frame(mapping: Mapping, x0: np.ndarray, X: np.ndarray):
     that is not positive and finite or |A^{-T} u|^2 that is not finite
     (IrregularPointError)."""
     diff = X - x0
-    d = np.linalg.norm(diff, axis=-1, keepdims=True)
+    d = _norm(diff)[..., None]
     if np.any(d == 0.0):
         raise ValueError("x and x0 must be distinct")
     u = diff / d

@@ -146,14 +146,22 @@ def mo_from_gamma(m_gamma: float, kind: str, n: int) -> float:
 def _grid_edges(ids: np.ndarray, wrap_axis: int | None) -> np.ndarray:
     """(E, 2) edges joining index neighbours of the node-id array ``ids``,
     axis by axis and in C order of the tail within an axis.  Only
-    ``wrap_axis`` (None for none) wraps around."""
-    blocks = []
+    ``wrap_axis`` (None for none) wraps around.  Each axis's head and tail
+    ids are sliced first and written once, into their rows of the result."""
+    pairs = []
     for axis in range(ids.ndim):
-        pairs = np.stack([ids, np.roll(ids, -1, axis)], axis=-1)
-        if axis != wrap_axis:
-            pairs = np.delete(pairs, -1, axis)
-        blocks.append(pairs.reshape(-1, 2))
-    return np.concatenate(blocks)
+        if axis == wrap_axis:
+            pairs.append((ids, np.roll(ids, -1, axis)))
+        else:
+            cut = (slice(None),) * axis
+            pairs.append((ids[cut + (slice(-1),)], ids[cut + (slice(1, None),)]))
+    edges = np.empty((sum(head.size for head, _ in pairs), 2), dtype=ids.dtype)
+    lo = 0
+    for head, tail in pairs:
+        block = edges[lo:lo + head.size].reshape(head.shape + (2,))
+        block[..., 0], block[..., 1] = head, tail
+        lo += head.size
+    return edges
 
 
 def _grid_graph(shape: Shape, ids: np.ndarray, nodes: np.ndarray, edges: np.ndarray,

@@ -25,6 +25,16 @@ class MapDomainError(ValueError):
     """A point lies on (or too close to) the singular set of a map."""
 
 
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, bit for bit ``np.linalg.norm(x,
+    axis=-1)``: the squares are summed in the same order, x0*x0 + x1*x1 + ...,
+    without the reduction's per-call overhead."""
+    s = x[..., 0] * x[..., 0]
+    for i in range(1, x.shape[-1]):
+        s += x[..., i] * x[..., i]
+    return np.sqrt(s)
+
+
 def _as_points(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] < 2:
@@ -100,21 +110,27 @@ class RadialStretch(Mapping):
             raise ValueError(f"stretch exponent a must be positive and finite, got {self.a}")
 
     def _eval(self, x):
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        r = _norm(x)[..., None]
         return r ** (self.a - 1.0) * x
 
     def _jacobian(self, x):
+        # entry (i, j) is r^(a-1) ((i == j) + (a - 1) u_i u_j), u = x/r, written
+        # out entry by entry; the matrix is symmetric
         n = x.shape[-1]
-        r = np.linalg.norm(x, axis=-1)
+        r = _norm(x)
         u = x / r[..., None]
-        eye = np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n))
-        uu = u[..., :, None] * u[..., None, :]
+        am1 = self.a - 1.0
+        J = np.empty(x.shape + (n,))
         # overflow leaves inf or NaN entries, which the dilatation layer refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            return (r ** (self.a - 1.0))[..., None, None] * (eye + (self.a - 1.0) * uu)
+            p = r ** am1
+            for i in range(n):
+                for j in range(i, n):
+                    J[..., i, j] = J[..., j, i] = p * ((i == j) + am1 * (u[..., i] * u[..., j]))
+        return J
 
     def _singularity_distance(self, x):
-        return np.linalg.norm(x, axis=-1)
+        return _norm(x)
 
     def describe(self):
         return f"radial:a={self.a}"

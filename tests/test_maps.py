@@ -6,12 +6,15 @@ import pytest
 from ringmod import (
     Composition,
     Identity,
+    IrregularPointError,
     Linear,
     MapDomainError,
     RadialStretch,
     RotationTwist,
     parse_map,
 )
+from ringmod.dilatation import angular_dilatation_field
+from ringmod.maps import _norm
 
 ALL_MAPS = [
     Identity(),
@@ -72,6 +75,71 @@ def test_radial_stretch_jacobian_structure():
     sv = np.linalg.svd(J, compute_uv=False)
     assert sorted(sv) == pytest.approx(sorted([a, 1.0]))
     assert det == pytest.approx(a)
+
+
+def _scaled_points(rng, n, scales):
+    """Random points in R^n, off the origin and off-centre, with coordinates
+    spread over several decades around each scale."""
+    pts = []
+    for scale in scales:
+        centre = rng.uniform(-3.0, 3.0, n)
+        X = centre + rng.standard_normal((400, n)) * np.exp(rng.uniform(-3.0, 3.0, (400, 1)))
+        pts.append(scale * X)
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_norm_is_linalg_norm_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    X = _scaled_points(rng, n, [1e-20, 1e-10, 1.0, 1e10, 1e20])
+    np.testing.assert_array_equal(_norm(X), np.linalg.norm(X, axis=-1))
+    for x in X[:50]:
+        assert _norm(x) == np.linalg.norm(x, axis=-1)
+    batch = X[:60].reshape(4, 15, n)
+    np.testing.assert_array_equal(_norm(batch), np.linalg.norm(batch, axis=-1))
+
+
+def _broadcast_radial_jacobian(a, x):
+    """The radial stretch's Jacobian r^(a-1) (I + (a-1) u u^T) as one broadcast
+    expression over a batch."""
+    n = x.shape[-1]
+    r = np.linalg.norm(x, axis=-1)
+    u = x / r[..., None]
+    eye = np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n))
+    uu = u[..., :, None] * u[..., None, :]
+    return (r ** (a - 1.0))[..., None, None] * (eye + (a - 1.0) * uu)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("a", [0.5, 0.8, 1.6, 3.0])
+def test_radial_jacobian_matches_broadcast_formula(a, n):
+    rng = np.random.default_rng(int(10 * a) + n)
+    X = _scaled_points(rng, n, [1e-3, 1.0, 1e3])
+    m = RadialStretch(a=a)
+    J = m.jacobian(X)
+    np.testing.assert_array_equal(J, _broadcast_radial_jacobian(a, X))
+    for x in X[:20]:
+        np.testing.assert_array_equal(m.jacobian(x), _broadcast_radial_jacobian(a, x))
+    batch = X[:60].reshape(4, 15, n)
+    np.testing.assert_array_equal(m.jacobian(batch), _broadcast_radial_jacobian(a, batch))
+    # and the central differences agree to their O(h^2) error
+    Y = _scaled_points(rng, n, [1.0])
+    Y = Y[np.linalg.norm(Y, axis=-1) > 0.1]
+    Ja, Jf = m.jacobian(Y), m.jacobian_fd(Y)
+    scale = np.abs(Ja).max(axis=(-2, -1))
+    assert np.all(np.abs(Ja - Jf).max(axis=(-2, -1)) <= 1e-7 * scale)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_radial_jacobian_overflow_is_refused_by_the_dilatation_field():
+    # at |x| = 1e3, r^(a-1) = 1e3^399 overflows: the Jacobian carries inf and
+    # NaN entries without a warning, and the field refuses the point
+    steep = RadialStretch(a=400.0)
+    for X in (np.array([[600.0, 800.0]]), np.array([[1.0, 2.0, 2.0], [600.0, 0.0, 800.0]])):
+        assert not np.all(np.isfinite(steep.jacobian(X)[-1]))
+        assert np.all(np.isfinite(steep.jacobian(X[:-1])))
+        with pytest.raises(IrregularPointError):
+            angular_dilatation_field(steep, np.zeros(X.shape[-1]))(X)
 
 
 def test_composition_chain_rule():
