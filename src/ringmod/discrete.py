@@ -41,15 +41,18 @@ angular or azimuthal axis wraps), and the first and last radial layers are
 the source and sink.  Planar grids carry the cotangent conductances of a
 triangulation of their quads (Pinkall and Polthier, "Computing discrete
 minimal surfaces and their conjugates", 1993), which are consistent on any
-shape-regular mesh.  Where the Apollonian chart or a map moves the nodes,
-each quad is split along its local Delaunay diagonal, which is always an
-edge, and the cotangents come from the moved nodes.  An aligned grid's quads
-are similar cyclic trapezoids that a centre only translates: every quad
-takes the cotangents of the first one, and no diagonal, whose conductance
-is 0, so an off-centre grid has the centred conductances bit for bit.  An
-image grid is the same grid with its nodes pushed through the map, so no map
-needs special treatment.  The 3D grids are orthogonal, with two-point tube
-conductances from closed-form chords that ignore the centre.
+shape-regular mesh.  Every planar grid is the log-polar grid of an annulus or
+a half semiring, with its nodes pushed through a map or not: an Apollonian
+semiring is the half semiring through its Moebius chart, a private
+``Mapping``, and an image grid of it goes through the chart and then the map.
+Where a map moves the nodes, each quad is split along its local Delaunay
+diagonal, which is always an edge, and the cotangents come from the moved
+nodes.  An aligned grid's quads are similar cyclic trapezoids that a centre
+only translates: every quad takes the cotangents of the first one, and no
+diagonal, whose conductance is 0, so an off-centre grid has the centred
+conductances bit for bit.  No map needs special treatment.  The 3D grids are
+orthogonal, with two-point tube conductances from closed-form chords that
+ignore the centre.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from functools import partial
 import numpy as np
 
 from .geometry import Annulus, ApollonianSemiring, HalfSemiring, Shape, span_area
-from .maps import Mapping
+from .maps import Composition, Mapping
 
 
 class ConvergenceError(RuntimeError):
@@ -91,7 +94,7 @@ class GridGraph:
     # hand or edited with dataclasses.replace, whose hop layers the solver finds
     layer: np.ndarray = field(init=False, default=None, repr=False)
     # angular over radial P1 conductance of the aligned log-polar grid a planar
-    # builder starts from, before the chart and the map; None on 3D grids and
+    # builder starts from, before any map; None on 3D grids and
     # on graphs built by hand or edited, whose CG the solver Jacobi-preconditions
     ratio: float = field(init=False, default=None, repr=False)
 
@@ -183,25 +186,30 @@ def _cot(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return z.real / np.abs(z.imag)
 
 
-def _apollonian_embed(pole: np.ndarray):
-    """Conformal chart of the Apollonian semiring in the complex plane.
+@dataclass(frozen=True, eq=False)
+class _ApollonianChart(Mapping):
+    """Conformal chart of the Apollonian semiring about +/- ``pole`` in the plane.
 
-    The Moebius map z -> pole * (1 + w)/(1 - w) carries the half-annulus
-    {r0 <= |w| <= r1, Re w <= 0} onto the region of the unit disk between two
-    Apollonian circles about +/- pole; grid orthogonality is preserved.
+    The Moebius map z -> pole (1 + w)/(1 - w), w = i z, carries the half
+    annulus {r0 <= |z| <= r1, Im z >= 0} of ``HalfSemiring(2, r0, r1)`` onto
+    the region of the unit disk between two Apollonian circles about +/- pole,
+    and keeps the grid orthogonal.  Points are read and written as complex
+    views of their coordinate pairs.
     """
-    xi = complex(pole[0], pole[1])
 
-    def chart(z: np.ndarray) -> np.ndarray:
-        w = z * 1j                                # rotate half-plane Re<=0 onto param span
-        return xi * (1.0 + w) / (1.0 - w)
+    pole: np.ndarray
 
-    return chart
+    def _eval(self, x):
+        w = np.ascontiguousarray(x).view(complex)[..., 0] * 1j   # Im z >= 0 onto Re w <= 0
+        return (complex(self.pole[0], self.pole[1]) * (1.0 + w) / (1.0 - w))[..., None].view(float)
+
+    def describe(self):
+        return f"apollonian-chart:xi={float(self.pole[0])!r},{float(self.pole[1])!r}"
 
 
 def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGraph:
-    """Log-polar product grid, through the shape's chart and then ``mapping``,
-    with the P1 conductances of its triangulation.
+    """Log-polar product grid of an annulus or half semiring, through
+    ``mapping`` if one is given, with the P1 conductances of its triangulation.
 
     Each quad a, b, c, d = (k, m), (k+1, m), (k+1, m+1), (k, m+1) is split
     into two triangles along a diagonal, and every triangle adds half the
@@ -211,40 +219,25 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
 
     The quads of the log-polar source grid are similar isosceles trapezoids,
     and a centre only translates them, which changes no cotangent.  So an
-    aligned grid (an annulus or half semiring with no map) takes every
-    quad's cotangents from the first source quad, split along a-c; its quads
-    are cyclic, so the diagonal's conductance, half the cotangent sum of the
-    corners facing it, is 0 and it is not an edge.  Where the Apollonian
-    chart or a map (``Identity`` too) moves the nodes, every quad takes its
-    own cotangents, is split along the diagonal of larger cotangent weight
-    (the local Delaunay choice) and keeps that diagonal, so the energy is
-    exactly the P1 energy of the triangulation.  Both assemble the same way:
-    the sides on the semiring's end columns and on the source and sink
-    layers border one triangle.  Edges are the radial ones, the angular
-    ones, then the diagonals, each block in (k, m) order.  ``ratio`` is the
-    first source quad's angular over radial conductance.
+    aligned grid (no map) takes every quad's cotangents from the first source
+    quad, split along a-c, whose two radial sides take the mean of their
+    cotangents, equal in exact arithmetic; its quads are cyclic, so the
+    diagonal's conductance, half the cotangent sum of the corners facing it,
+    is 0 and it is not an edge.  Where a map (``Identity`` and the Apollonian
+    chart too) moves the nodes, every quad takes its own cotangents, is split
+    along the diagonal of larger cotangent weight (the local Delaunay choice)
+    and keeps that diagonal, so the energy is exactly the P1 energy of the
+    triangulation.  Both assemble the same way: the sides on the semiring's
+    end columns and on the source and sink layers border one triangle.  Edges
+    are the radial ones, the angular ones, then the diagonals, each block in
+    (k, m) order.  ``ratio`` is the first source quad's angular over radial
+    conductance.
     """
-    if isinstance(shape, ApollonianSemiring):
-        wrap, chart = False, _apollonian_embed(shape.pole)
-    elif isinstance(shape, (Annulus, HalfSemiring)):
-        wrap, center = isinstance(shape, Annulus), complex(*shape.center)
-
-        def chart(z):
-            return z + center
-    else:
-        raise TypeError(f"unsupported shape {type(shape).__name__}")
-
+    wrap = shape.kind == "ring"
     radii = np.exp(np.linspace(math.log(shape.r0), math.log(shape.r1), K))
     theta = np.arange(M) * (2.0 * math.pi / M) if wrap else np.linspace(0.0, math.pi, M)
     source = radii[:, None] * np.exp(1j * theta)
-    z = chart(source)                                               # (K, M) complex nodes
-    pts = np.stack([z.real, z.imag], axis=-1).reshape(-1, 2)
-    if mapping is not None:
-        pts = mapping(pts)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError(f"{mapping.describe()} maps grid nodes of the shape "
-                             "to non-finite points")
-        z = (pts[:, 0] + 1j * pts[:, 1]).reshape(K, M)
+    pts = np.stack([source.real, source.imag], axis=-1).reshape(-1, 2) + shape.center
 
     def sides(a, b, c, d, ac):
         # each side ab, bc, cd, da takes the cotangent at the corner opposite
@@ -255,11 +248,18 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
     ids = np.arange(K * M).reshape(K, M)
     Q = M if wrap else M - 1                      # quads per radial step
     # the first source quad, split along a-c: its cotangents give the ratio
-    # and, on an aligned grid, the conductances of every quad
+    # and, on an aligned grid, the conductances of every quad; the mean of
+    # its radial sides ab and cd keeps their sum, so a semiring's end columns
+    # carry exactly half the interior radial conductance
     cots = sides(source[0, 0], source[1, 0], source[1, 1], source[0, 1], True)
+    cots[0] = cots[2] = 0.5 * (cots[0] + cots[2])
     ratio = float((cots[3] + cots[1]) / (cots[0] + cots[2]))      # (da + bc) / (ab + cd)
     edges, s_diag = [_grid_edges(ids, 1 if wrap else None)], []
-    if mapping is not None or isinstance(shape, ApollonianSemiring):
+    if mapping is not None:
+        pts = mapping(pts)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"{mapping.describe()} maps grid nodes to non-finite points")
+        z = (pts[:, 0] + 1j * pts[:, 1]).reshape(K, M)
         nxt, zn = np.roll(ids, -1, axis=1)[:, :Q], np.roll(z, -1, axis=1)[:, :Q]
         a, b, c, d = z[:-1, :Q], z[1:, :Q], zn[1:], zn[:-1]
         angle = [_cot(d, a, b), _cot(a, b, c), _cot(b, c, d), _cot(c, d, a)]
@@ -279,6 +279,20 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
     return graph
 
 
+def _build_planar(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGraph:
+    """``_build_2d`` of a planar shape, refusing any other kind with TypeError.
+    An Apollonian semiring is the half semiring ``HalfSemiring(2, r0, r1)``
+    pushed through its chart and then through ``mapping``."""
+    if K < 8 or M < 8:
+        raise ValueError("resolution too small: need at least 8 cells each way")
+    if isinstance(shape, ApollonianSemiring):
+        chart, shape = _ApollonianChart(shape.pole), HalfSemiring(2, shape.r0, shape.r1)
+        mapping = chart if mapping is None else Composition((chart, mapping))
+    elif not isinstance(shape, (Annulus, HalfSemiring)):
+        raise TypeError(f"unsupported shape {type(shape).__name__}")
+    return _build_2d(shape, K, M, mapping)
+
+
 def _build_3d(shape: Shape, K: int, J: int) -> GridGraph:
     """Log-spherical product grid; azimuthal count is 2*J.
 
@@ -296,6 +310,8 @@ def _build_3d(shape: Shape, K: int, J: int) -> GridGraph:
     """
     if not isinstance(shape, (Annulus, HalfSemiring)):
         raise NotImplementedError("three-dimensional grids support annuli and half semirings only")
+    if K < 8 or J < 8:
+        raise ValueError("resolution too small: need at least 8 cells each way")
     I = 2 * J
     radii = np.exp(np.linspace(math.log(shape.r0), math.log(shape.r1), K))
     dphi = (math.pi / 2 if isinstance(shape, HalfSemiring) else math.pi) / J
@@ -329,13 +345,12 @@ def build_grid(shape: Shape, radial_cells: int, angular_cells: int) -> GridGraph
 
     Radii are log-uniform in [r0, r1]; angles uniform on the (hemi)circle or
     (hemi)sphere.  The inner boundary layer is the source set, the outer the
-    sink.  Apollonian grids are built in the conformal bipolar chart, so their
-    level sets follow the Apollonian spheres.
+    sink.  A planar Apollonian grid is the grid of ``HalfSemiring(2, r0, r1)``
+    pushed through the conformal bipolar chart, so its level sets follow the
+    Apollonian circles.
     """
-    if radial_cells < 8 or angular_cells < 8:
-        raise ValueError("resolution too small: need at least 8 cells each way")
     if shape.n == 2:
-        return _build_2d(shape, radial_cells, angular_cells, None)
+        return _build_planar(shape, radial_cells, angular_cells, None)
     if shape.n == 3:
         return _build_3d(shape, radial_cells, angular_cells)
     raise NotImplementedError("grids are implemented for n in {2, 3}")
@@ -439,8 +454,8 @@ def _source_inverse(graph: GridGraph):
     conductance, is S = T (x) H + ratio I (x) L_theta, ratio = ``graph.ratio``:
     T is the radial path Laplacian held at both ends, L_theta the angular
     cycle (ring) or path (semiring) Laplacian, and H = I on a ring and
-    diag(1/2, 1, ..., 1, 1/2) on a semiring, whose end columns carry half the
-    radial conductance.  A DST-I diagonalises T, with eigenvalues
+    diag(1/2, 1, ..., 1, 1/2) on a semiring, whose end columns carry exactly
+    half the radial conductance.  A DST-I diagonalises T, with eigenvalues
     2 - 2 cos(pi i / (K - 1)), i = 1 .. K - 2.  An rfft diagonalises the cycle,
     with eigenvalues 2 - 2 cos(2 pi j / M), and a DCT-I diagonalises H^-1 times
     the path, with eigenvalues 2 - 2 cos(pi j / (M - 1)).  So S^-1 r is a
@@ -451,7 +466,8 @@ def _source_inverse(graph: GridGraph):
     map with singular values s1 >= s2 changes the Dirichlet energy of every
     triangle by at most K = s1/s2 each way, and both splits of a cyclic
     source quad give the same energy, so S^-1 L has condition number at
-    most K^2 on any mesh; the chart and smooth maps come close to that.
+    most K^2 on any mesh; smooth maps, the Apollonian chart among them, come
+    close to that.
     """
     from scipy import fft
 
@@ -597,14 +613,13 @@ def build_image_grid(mapping: Mapping, shape: Shape, resolution: tuple[int, int]
 
     Every grid node is pushed through the map, and the conductances are the
     P1 cotangent conductances of the image triangulation (see ``_build_2d``).
-    Planar shapes only; the map must be nonsingular on the closed shape.
+    An Apollonian semiring's nodes go through its chart first, as in
+    ``build_grid``.  Planar shapes only; the map must be nonsingular on the
+    closed shape.
     """
     if shape.n != 2:
         raise NotImplementedError("image grids are implemented for n = 2")
-    K, M = resolution
-    if K < 8 or M < 8:
-        raise ValueError("resolution too small: need at least 8 cells each way")
-    return _build_2d(shape, K, M, mapping)
+    return _build_planar(shape, *resolution, mapping)
 
 
 def image_modulus(mapping: Mapping, shape: Shape, resolution: tuple[int, int]) -> ModulusEstimate:

@@ -548,35 +548,38 @@ def _sc_blowup(cfg):
 
 @_register("solver-annulus", ("solver",), "plane ring estimate against the closed form")
 def _sc_solver_annulus(cfg):
-    g = discrete.build_grid(geometry.Annulus(n=2, r0=1.0, r1=math.e), 64, 256)
-    est = discrete.modulus_connect(g)
-    rel = abs(est.m_gamma - 2.0 * math.pi) / (2.0 * math.pi)
+    shape = geometry.Annulus(n=2, r0=1.0, r1=math.e)
+    est = discrete.modulus_connect(discrete.build_grid(shape, 64, 256))
+    exact = geometry.gamma_family_modulus(shape)
+    rel = abs(est.m_gamma - exact) / exact
     return [_close("annulus-64x256-reldev", rel, 0.0, 1e-3, "derived", cfg)]
 
 
 @_register("solver-semiring", ("solver",), "half ring estimate against the closed form")
 def _sc_solver_semiring(cfg):
-    g = discrete.build_grid(geometry.HalfSemiring(n=2, r0=1.0, r1=math.e), 64, 129)
-    est = discrete.modulus_connect(g)
-    rel = abs(est.m_gamma - math.pi) / math.pi
+    shape = geometry.HalfSemiring(n=2, r0=1.0, r1=math.e)
+    est = discrete.modulus_connect(discrete.build_grid(shape, 64, 129))
+    exact = geometry.gamma_family_modulus(shape)
+    rel = abs(est.m_gamma - exact) / exact
     return [_close("semiring-64x129-reldev", rel, 0.0, 1e-3, "literature", cfg)]
 
 
 @_register("solver-apollonian", ("solver",), "bipolar-chart estimate against the closed form")
 def _sc_solver_apollonian(cfg):
-    g = discrete.build_grid(geometry.ApollonianSemiring(n=2, r0=0.1, r1=1.0), 64, 129)
-    est = discrete.modulus_connect(g)
-    rel = abs(est.mo - math.log(10.0)) / math.log(10.0)
+    shape = geometry.ApollonianSemiring(n=2, r0=0.1, r1=1.0)
+    est = discrete.modulus_connect(discrete.build_grid(shape, 64, 129))
+    exact = geometry.exact_modulus(shape)
+    rel = abs(est.mo - exact) / exact
     return [_close("apollonian-mo-reldev", rel, 0.0, 1e-3, "literature", cfg)]
 
 
 @_register("solver-refinement", ("solver",), "error decreases under grid refinement")
 def _sc_solver_refine(cfg):
-    rels = []
+    shape = geometry.Annulus(n=2, r0=1.0, r1=math.e)
+    exact, rels = geometry.gamma_family_modulus(shape), []
     for (K, M) in ((16, 64), (32, 128), (64, 256)):
-        g = discrete.build_grid(geometry.Annulus(n=2, r0=1.0, r1=math.e), K, M)
-        est = discrete.modulus_connect(g)
-        rels.append(abs(est.m_gamma - 2.0 * math.pi) / (2.0 * math.pi))
+        est = discrete.modulus_connect(discrete.build_grid(shape, K, M))
+        rels.append(abs(est.m_gamma - exact) / exact)
     return [
         _flag("refinement-decreasing", rels[0] > rels[1] > rels[2], "derived"),
         _close("finest-reldev", rels[2], 0.0, 1e-3, "derived", cfg),
@@ -609,7 +612,7 @@ def _sc_solver_image(cfg):
     twisted = discrete.image_modulus(maps.RotationTwist(), half, (64, 129))
     return [
         _close("image-vs-direct-reldev", rel, 0.0, 1e-3, "derived", cfg),
-        _close("image-mo", img.mo, 1.0, 1e-3, "derived", cfg),
+        _close("image-mo", img.mo, geometry.exact_modulus(shape), 1e-3, "derived", cfg),
         _in_bracket("shear-image-mo", shear.mo, 0.881555, 0.881637, 5e-3, "derived", cfg),
         _in_bracket("twisted-semiring-mo", twisted.mo, 1.69068, 1.69821, 5e-3, "derived", cfg),
     ]

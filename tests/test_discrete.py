@@ -698,8 +698,9 @@ def test_aligned_grid_takes_one_quads_cotangents(monkeypatch, shape):
     ends = [(angular[0], angular[-1], angular[1, 0])]
     if shape.kind == "semiring":
         ends.append((radial[:, 0], radial[:, -1], inner[0, 0]))
-        # the two radial sides of a source quad are equal in exact arithmetic
-        assert radial[0, 0] == pytest.approx(inner[0, 0] / 2, rel=1e-13)
+        # the two radial sides of a source quad, equal in exact arithmetic,
+        # take their mean, so each end column carries exactly half of it
+        assert radial[0, 0] == inner[0, 0] / 2
     for first, last, interior in ends:
         assert len(np.unique(first)) == len(np.unique(last)) == 1
         assert first[0] + last[0] == interior
@@ -707,13 +708,26 @@ def test_aligned_grid_takes_one_quads_cotangents(monkeypatch, shape):
 
 
 def test_apollonian_grid_in_unit_ball():
-    shape = ApollonianSemiring(n=2, r0=0.1, r1=1.0)
-    g = build_grid(shape, 16, 33)
-    assert np.linalg.norm(g.nodes, axis=1).max() <= 1.0 + 1e-9
-    ratios = (np.linalg.norm(g.nodes - shape.pole, axis=1)
-              / np.linalg.norm(g.nodes + shape.pole, axis=1))
-    assert ratios.min() >= 0.1 - 1e-9
-    assert ratios.max() <= 1.0 + 1e-9
+    # the chart carries the half semiring's source and sink layers onto the
+    # Apollonian circles |x - xi| / |x + xi| = r0 and r1, and the grid into
+    # the closed unit disk, up to rounding
+    for pole in ((1.0, 0.0), (0.6, 0.8), (-1.0, 0.0)):
+        shape = ApollonianSemiring(n=2, r0=0.1, r1=1.0, pole=np.array(pole))
+        g = build_grid(shape, 16, 33)
+        assert np.linalg.norm(g.nodes, axis=1).max() <= 1.0 + 4 * np.finfo(float).eps, pole
+        ratios = (np.linalg.norm(g.nodes - shape.pole, axis=1)
+                  / np.linalg.norm(g.nodes + shape.pole, axis=1))
+        np.testing.assert_allclose(ratios[g.source], 0.1, rtol=1e-14, atol=0, err_msg=str(pole))
+        np.testing.assert_allclose(ratios[g.sink], 1.0, rtol=1e-14, atol=0, err_msg=str(pole))
+        assert 0.1 * (1 - 1e-14) <= ratios.min() and ratios.max() <= 1.0 + 1e-14, pole
+
+
+def test_apollonian_image_grid_maps_the_chart_nodes():
+    # an image grid over the Apollonian shape pushes the chart's nodes
+    # through the map: the same nodes, bit for bit, as mapping build_grid's
+    shape, shear = ApollonianSemiring(n=2, r0=0.1, r1=1.0), Linear([[1.0, 0.6], [0.0, 1.0]])
+    image = discrete.build_image_grid(shear, shape, (16, 33))
+    np.testing.assert_array_equal(image.nodes, shear(build_grid(shape, 16, 33).nodes))
 
 
 def test_annulus_estimate_and_admissibility():
@@ -759,7 +773,7 @@ def test_three_dimensional_refinement_order():
 def test_symmetry_principle():
     ea = modulus_connect(build_grid(Annulus(n=2, r0=1.0, r1=E), 32, 128))
     es = modulus_connect(build_grid(HalfSemiring(n=2, r0=1.0, r1=E), 32, 65))
-    assert es.m_gamma == pytest.approx(ea.m_gamma / 2.0, rel=0.03)
+    assert es.m_gamma == pytest.approx(ea.m_gamma / 2.0, rel=1e-14)
 
 
 def test_three_dimensional_grid():
