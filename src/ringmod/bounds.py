@@ -13,20 +13,19 @@ the spherical rule, and ``_refine`` doubles the radial and angular node
 counts up to ``max_refine`` times, stopping once the value changes by at
 most QUAD_RTOL relative; the last change is the error estimate.  A value
 whose last change still exceeds the tolerance stopped at its cap
-(``_capped``); the eq1est, eq2est, Hoelder and domfac reports say so in
-``details["capped"]``.
+(``_capped``); every refined report (eq1est, eq2est, modintbound, Hoelder,
+domfac and infinity) says so in ``details["capped"]``.
 
-The evaluators ``eq1est_bounds``, ``eq2est_bounds``,
+The evaluators ``eq1est_bounds``, ``eq2est_bounds``, ``modintbound``,
 ``dominated_modulus_bound``, ``holder_identity_check``,
-``continuity_bounds`` and ``infinity_check`` return a BoundReport carrying
-the bound (and, for a two-sided check, the other side), the error estimate
-from refining, and a verdict.  ``modintbound``, ``separation_bound``,
-``boundary_estimate`` and ``psi_D`` return a float and
-``modintbound_with_error`` a value with its error.  One rule judges every
-checked side: a side that fails by ``excess`` with combined error ``err``
-is ``inconclusive`` when err is not finite, ``holds`` when
-excess <= err + VERDICT_FLOOR and ``violated`` otherwise; a report takes
-its worst side.
+``continuity_bounds``, ``separation_bound`` and ``infinity_check`` return a
+BoundReport carrying the bound (and, for a two-sided check, the other side),
+the error estimate, and a verdict.  ``boundary_estimate`` and ``psi_D``
+return a float and ``modintbound_with_error`` a value with its error.  One
+rule judges every checked side: a side that fails by ``excess`` with
+combined error ``err`` is ``inconclusive`` when err is not finite, ``holds``
+when excess <= err + VERDICT_FLOOR and ``violated`` otherwise; a report
+takes its worst side.
 """
 
 from __future__ import annotations
@@ -420,8 +419,13 @@ def modintbound_with_error(mapping: Mapping, x0, r: float, R: float,
 
 
 def modintbound(mapping: Mapping, x0, r: float, R: float,
-                spec: QuadratureSpec = DEFAULT_SPEC, full_sphere: bool = False) -> float:
-    return modintbound_with_error(mapping, x0, r, R, spec, full_sphere)[0]
+                spec: QuadratureSpec = DEFAULT_SPEC, full_sphere: bool = False) -> BoundReport:
+    """``modintbound_with_error`` as a report: the lower bound on the left,
+    its last refinement change as the error, verdict ``not-checked``, and
+    ``details`` r, R and capped."""
+    val, err = modintbound_with_error(mapping, x0, r, R, spec, full_sphere)
+    return BoundReport("modintbound", val, None, err, "not-checked",
+                       {"r": r, "R": R, "capped": _capped(val, err)})
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +562,12 @@ def dominated_modulus_bound(m: float, big_m: float, r0: float, n: int,
 # separation / boundary regularity constants
 # ---------------------------------------------------------------------------
 
-def separation_bound(mo: float, n: int = 2) -> float:
-    """Upper bound Q_n exp(-mo/2) for the smaller complementary diameter."""
+def separation_bound(mo: float, n: int = 2) -> BoundReport:
+    """Upper bound Q_n exp(-mo/2) for the smaller complementary diameter, as
+    a report: a closed form, so its error is 0, verdict ``not-checked``."""
     _require_finite(mo=mo)
-    return constants_for(n).q_value * math.exp(-0.5 * mo)
+    return BoundReport("separation", constants_for(n).q_value * math.exp(-0.5 * mo), None,
+                       0.0, "not-checked")
 
 
 def boundary_estimate(mo: float, dist: float, n: int = 2) -> float:
@@ -717,9 +723,10 @@ def infinity_check(field_or_map, r0: float, radii, x0,
     1, so that log R > 0, and each half semiring S(x0; r0, R) refuses
     R <= r0 and an x0 off the boundary hyperplane.  The report's left side
     is the value at the last radius and its error that radius's quadrature
-    error over (log R)^2.  Verdict ``extends`` needs the sequence to be
-    decreasing with final value below 1e-2 and a finite error; anything else
-    is inconclusive.
+    error over (log R)^2; ``details["capped"]`` says whether any radius's
+    quadrature stopped at its cap.  Verdict ``extends`` needs the sequence
+    to be decreasing with final value below 1e-2 and a finite error;
+    anything else is inconclusive.
     """
     radii = list(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])) or not radii:
@@ -730,13 +737,14 @@ def infinity_check(field_or_map, r0: float, radii, x0,
     field = (angular_dilatation_field(field_or_map, x0)
              if isinstance(field_or_map, Mapping) else field_or_map)
 
-    vals = []
+    vals, capped = [], False
     for R in radii:
         shape = HalfSemiring(n=len(x0), r0=r0, r1=R, center=x0)
         I, e = quad_weighted_with_error(lambda X: np.asarray(field(X)) - 1.0, shape, spec)
         vals.append(I / math.log(R) ** 2)
+        capped = capped or _capped(I, e)
     err = e / math.log(radii[-1]) ** 2
     decreasing = all(b < a + 1e-12 for a, b in zip(vals, vals[1:]))
     extends = decreasing and abs(vals[-1]) < 1e-2 and math.isfinite(err)
     return BoundReport("infinity", vals[-1], None, err, "extends" if extends else "inconclusive",
-                       details={"values": vals, "radii": radii})
+                       details={"values": vals, "radii": radii, "capped": capped})

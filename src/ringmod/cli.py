@@ -3,7 +3,7 @@
 Subcommands: special, modulus, dilatation, bounds, verify, sweep.
 Global flags --json/--csv write the primary output to files in addition to
 stdout; --tol-scale (>= 1) tightens every verification tolerance; --jobs
-(default from RINGMOD_JOBS) parallelizes scenario execution.  An optional
+(default 1) parallelizes scenario execution.  An optional
 config file holds ``key = value`` lines mirroring the long flag names of the
 chosen subcommand and the global flags; each value is read as the flag's
 type (switches take ``true`` or ``false``) and becomes that flag's default,
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -113,7 +112,6 @@ def _cmd_dilatation(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    spec = bd.QuadratureSpec()
     mapping = maps.parse_map(args.map) if args.map else maps.Identity()
     shape = geometry.parse_shape(args.shape) if args.shape else None
 
@@ -125,23 +123,20 @@ def _cmd_bounds(args) -> int:
             K, A = _parse_grid(args.image_grid)
             image_mo = discrete.image_modulus(mapping, shape, (K, A)).mo
         fn = bd.eq1est_bounds if args.which == "eq1est" else bd.eq2est_bounds
-        rep = fn(mapping, shape, spec, image_mo=image_mo,
+        rep = fn(mapping, shape, image_mo=image_mo,
                  image_mo_error=0.02 * image_mo if image_mo else 0.0)
     elif args.which == "modintbound":
         if not isinstance(shape, (geometry.Annulus, geometry.HalfSemiring)):
             raise ValueError("modintbound needs --shape annulus:... or semiring:...")
-        val, err = bd.modintbound_with_error(mapping, shape.x0, shape.r0, shape.r1, spec,
-                                             full_sphere=(shape.kind == "ring"))
-        rep = bd.BoundReport("modintbound", val, None, err, "not-checked",
-                             details={"r": shape.r0, "R": shape.r1,
-                                      "capped": bd._capped(val, err)})
+        rep = bd.modintbound(mapping, shape.x0, shape.r0, shape.r1,
+                             full_sphere=(shape.kind == "ring"))
     elif args.which == "domfac":
         rep = bd.dominated_modulus_bound(args.m, args.M, args.r0, args.n,
                                          bd.DominatingFactor.linear(args.gamma))
     elif args.which == "holder":
         if not isinstance(shape, geometry.HalfSemiring):
             raise ValueError("holder needs --shape semiring:... (a half semiring)")
-        rep = bd.holder_identity_check(mapping, shape.x0, shape.r0, shape.r1, spec)
+        rep = bd.holder_identity_check(mapping, shape.x0, shape.r0, shape.r1)
     elif args.which == "infinity":
         radii = [float(v) for v in args.radii.split(",")]
         rep = bd.infinity_check(mapping, args.r0, radii, np.zeros(args.n))
@@ -150,11 +145,9 @@ def _cmd_bounds(args) -> int:
             raise ValueError("continuity needs --dist")
         rep = bd.continuity_bounds(args.n, args.gamma, args.M, args.r0, args.dist, args.d)
     elif args.which == "separation":
-        val = bd.separation_bound(args.mo, args.n)
-        details = {}
+        rep = bd.separation_bound(args.mo, args.n)
         if args.dist is not None:
-            details["boundary_estimate"] = bd.boundary_estimate(args.mo, args.dist, args.n)
-        rep = bd.BoundReport("separation", val, None, 0.0, "not-checked", details=details)
+            rep.details["boundary_estimate"] = bd.boundary_estimate(args.mo, args.dist, args.n)
     else:
         raise ValueError(f"unknown bounds subcommand {args.which}")
 
@@ -195,8 +188,8 @@ def _add_globals(p, suppress=False):
                    **(kw or {"default": None}))
     p.add_argument("--csv", help="write CSV output to this path (verify)",
                    **(kw or {"default": None}))
-    p.add_argument("--jobs", type=int, help="parallel scenarios (default: RINGMOD_JOBS or 1)",
-                   **(kw or {"default": None}))
+    p.add_argument("--jobs", type=int, help="parallel scenarios (default 1)",
+                   **(kw or {"default": 1}))
     p.add_argument("--tol-scale", type=float, dest="tol_scale",
                    help="tighten every check tolerance by this factor (>= 1)",
                    **(kw or {"default": 1.0}))
@@ -313,8 +306,6 @@ def main(argv=None) -> int:
             _apply_config(parser, args)
             # flags on the command line win over the new defaults
             args = parser.parse_args(argv)
-        if args.jobs is None:
-            args.jobs = int(os.environ.get("RINGMOD_JOBS", "1"))
         # written so that a NaN --tol-scale fails it too
         if args.jobs < 1 or not 1.0 <= args.tol_scale < math.inf:
             raise ValueError("--jobs must be >= 1 and --tol-scale finite and >= 1")

@@ -205,7 +205,7 @@ def _sc_identity(cfg):
     r1 = bd.eq1est_bounds(ident, shape, image_mo=1.0)
     r2 = bd.eq2est_bounds(ident, shape, image_mo=1.0)
     psi = bd.psi_D(ident, 1.5, np.zeros(2))
-    mib = bd.modintbound(ident, np.zeros(2), 1.0, math.e)
+    mib = bd.modintbound(ident, np.zeros(2), 1.0, math.e).left
     hol = bd.holder_identity_check(ident, np.zeros(2), 0.5, 1.0)
     return [
         _close("eq1est-lower", r1.left, 1.0, 1e-9, "trivial", cfg),
@@ -226,7 +226,7 @@ def _sc_radial(cfg):
     m = maps.RadialStretch(a=a)
     shape = geometry.HalfSemiring(n=2, r0=1.0, r1=math.e)
     rep = bd.eq1est_bounds(m, shape, image_mo=a)   # image is S(0; 1, e^a), modulus a
-    mib = bd.modintbound(m, np.zeros(2), 1.0, math.e)
+    mib = bd.modintbound(m, np.zeros(2), 1.0, math.e).left
     return [
         _close("eq1est-lower", rep.left, a, 1e-3, "derived", cfg),
         _close("eq1est-upper", rep.right, a, 1e-3, "derived", cfg),
@@ -501,10 +501,10 @@ def _sc_infinity(cfg):
 def _sc_boundary(cfg):
     lc = bd.lipschitz_constants(0.0, 1.0, 2)
     out = [
-        _close("sep-bound-mo10", bd.separation_bound(10.0, 2),
+        _close("sep-bound-mo10", bd.separation_bound(10.0, 2).left,
                4.0 * math.exp(math.pi / 2.0) * math.exp(-5.0), 1e-5, "derived", cfg),
-        _flag("sep-monotone", bd.separation_bound(11.0, 2) < bd.separation_bound(10.0, 2),
-              "trivial"),
+        _flag("sep-monotone",
+              bd.separation_bound(11.0, 2).left < bd.separation_bound(10.0, 2).left, "trivial"),
         _close("lipschitz-c1", lc.c1, math.exp(math.pi), 1e-9, "derived", cfg),
         _close("lipschitz-c2", lc.c2, math.exp(math.pi), 1e-9, "derived", cfg),
         _flag("lipschitz-halving", abs(bd.lipschitz_constants(0.0, 2.0, 2).c1
@@ -534,7 +534,7 @@ def _sc_continuity(cfg):
 @_register("blowup-trend", ("fast", "bounds"), "image modulus grows without bound as the shell thins")
 def _sc_blowup(cfg):
     m = maps.RadialStretch(a=0.8)
-    vals = [bd.modintbound(m, np.zeros(2), r, 1.0) for r in (1e-1, 1e-2, 1e-4, 1e-8)]
+    vals = [bd.modintbound(m, np.zeros(2), r, 1.0).left for r in (1e-1, 1e-2, 1e-4, 1e-8)]
     growing = all(b > a for a, b in zip(vals, vals[1:]))
     return [
         _flag("image-modulus-blows-up", growing and vals[-1] > 10.0, "derived"),
@@ -759,6 +759,6 @@ def sweep(name: str) -> tuple[list[str], list]:
     if name == "image-blowup":
         rs = np.exp(np.linspace(math.log(1e-6), math.log(0.5), 40))[::-1]
         m = maps.RadialStretch(a=0.8)
-        rows = [[float(r), bd.modintbound(m, np.zeros(2), float(r), 1.0)] for r in rs]
+        rows = [[float(r), bd.modintbound(m, np.zeros(2), float(r), 1.0).left] for r in rs]
         return ["r", "lower_bound"], rows
     raise KeyError(f"unknown sweep {name!r}; known: teichmuller-gap, continuity2, image-blowup")

@@ -75,6 +75,10 @@ class Mapping:
         if np.any(d < SINGULAR_EPS):
             raise MapDomainError(f"{self.describe()}: point within {SINGULAR_EPS} of singular set")
 
+    def _jacobian(self, x) -> np.ndarray:
+        raise NotImplementedError(f"{self.describe()} has no analytic Jacobian; "
+                                  "use jacobian_fd for central differences")
+
     def _singularity_distance(self, x) -> np.ndarray:
         return np.full(x.shape[:-1], np.inf)
 

@@ -312,11 +312,11 @@ def test_modintbound_stays_below_image_estimate():
     from ringmod import image_modulus
     shape = HalfSemiring(n=2, r0=1.0, r1=E)
     est = image_modulus(RadialStretch(a=0.8), shape, (32, 65))
-    lower = modintbound(RadialStretch(a=0.8), np.zeros(2), 1.0, E)
+    lower = modintbound(RadialStretch(a=0.8), np.zeros(2), 1.0, E).left
     assert lower <= est.mo + 0.02 * est.mo
     ring = Annulus(n=2, r0=1.0, r1=E)
     est2 = image_modulus(RotationTwist(), ring, (32, 128))
-    lower2 = modintbound(RotationTwist(), np.zeros(2), 1.0, E, full_sphere=True)
+    lower2 = modintbound(RotationTwist(), np.zeros(2), 1.0, E, full_sphere=True).left
     assert lower2 <= est2.mo + 0.02 * est2.mo
 
 
@@ -405,18 +405,19 @@ def test_modintbound_error_from_refining_n5():
     A[4, 0], A[1, 4], A[4, 4] = 0.3, 0.2, 1.2
     val, err = bounds.modintbound_with_error(Linear(A), np.zeros(5), 1.0, E,
                                              QuadratureSpec(radial=8, angular=8))
-    ref = bounds.modintbound(Linear(A), np.zeros(5), 1.0, E, QuadratureSpec(radial=8, angular=32))
+    ref = bounds.modintbound(Linear(A), np.zeros(5), 1.0, E,
+                             QuadratureSpec(radial=8, angular=32)).left
     assert err > 1e-12
     assert abs(val - ref) <= err
 
 
 def test_modintbound_values():
-    assert modintbound(Identity(), np.zeros(2), 1.0, E) == pytest.approx(1.0, abs=1e-9)
+    assert modintbound(Identity(), np.zeros(2), 1.0, E).left == pytest.approx(1.0, abs=1e-9)
     # sharp for the radial stretch: matches the true image modulus
-    assert modintbound(RadialStretch(a=0.8), np.zeros(2), 1.0, E) == pytest.approx(
+    assert modintbound(RadialStretch(a=0.8), np.zeros(2), 1.0, E).left == pytest.approx(
         0.8, abs=1e-9)
     assert modintbound(RotationTwist(), np.zeros(2), 1.0, E,
-                       full_sphere=True) == pytest.approx(1.0, abs=1e-8)
+                       full_sphere=True).left == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(ValueError):
         modintbound(Identity(), np.zeros(2), 2.0, 1.0)
 
@@ -506,8 +507,19 @@ def test_dominated_bound_constants():
 # ---------------------------------------------------------------------------
 
 def test_separation_bound():
-    assert separation_bound(10.0, 2) == pytest.approx(0.12965096653297603, abs=1e-9)
-    assert separation_bound(11.0, 2) < separation_bound(10.0, 2)
+    assert separation_bound(10.0, 2).left == pytest.approx(0.12965096653297603, abs=1e-9)
+    assert separation_bound(11.0, 2).left < separation_bound(10.0, 2).left
+
+
+def test_modintbound_and_separation_reports():
+    # the exact reports that `ringmod bounds modintbound` and `separation` print
+    mib = modintbound(RadialStretch(a=0.8), np.zeros(2), 1.0, E)
+    assert mib.to_json() == {"id": "modintbound", "left": 0.8, "right": None, "error": 0.0,
+                             "verdict": "not-checked",
+                             "details": {"r": 1.0, "R": E, "capped": False}}
+    assert separation_bound(10.0, 2).to_json() == {
+        "id": "separation", "left": 0.12965096653297603, "right": None, "error": 0.0,
+        "verdict": "not-checked", "details": {}}
 
 
 def test_boundary_estimate():
@@ -645,6 +657,12 @@ def test_refinement_cap_is_reported():
     assert holder_identity_check(m, np.zeros(2), 0.5, 1.0, unrefined).details["capped"] is True
     dom = dominated_modulus_bound(10.0, PI, 1.0, 2, DominatingFactor.linear(1.0))
     assert dom.details["capped"] is False
+    assert modintbound(m, np.zeros(2), 1.0, E, unrefined).details["capped"] is True
+    radii = [E ** 5, E ** 10]
+    assert infinity_check(m, 1.0, radii, np.zeros(2)).details["capped"] is False
+    trend = infinity_check(m, 1.0, radii, np.zeros(2), unrefined)
+    assert trend.details["capped"] is True
+    assert trend.error == math.inf and trend.verdict == "inconclusive"
     # _refine itself: a value that keeps moving stops at the cap
     assert bounds._refine(lambda k: 2.0 ** -k, 3) == (0.125, 0.125, True)
     assert bounds._refine(lambda k: 1.0, 3) == (1.0, 0.0, False)
@@ -696,6 +714,7 @@ def test_infinity_trend_extends():
     # closed form: 0.25 * (half circle length) * log(R) / (log R)^2 at r0 = 1
     assert rep.details["values"][0] == pytest.approx(0.25 * PI / 5.0, rel=1e-6)
     assert rep.details["values"][-1] < 1e-2
+    assert rep.details["capped"] is False
 
 
 def test_infinity_check_about_a_shifted_center():

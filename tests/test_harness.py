@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ringmod import discrete, geometry, harness
+from ringmod import RadialStretch, RotationTwist, bounds, discrete, geometry, harness
 from ringmod.cli import main
 
 
@@ -252,6 +252,27 @@ def test_cli_bounds_modintbound_reports_capped(capsys):
     assert json.loads(text)["details"]["capped"] is False
 
 
+def test_cli_bounds_print_the_library_reports(capsys):
+    # the CLI builds no report of its own: it prints what bounds returns, and
+    # --dist only adds the boundary estimate to the separation report
+    sep = bounds.separation_bound(10.0, 2)
+    sep.details["boundary_estimate"] = bounds.boundary_estimate(10.0, 0.5, 2)
+    reports = [
+        (["modintbound", "--map", "radial:a=0.8", "--shape", "semiring:n=2,r0=1,r1=2.5"],
+         bounds.modintbound(RadialStretch(a=0.8), np.zeros(2), 1.0, 2.5)),
+        (["modintbound", "--map", "twist", "--shape", "annulus:n=2,r0=1,r1=2.5"],
+         bounds.modintbound(RotationTwist(), np.zeros(2), 1.0, 2.5, full_sphere=True)),
+        (["separation", "--mo", "10", "--n", "2"], bounds.separation_bound(10.0, 2)),
+        (["separation", "--mo", "10", "--dist", "0.5"], sep),
+        (["infinity", "--map", "radial:a=0.8", "--r0", "1", "--radii", "148,22026"],
+         bounds.infinity_check(RadialStretch(a=0.8), 1.0, [148.0, 22026.0], np.zeros(2))),
+    ]
+    for argv, rep in reports:
+        assert main(["bounds", *argv]) == 0
+        expected = json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n"
+        assert capsys.readouterr().out == expected
+
+
 def test_cli_bounds_holder_needs_a_half_semiring(capsys):
     assert main(["bounds", "holder", "--shape", "annulus:n=2,r0=0.5,r1=1"]) == 2
     assert "semiring" in capsys.readouterr().err
@@ -325,7 +346,7 @@ def test_cli_verify_determinism(tmp_path, capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_cli_config_file_and_env(tmp_path, capsys, monkeypatch):
+def test_cli_config_file_and_env(tmp_path, capsys):
     cfg = tmp_path / "ringmod.cfg"
     cfg.write_text("# comment\ntol-scale = 1.0\n")
     assert main(["--config", str(cfg), "special", "a2"]) == 0
@@ -355,9 +376,6 @@ def test_cli_config_file_and_env(tmp_path, capsys, monkeypatch):
     switch.write_text("with-image = maybe\n")
     assert main(["--config", str(switch), "bounds", "eq1est"]) == 2
     assert "with_image" in capsys.readouterr().err
-    monkeypatch.setenv("RINGMOD_JOBS", "2")
-    assert main(["special", "a2"]) == 0
-    capsys.readouterr()
 
 
 def test_cli_verify_failure_exit_code(capsys, monkeypatch):

@@ -5,15 +5,18 @@ import pytest
 
 from ringmod import (
     Composition,
+    HalfSemiring,
     Identity,
     IrregularPointError,
     Linear,
     MapDomainError,
     RadialStretch,
     RotationTwist,
+    eq1est_bounds,
     parse_map,
 )
 from ringmod.dilatation import angular_dilatation_field
+from ringmod.discrete import _ApollonianChart
 from ringmod.maps import _norm
 
 ALL_MAPS = [
@@ -186,6 +189,21 @@ def test_composition_checks_each_stage_once(monkeypatch):
     with pytest.raises(MapDomainError):
         doubled.jacobian_fd(np.zeros(2))
     assert doubled.singularity_distance(np.zeros(2)) == 0.0
+
+
+def test_a_map_without_an_analytic_jacobian_refuses_it_by_name():
+    # the Apollonian chart only places grid nodes and defines no _jacobian:
+    # alone, as a stage of a composition and under a bound, its Jacobian is
+    # refused with a clear error, and central differences still work
+    chart = _ApollonianChart(np.array([1.0, 0.0]))
+    comp = Composition((chart, Identity()))
+    x = np.array([0.5, 0.5])
+    for m in (chart, comp):
+        with pytest.raises(NotImplementedError, match="apollonian-chart.*jacobian_fd"):
+            m.jacobian(x)
+        assert np.all(np.isfinite(m.jacobian_fd(x)))
+    with pytest.raises(NotImplementedError, match="apollonian-chart"):
+        eq1est_bounds(comp, HalfSemiring(n=2, r0=1.0, r1=math.e))
 
 
 def test_domain_errors():
