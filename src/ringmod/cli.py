@@ -10,7 +10,9 @@ type (switches take ``true`` or ``false``) and becomes that flag's default,
 so flags on the command line win.
 
 Exit codes: 0 all checks passed, 1 at least one violation, 2 bad
-configuration or I/O.
+configuration or I/O.  Output a closed stdout cannot take is dropped
+quietly; the exit code and the files written stay those of the command.
+Each ``bounds`` subcommand takes only the flags it reads.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -43,7 +46,13 @@ def _load_config_file(path: str) -> dict:
 
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): drop the rest quietly, as
+        # the Python docs advise for SIGPIPE, with stdout on devnull so that the
+        # interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if getattr(args, "json", None):
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -112,8 +121,9 @@ def _cmd_dilatation(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    mapping = maps.parse_map(args.map) if args.map else maps.Identity()
-    shape = geometry.parse_shape(args.shape) if args.shape else None
+    # each subcommand's parser holds only the flags its branch reads
+    mapping = maps.parse_map(args.map) if getattr(args, "map", None) else maps.Identity()
+    shape = geometry.parse_shape(args.shape) if getattr(args, "shape", None) else None
 
     if args.which in ("eq1est", "eq2est"):
         if shape is None:
@@ -235,22 +245,33 @@ def build_parser() -> argparse.ArgumentParser:
     di.set_defaults(fn=_cmd_dilatation)
 
     bo = sub.add_parser("bounds", help="evaluate one explicit bound", parents=[common])
-    bo.add_argument("which", choices=["eq1est", "eq2est", "modintbound", "domfac",
-                                      "holder", "infinity", "continuity", "separation"])
-    bo.add_argument("--map", default=None)
-    bo.add_argument("--shape", default=None)
-    bo.add_argument("--gamma", type=float, default=1.0)
-    bo.add_argument("--M", type=float, default=math.pi)
-    bo.add_argument("--r0", type=float, default=1.0)
-    bo.add_argument("--n", type=int, default=2)
-    bo.add_argument("--m", type=float, default=10.0)
-    bo.add_argument("--mo", type=float, default=10.0)
-    bo.add_argument("--dist", type=float, default=None)
-    bo.add_argument("--d", type=float, default=1e-3)
-    bo.add_argument("--radii", default="100,10000,1000000")
-    bo.add_argument("--with-image", action="store_true", dest="with_image",
-                    help="also estimate the image modulus with the solver")
-    bo.add_argument("--image-grid", dest="image_grid", default="48x97")
+    bsub = bo.add_subparsers(dest="which", required=True)
+    # each bound takes only the flags it reads, so a foreign flag exits 2
+    flags = {
+        "--map": dict(default=None),
+        "--shape": dict(default=None),
+        "--gamma": dict(type=float, default=1.0),
+        "--M": dict(type=float, default=math.pi),
+        "--r0": dict(type=float, default=1.0),
+        "--n": dict(type=int, default=2),
+        "--m": dict(type=float, default=10.0),
+        "--mo": dict(type=float, default=10.0),
+        "--dist": dict(type=float, default=None),
+        "--d": dict(type=float, default=1e-3),
+        "--radii": dict(default="100,10000,1000000"),
+        "--with-image": dict(action="store_true", dest="with_image",
+                             help="also estimate the image modulus with the solver"),
+        "--image-grid": dict(dest="image_grid", default="48x97"),
+    }
+    image = "--map --shape --with-image --image-grid"
+    for which, names in (("eq1est", image), ("eq2est", image), ("modintbound", "--map --shape"),
+                         ("domfac", "--m --M --r0 --n --gamma"), ("holder", "--map --shape"),
+                         ("infinity", "--map --r0 --radii --n"),
+                         ("continuity", "--n --gamma --M --r0 --dist --d"),
+                         ("separation", "--mo --n --dist")):
+        q = bsub.add_parser(which, parents=[common])
+        for flag in names.split():
+            q.add_argument(flag, **flags[flag])
     bo.set_defaults(fn=_cmd_bounds)
 
     ve = sub.add_parser("verify", help="run the named verification scenarios",

@@ -37,6 +37,13 @@ points changes sign exactly once; bisection over the bit patterns of the
 doubles closes on that root in 62 halvings, one eigh per point, and the
 hard-case branch at beta_max covers the rest (see ``_max_stretch_block``).
 
+The kernels work on rows: entry (i, j) of A over a block of points, and
+component i of u or of an eigen-coordinate vector, is one array over the
+points, contiguous when A comes from a built-in map, whose Jacobians are
+stored component-major (see ``maps``).  Every sum over components in the
+n >= 3 kernel is taken in index order, x_0 + x_1 + ..., whatever the
+batch, so a point gives the same bits alone and in any stack.
+
 Every function takes stacks: matrices A of shape (..., n, n), directions u
 and points x of shape (..., n).  Results have the batch shape, and a single
 input gives numpy scalars.
@@ -192,8 +199,8 @@ def max_directional_stretch(A, u):
     return _max_stretch_batch(A, u)
 
 
-# points per call of the maximal-stretch kernel, which peaks at about 0.5 kB
-# per point at n = 3 and 0.8 kB at n = 4 on random, radial and twist input
+# points per call of the maximal-stretch kernel, which peaks at about 0.6 kB
+# per point at n = 3 and 1.0 kB at n = 4 on random, radial and twist input
 # alike (tracemalloc, 4096 points); a fixed block keeps fine quadrature
 # levels within memory
 _BLOCK = 4096
@@ -314,15 +321,26 @@ def _max_stretch_block(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     n - 1, with the top m components of z set to 0; no threshold decides m.
     Every candidate is a direction, scaled to a unit vector, so none
     exceeds the maximum.
+
+    Every array indexed by an eigen-coordinate (beta, y, d, the candidates)
+    and A^T A are kept as rows, component first and point last, so that
+    each elementwise step runs over contiguous rows; A is read through its
+    (n, n, N) view, contiguous rows when it is component-major as the maps'
+    Jacobians are.  Each sum over components, A^T A, y = V^T u, the sign of
+    f and the candidate scores, is taken in index order (``_rowsum``), so a
+    point's result does not depend on the batch it comes in.
     """
-    beta, V = np.linalg.eigh(np.swapaxes(A, -1, -2) @ A)
-    y = np.einsum("nji,nj->ni", V, u)
-    N, n = y.shape
-    top = np.fmax(beta[:, -1:], np.finfo(float).tiny)    # A = 0 has beta_max = 0
+    n = u.shape[-1]
+    a = np.moveaxis(A, 0, -1)                             # a[k, i] = A_ki, rows over the points
+    B = _rowsum(a[:, :, None] * a[:, None])               # B_ij = sum_k A_ki A_kj
+    beta, V = np.linalg.eigh(np.moveaxis(B, -1, 0))
+    beta, V, u = (np.ascontiguousarray(np.moveaxis(x, 0, -1)) for x in (beta, V, u))
+    y = _rowsum(V * u[:, None])                           # y_i = sum_j V_ji u_j
+    top = np.fmax(beta[-1], np.finfo(float).tiny)         # A = 0 has beta_max = 0
     d = (beta - top) / top
     e = 1.0 + 2.0 * d
     one = np.float64(1.0).view(np.int64)
-    lo, hi = np.zeros(N, np.int64), np.full(N, one)
+    lo, hi = np.zeros(len(top), np.int64), np.full(len(top), one)
     # y_i / (d_i - s) overflows near s = 0 to an inf that f's sign takes, and
     # infeasible or degenerate candidates come out non-finite and count as 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -331,24 +349,37 @@ def _max_stretch_block(A: np.ndarray, u: np.ndarray) -> np.ndarray:
         # count is that of the float64 format
         for _ in range(int(one).bit_length()):
             mid = (lo + hi) >> 1
-            s = mid.view(float)[:, None]
+            s = mid.view(float)
             w = y / (d - s)
-            positive = np.einsum("ni,ni->n", w * w, e - s) > 0.0      # f(s) > 0
+            positive = _rowsum(w * w * (e - s)) > 0.0                # f(s) > 0
             lo, hi = np.where(positive, mid, lo), np.where(positive, hi, mid)
-        root = _best_candidate((y / (d - hi.view(float)[:, None]))[:, None, :], beta, y)
+        root = _stretch(y / (d - hi.view(float)), beta, y)
         # z[:, m - 1] is y / d with its top m components set to 0
-        z = np.where(np.arange(n) < n - np.arange(1, n)[:, None], (y / d)[:, None, :], 0.0)
-        gamma = np.sqrt(-1.0 / (2.0 * np.einsum("nmi,ni->nm", z, y)))
-        tau = np.sqrt(1.0 - gamma ** 2 * np.einsum("nmi,nmi->nm", z, z))
-        hard = [gamma[..., None] * z + sign * tau[..., None] * np.eye(n)[-1] for sign in (1.0, -1.0)]
-        return np.maximum.reduce([root, *(_best_candidate(H, beta, y) for H in hard)])
+        keep = np.arange(n)[:, None] < np.arange(n - 1, 0, -1)
+        z = np.where(keep[..., None], (y / d)[:, None], 0.0)
+        y, beta = y[:, None], beta[:, None]
+        gamma = np.sqrt(-1.0 / (2.0 * _rowsum(z * y)))
+        tau = np.sqrt(1.0 - gamma ** 2 * _rowsum(z * z))
+        e_top = np.eye(n)[:, -1, None, None]
+        hard = [_stretch(gamma * z + sign * tau * e_top, beta, y).max(axis=0) for sign in (1.0, -1.0)]
+        return np.maximum.reduce([root, *hard])
 
 
-def _best_candidate(H: np.ndarray, beta: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Largest |Ah| |h.u| / |h|^2 over candidate rows H: (N, S, n) in eigen-coordinates."""
-    val = (np.sqrt(np.einsum("nsi,nsi,ni->ns", H, H, beta)) * np.abs(np.einsum("nsi,ni->ns", H, y))
-           / np.einsum("nsi,nsi->ns", H, H))
-    return np.where(np.isfinite(val), val, 0.0).max(axis=1)
+def _rowsum(t: np.ndarray) -> np.ndarray:
+    """t[0] + t[1] + ... in index order; a reduction may pair the terms
+    differently, for instance over a contiguous first axis."""
+    total = t[0] + t[1]
+    for row in t[2:]:
+        total += row
+    return total
+
+
+def _stretch(h: np.ndarray, beta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|Ah| |h.u| / |h|^2 for directions h in eigen-coordinates, components
+    on the first axis; 0 where it is not finite."""
+    hh = h * h
+    val = np.sqrt(_rowsum(hh * beta)) * np.abs(_rowsum(h * y)) / _rowsum(hh)
+    return np.where(np.isfinite(val), val, 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,14 @@ the finite-difference fallback uses central differences with a relative step.
 Evaluation refuses points closer than SINGULAR_EPS to a map's singular set
 (quadrature and solvers are expected to keep their sample points away from
 singular sets).
+
+Jacobians are stored component-major: each built-in map fills an array of
+shape (n, n, *batch), so that entry (i, j) of every matrix in the batch is
+one contiguous row, and ``jacobian`` returns its (*batch, n, n) view
+(``np.moveaxis``).  Elementwise work on one entry over a batch, as in the
+dilatation layer, then reads contiguous memory instead of an n*n*8-byte
+stride.  Values do not depend on the layout.  A composition's Jacobian is
+the ``@`` product of its stages' and has numpy's layout for that product.
 """
 
 from __future__ import annotations
@@ -35,6 +43,18 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(s)
 
 
+def _batch_view(J: np.ndarray) -> np.ndarray:
+    """The (*batch, n, n) view of a component-major (n, n, *batch) array."""
+    return np.moveaxis(J, (0, 1), (-2, -1))
+
+
+def _constant_jacobian(M: np.ndarray, batch: tuple) -> np.ndarray:
+    """The matrix M at every point of a batch, stored component-major."""
+    J = np.empty(M.shape + batch)
+    J[...] = M.reshape(M.shape + (1,) * len(batch))
+    return _batch_view(J)
+
+
 def _as_points(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] < 2:
@@ -51,10 +71,10 @@ class Mapping:
         return self._eval(x)
 
     def jacobian(self, x) -> np.ndarray:
-        """Analytic Jacobian matrices, shape (..., n, n)."""
+        """Analytic Jacobian matrices, shape (..., n, n); a view of a
+        component-major (n, n, ...) array for the built-in maps."""
         x = _as_points(x)
-        self._check_domain(x)
-        return self._jacobian(x)
+        return self._jacobian(x, self._check_domain(x))
 
     def jacobian_fd(self, x) -> np.ndarray:
         """Central-difference Jacobian with step h = FD_STEP_SCALE * max(1, |x|)
@@ -70,12 +90,15 @@ class Mapping:
         x = _as_points(x)
         return self._singularity_distance(x)
 
-    def _check_domain(self, x):
+    def _check_domain(self, x) -> np.ndarray:
+        """Refuse points near the singular set; returns their distances to it."""
         d = self._singularity_distance(x)
         if np.any(d < SINGULAR_EPS):
             raise MapDomainError(f"{self.describe()}: point within {SINGULAR_EPS} of singular set")
+        return d
 
-    def _jacobian(self, x) -> np.ndarray:
+    # _jacobian(x, dist) gets the distances the domain check computed
+    def _jacobian(self, x, dist) -> np.ndarray:
         raise NotImplementedError(f"{self.describe()} has no analytic Jacobian; "
                                   "use jacobian_fd for central differences")
 
@@ -91,9 +114,8 @@ class Identity(Mapping):
     def _eval(self, x):
         return x.copy()
 
-    def _jacobian(self, x):
-        n = x.shape[-1]
-        return np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n)).copy()
+    def _jacobian(self, x, dist):
+        return _constant_jacobian(np.eye(x.shape[-1]), x.shape[:-1])
 
     def describe(self):
         return "identity"
@@ -117,21 +139,21 @@ class RadialStretch(Mapping):
         r = _norm(x)[..., None]
         return r ** (self.a - 1.0) * x
 
-    def _jacobian(self, x):
+    def _jacobian(self, x, r):
         # entry (i, j) is r^(a-1) ((i == j) + (a - 1) u_i u_j), u = x/r, written
-        # out entry by entry; the matrix is symmetric
+        # out entry by entry; the matrix is symmetric.  r is the norm the
+        # domain check took, the singularity distance
         n = x.shape[-1]
-        r = _norm(x)
-        u = x / r[..., None]
+        u = [x[..., i] / r for i in range(n)]
         am1 = self.a - 1.0
-        J = np.empty(x.shape + (n,))
+        J = np.empty((n, n) + x.shape[:-1])
         # overflow leaves inf or NaN entries, which the dilatation layer refuses
         with np.errstate(over="ignore", invalid="ignore"):
             p = r ** am1
             for i in range(n):
                 for j in range(i, n):
-                    J[..., i, j] = J[..., j, i] = p * ((i == j) + am1 * (u[..., i] * u[..., j]))
-        return J
+                    J[i, j] = J[j, i] = p * ((i == j) + am1 * (u[i] * u[j]))
+        return _batch_view(J)
 
     def _singularity_distance(self, x):
         return _norm(x)
@@ -157,26 +179,26 @@ class RotationTwist(Mapping):
         out[..., 1] = x[..., 1] * c + x[..., 0] * s
         return out
 
-    def _jacobian(self, x):
+    def _jacobian(self, x, dist):
         n = x.shape[-1]
         x1, x2 = x[..., 0], x[..., 1]
         rho2 = x1 ** 2 + x2 ** 2
         th = np.log(rho2)
         c, s = np.cos(th), np.sin(th)
-        J = np.zeros(x.shape[:-1] + (n, n))
+        J = np.zeros((n, n) + x.shape[:-1])
         for i in range(2, n):
-            J[..., i, i] = 1.0
+            J[i, i] = 1.0
         # d/dz [R(th(z)) z] = R(th) (I + (2/rho^2) (Jz) z^T), Jz = (-x2, x1)
         g = 2.0 / rho2
         m00 = 1.0 + g * (-x2) * x1
         m01 = g * (-x2) * x2
         m10 = g * x1 * x1
         m11 = 1.0 + g * x1 * x2
-        J[..., 0, 0] = c * m00 - s * m10
-        J[..., 0, 1] = c * m01 - s * m11
-        J[..., 1, 0] = s * m00 + c * m10
-        J[..., 1, 1] = s * m01 + c * m11
-        return J
+        J[0, 0] = c * m00 - s * m10
+        J[0, 1] = c * m01 - s * m11
+        J[1, 0] = s * m00 + c * m10
+        J[1, 1] = s * m01 + c * m11
+        return _batch_view(J)
 
     def _singularity_distance(self, x):
         return np.hypot(x[..., 0], x[..., 1])
@@ -211,9 +233,8 @@ class Linear(Mapping):
     def _eval(self, x):
         return x @ self.matrix.T
 
-    def _jacobian(self, x):
-        n = x.shape[-1]
-        return np.broadcast_to(self.matrix, x.shape[:-1] + (n, n)).copy()
+    def _jacobian(self, x, dist):
+        return _constant_jacobian(self.matrix, x.shape[:-1])
 
     def describe(self):
         flat = ",".join(repr(float(v)) for v in self.matrix.ravel())

@@ -197,9 +197,9 @@ def test_quad_level_evaluated_in_bounded_blocks():
 
     # the shell levels of modintbound go through the same blocks
     class Recording(Linear):
-        def _jacobian(self, x):
+        def _jacobian(self, x, dist):
             batches.append(len(x))
-            return super()._jacobian(x)
+            return super()._jacobian(x, dist)
 
     mapping = Recording(LINEAR_N4)
     x0, nr, na = np.zeros(4), 128, 24

@@ -19,7 +19,6 @@ from ringmod import (
 from ringmod.bounds import modintbound_with_error
 from ringmod.dilatation import (
     _BLOCK,
-    _best_candidate,
     _det_dual,
     _max_stretch_block,
     _max_stretch_planar,
@@ -265,6 +264,13 @@ def _companion_max_stretch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.maximum.reduce([generic, *(_best_candidate(H, beta, y) for H in hard)])
 
 
+def _best_candidate(H: np.ndarray, beta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Largest |Ah| |h.u| / |h|^2 over candidate rows H: (N, S, n) in eigen-coordinates."""
+    val = (np.sqrt(np.einsum("nsi,nsi,ni->ns", H, H, beta)) * np.abs(np.einsum("nsi,ni->ns", H, y))
+           / np.einsum("nsi,nsi->ns", H, H))
+    return np.where(np.isfinite(val), val, 0.0).max(axis=1)
+
+
 def _unit_scaled(A):
     """A over the power of two of its largest entry, as ``_max_stretch_batch`` scales it."""
     return np.ldexp(A, -np.frexp(np.abs(A).max(axis=(1, 2)))[1][:, None, None])
@@ -294,6 +300,66 @@ def test_max_stretch_matches_dual_and_companion_oracle(n):
     mx = _max_stretch_block(A, u)
     np.testing.assert_allclose(mx, _companion_max_stretch(A, u), rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(mx, _dual_max_stretch(A, u), rtol=1e-12, atol=0.0)
+
+
+def _in_order_max_stretch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_max_stretch_block`` on row-major (N, n, n) and (N, n) arrays, with
+    every sum over components written out in index order."""
+    N, n = u.shape
+
+    def total(terms):
+        out = terms[0]
+        for t in terms[1:]:
+            out = out + t
+        return out
+
+    def score(h):
+        val = (np.sqrt(total([h[:, i] * h[:, i] * beta[:, i] for i in range(n)]))
+               * np.abs(total([h[:, i] * y[:, i] for i in range(n)]))
+               / total([h[:, i] * h[:, i] for i in range(n)]))
+        return np.where(np.isfinite(val), val, 0.0)
+
+    B = np.empty((N, n, n))
+    for i in range(n):
+        for j in range(n):
+            B[:, i, j] = total([A[:, k, i] * A[:, k, j] for k in range(n)])
+    beta, V = np.linalg.eigh(B)
+    y = np.stack([total([V[:, j, i] * u[:, j] for j in range(n)]) for i in range(n)], axis=1)
+    top = np.fmax(beta[:, -1:], np.finfo(float).tiny)
+    d = (beta - top) / top
+    e = 1.0 + 2.0 * d
+    lo, hi = np.zeros(N, np.int64), np.full(N, np.float64(1.0).view(np.int64))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(62):
+            mid = (lo + hi) >> 1
+            s = mid.view(float)
+            w = y / (d - s[:, None])
+            positive = total([w[:, i] * w[:, i] * (e[:, i] - s) for i in range(n)]) > 0.0
+            lo, hi = np.where(positive, mid, lo), np.where(positive, hi, mid)
+        best = score(y / (d - hi.view(float)[:, None]))
+        for m in range(1, n):
+            z = np.where(np.arange(n) < n - m, y / d, 0.0)
+            gamma = np.sqrt(-1.0 / (2.0 * total([z[:, i] * y[:, i] for i in range(n)])))
+            tau = np.sqrt(1.0 - gamma ** 2 * total([z[:, i] * z[:, i] for i in range(n)]))
+            for sign in (1.0, -1.0):
+                best = np.maximum(best, score(gamma[:, None] * z + sign * tau[:, None] * np.eye(n)[-1]))
+    return best
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_max_stretch_kernel_is_the_in_order_reference_in_either_layout(n):
+    # the kernel sums over components in index order on rows; einsum's order
+    # differed from it at 14% of n = 3 points
+    rng = np.random.default_rng(90 + n)
+    A, u = _oracle_families(rng, n)
+    X = rng.uniform(0.2, 2.0, (500, n))
+    twist = _unit_scaled(RotationTwist().jacobian(X))      # component-major, as the field has it
+    A, u = np.concatenate([A, twist]), np.concatenate([u, X / np.linalg.norm(X, axis=1, keepdims=True)])
+    expected = _in_order_max_stretch(A, u)
+    np.testing.assert_array_equal(_max_stretch_block(A, u), expected)
+    component_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(A, 0, -1)), -1, 0)
+    np.testing.assert_array_equal(_max_stretch_block(component_major, u), expected)
+    np.testing.assert_array_equal(_max_stretch_block(twist, u[-500:]), expected[-500:])
 
 
 def _tied_top_family(n, noise):

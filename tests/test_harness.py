@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -271,6 +273,45 @@ def test_cli_bounds_print_the_library_reports(capsys):
         assert main(["bounds", *argv]) == 0
         expected = json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n"
         assert capsys.readouterr().out == expected
+
+
+def test_cli_bounds_refuse_flags_they_do_not_read(tmp_path, capsys):
+    # each bounds subcommand has its own parser: a flag another one reads is
+    # refused with exit code 2 instead of being ignored
+    for argv in (["separation", "--mo", "10", "--map", "twist", "--shape", "annulus:n=3,r0=1,r1=2"],
+                 ["infinity", "--map", "radial:a=0.8", "--shape", "semiring:n=3,r0=2,r1=5",
+                  "--radii", "148,22026"],
+                 ["domfac", "--m", "10", "--dist", "0.5"],
+                 ["continuity", "--dist", "0.5", "--mo", "3"],
+                 ["holder", "--shape", "semiring:n=2,r=0.01,R=1", "--gamma", "2"],
+                 ["eq1est", "--shape", "semiring:n=2,r=1,R=2", "--radii", "148"],
+                 ["modintbound", "--shape", "semiring:n=2,r=1,R=2", "--with-image"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    # and so is a config key only another subcommand reads
+    cfg = tmp_path / "gamma.cfg"
+    cfg.write_text("gamma = 2.0\n")
+    assert main(["--config", str(cfg), "bounds", "separation", "--mo", "10"]) == 2
+    assert "unknown config key 'gamma'" in capsys.readouterr().err
+
+
+def test_cli_exits_quietly_on_a_closed_stdout(tmp_path):
+    # the reader is gone before the command writes: no traceback and no
+    # "error: [Errno 32] Broken pipe" on stderr, and the command's own exit
+    # code and --json file
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harness.__file__)))
+    out = tmp_path / "sep.json"
+    proc = subprocess.Popen([sys.executable, "-m", "ringmod.cli", "--json", str(out),
+                             "bounds", "separation", "--mo", "10"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+    assert json.loads(out.read_text()) == bounds.separation_bound(10.0, 2).to_json()
 
 
 def test_cli_bounds_holder_needs_a_half_semiring(capsys):

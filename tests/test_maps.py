@@ -17,6 +17,7 @@ from ringmod import (
 )
 from ringmod.dilatation import angular_dilatation_field
 from ringmod.discrete import _ApollonianChart
+from ringmod import maps
 from ringmod.maps import _norm
 
 ALL_MAPS = [
@@ -133,6 +134,61 @@ def test_radial_jacobian_matches_broadcast_formula(a, n):
     assert np.all(np.abs(Ja - Jf).max(axis=(-2, -1)) <= 1e-7 * scale)
 
 
+def _row_major_twist_jacobian(x):
+    """The twist's Jacobian written into a (..., n, n) array entry by entry."""
+    n = x.shape[-1]
+    x1, x2 = x[..., 0], x[..., 1]
+    rho2 = x1 ** 2 + x2 ** 2
+    th = np.log(rho2)
+    c, s = np.cos(th), np.sin(th)
+    J = np.zeros(x.shape[:-1] + (n, n))
+    for i in range(2, n):
+        J[..., i, i] = 1.0
+    g = 2.0 / rho2
+    m00, m01, m10, m11 = 1.0 + g * (-x2) * x1, g * (-x2) * x2, g * x1 * x1, 1.0 + g * x1 * x2
+    J[..., 0, 0] = c * m00 - s * m10
+    J[..., 0, 1] = c * m01 - s * m11
+    J[..., 1, 0] = s * m00 + c * m10
+    J[..., 1, 1] = s * m01 + c * m11
+    return J
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_builtin_jacobians_are_component_major_with_the_row_major_values(n):
+    rng = np.random.default_rng(40 + n)
+    X = _scaled_points(rng, n, [1e-3, 1.0, 1e3])
+    matrix = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+    cases = [(Identity(), lambda x: np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n))),
+             (RadialStretch(a=0.6), lambda x: _broadcast_radial_jacobian(0.6, x)),
+             (RotationTwist(), _row_major_twist_jacobian),
+             (Linear(matrix=matrix), lambda x: np.broadcast_to(matrix, x.shape[:-1] + (n, n)))]
+    for mapping, row_major in cases:
+        for x in (X, X[:60].reshape(4, 15, n), X[0]):
+            J = mapping.jacobian(x)
+            # the matrices view a C-contiguous (n, n, *batch) array
+            base = J if J.base is None else J.base
+            assert base.shape == (n, n) + x.shape[:-1] and base.flags.c_contiguous
+            np.testing.assert_array_equal(np.moveaxis(base, (0, 1), (-2, -1)), J)
+            np.testing.assert_array_equal(J, row_major(x))
+
+
+def test_radial_jacobian_takes_one_norm(monkeypatch):
+    # the domain check's norms are the radii of the Jacobian
+    calls = []
+    norm = maps._norm
+
+    def counted(x):
+        calls.append(x.shape)
+        return norm(x)
+
+    monkeypatch.setattr(maps, "_norm", counted)
+    X = np.random.default_rng(9).standard_normal((50, 3))
+    for x in (X, X[0], X.reshape(5, 10, 3)):
+        calls.clear()
+        RadialStretch(a=0.7).jacobian(x)
+        assert calls == [x.shape]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_radial_jacobian_overflow_is_refused_by_the_dilatation_field():
     # at |x| = 1e3, r^(a-1) = 1e3^399 overflows: the Jacobian carries inf and
@@ -165,9 +221,9 @@ def test_composition_checks_each_stage_once(monkeypatch):
     for cls in (RadialStretch, RotationTwist):
         for name, calls in (("_singularity_distance", checks), ("_eval", evals),
                             ("_jacobian", jacobians)):
-            def counted(self, x, original=getattr(cls, name), calls=calls):
+            def counted(self, x, *rest, original=getattr(cls, name), calls=calls):
                 calls.append(self)
-                return original(self, x)
+                return original(self, x, *rest)
             monkeypatch.setattr(cls, name, counted)
     radial, twist = RadialStretch(a=0.7), RotationTwist()
     comp = Composition(stages=(radial, twist))
