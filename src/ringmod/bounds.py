@@ -73,7 +73,14 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 QUAD_RTOL = 1e-7          # relative change at which _refine stops doubling
-QUAD_BLOCK = 1 << 16      # integrand points per call of g in _shell_sums
+# integrand points per call of g in _shell_sums.  At 1 << 14 the temporaries
+# of a block of the planar angular field (points, (2, 2, N) Jacobian, dual
+# rows) fit a 2 MiB L2 and stay below glibc's mmap threshold, so the heap
+# reuses them instead of faulting them in again: on a 2-core Xeon (BLAS on
+# 1 thread) a perfbench `bounds` pass took 3,400-4,300 minor faults and
+# 0.066 s at 1 << 16, about 3 faults and 0.056 s at 1 << 14; 1 << 12,
+# 1 << 13 and 1 << 15 read 0.054-0.061 s
+QUAD_BLOCK = 1 << 14
 # absolute slack of every verdict: sharp cases sit exactly on a bound, and
 # when two quadrature levels agree to the last bit the error estimate is 0,
 # so rounding alone would otherwise decide the verdict
@@ -208,11 +215,13 @@ def _shell_sums(g: Callable, x0: np.ndarray, radii: np.ndarray, rule) -> np.ndar
 
     ``rule`` is a (directions, weights) pair from ``_sphere_rule``.  Blocks of
     at most QUAD_BLOCK points in row-major (radius, direction) order bound the
-    memory.  A block's points are formed by broadcasting x0 + radius * z over
-    the shells the block spans (fewer than QUAD_BLOCK + 2 len(directions)
+    memory, and keep each block's temporaries cache-sized (see QUAD_BLOCK).
+    A block's points are formed by broadcasting x0 + radius * z over the
+    shells the block spans (fewer than QUAD_BLOCK + 2 len(directions)
     points), then cut to the block; each point is computed as in one
-    whole-level array, so the values are too.  A non-finite value raises
-    ValueError.
+    whole-level array, so the values are too, and the level is summed only
+    once every block is in: the result does not depend on QUAD_BLOCK.  A
+    non-finite value raises ValueError.
     """
     Z, wz = rule
     m = len(Z)

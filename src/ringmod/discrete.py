@@ -199,7 +199,7 @@ class _ApollonianChart(Mapping):
 
     pole: np.ndarray
 
-    def _eval(self, x):
+    def _eval(self, x, dist):
         w = np.ascontiguousarray(x).view(complex)[..., 0] * 1j   # Im z >= 0 onto Re w <= 0
         return (complex(self.pole[0], self.pole[1]) * (1.0 + w) / (1.0 - w))[..., None].view(float)
 

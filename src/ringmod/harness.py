@@ -408,7 +408,9 @@ def _sc_chains(cfg):
     out.append(_close("min-stretch-oracle-reldev", worst_ell, 0.0, 1e-5, "derived", cfg))
 
     # exact maximal stretch: never below direction sampling, equal to the dual
-    # bound; |Ah|^2 (h.u)^2 for every direction and case is one product
+    # bound; |Ah|^2 (h.u)^2 for a block of directions and every case is one
+    # product, and blocks of 2000 directions keep its (directions x cases)
+    # temporaries at 1.6 MB instead of 16 MB; the running max is exact
     rng = np.random.default_rng(41)
     worst_max = 0.0
     for n in (2, 3):
@@ -417,9 +419,13 @@ def _sc_chains(cfg):
         draws = rng.standard_normal((100, n * n + n))
         As, us = draws[:, :n * n].reshape(100, n, n), draws[:, n * n:]
         us /= np.linalg.norm(us, axis=1, keepdims=True)
-        hh = (dirs[:, :, None] * dirs[:, None, :]).reshape(-1, n * n)
-        q = hh @ (np.swapaxes(As, 1, 2) @ As).reshape(-1, n * n).T
-        sampled = np.sqrt(np.max(q * (dirs @ us.T) ** 2, axis=0))
+        BT = (np.swapaxes(As, 1, 2) @ As).reshape(-1, n * n).T
+        top = np.full(len(As), -np.inf)
+        for lo in range(0, len(dirs), 2000):
+            h = dirs[lo:lo + 2000]
+            hh = (h[:, :, None] * h[:, None, :]).reshape(-1, n * n)
+            np.maximum(top, np.max((hh @ BT) * (h @ us.T) ** 2, axis=0), out=top)
+        sampled = np.sqrt(top)
         exact = max_directional_stretch(As, us)
         dual = _dual_max_stretch(As, us)
         worst_max = max(worst_max, float(np.max((sampled - exact) / exact)),

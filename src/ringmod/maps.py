@@ -67,14 +67,18 @@ class Mapping:
 
     def __call__(self, x) -> np.ndarray:
         x = _as_points(x)
-        self._check_domain(x)
-        return self._eval(x)
+        return self._eval(x, self._check_domain(x))
 
     def jacobian(self, x) -> np.ndarray:
         """Analytic Jacobian matrices, shape (..., n, n); a view of a
         component-major (n, n, ...) array for the built-in maps."""
-        x = _as_points(x)
-        return self._jacobian(x, self._check_domain(x))
+        return self._jacobian_image(_as_points(x), False)[0]
+
+    def _jacobian_image(self, x, image: bool):
+        """(Jacobian at x, image of x if ``image`` else None) from one domain
+        check of x."""
+        dist = self._check_domain(x)
+        return self._jacobian(x, dist), (self._eval(x, dist) if image else None)
 
     def jacobian_fd(self, x) -> np.ndarray:
         """Central-difference Jacobian with step h = FD_STEP_SCALE * max(1, |x|)
@@ -97,7 +101,8 @@ class Mapping:
             raise MapDomainError(f"{self.describe()}: point within {SINGULAR_EPS} of singular set")
         return d
 
-    # _jacobian(x, dist) gets the distances the domain check computed
+    # _eval(x, dist) and _jacobian(x, dist) get the distances the domain
+    # check computed
     def _jacobian(self, x, dist) -> np.ndarray:
         raise NotImplementedError(f"{self.describe()} has no analytic Jacobian; "
                                   "use jacobian_fd for central differences")
@@ -111,7 +116,7 @@ class Mapping:
 
 @dataclass(frozen=True)
 class Identity(Mapping):
-    def _eval(self, x):
+    def _eval(self, x, dist):
         return x.copy()
 
     def _jacobian(self, x, dist):
@@ -135,14 +140,13 @@ class RadialStretch(Mapping):
         if not 0 < self.a < float("inf"):
             raise ValueError(f"stretch exponent a must be positive and finite, got {self.a}")
 
-    def _eval(self, x):
-        r = _norm(x)[..., None]
-        return r ** (self.a - 1.0) * x
+    # r is the norm the domain check took, the singularity distance
+    def _eval(self, x, r):
+        return r[..., None] ** (self.a - 1.0) * x
 
     def _jacobian(self, x, r):
         # entry (i, j) is r^(a-1) ((i == j) + (a - 1) u_i u_j), u = x/r, written
-        # out entry by entry; the matrix is symmetric.  r is the norm the
-        # domain check took, the singularity distance
+        # out entry by entry; the matrix is symmetric
         n = x.shape[-1]
         u = [x[..., i] / r for i in range(n)]
         am1 = self.a - 1.0
@@ -170,7 +174,7 @@ class RotationTwist(Mapping):
     Remaining coordinates are left unchanged.
     """
 
-    def _eval(self, x):
+    def _eval(self, x, dist):
         rho2 = x[..., 0] ** 2 + x[..., 1] ** 2
         th = np.log(rho2)
         c, s = np.cos(th), np.sin(th)
@@ -230,7 +234,7 @@ class Linear(Mapping):
         A.setflags(write=False)
         object.__setattr__(self, "matrix", A)
 
-    def _eval(self, x):
+    def _eval(self, x, dist):
         return x @ self.matrix.T
 
     def _jacobian(self, x, dist):
@@ -254,33 +258,35 @@ class Composition(Mapping):
         object.__setattr__(self, "stages", stages)
 
     # a call and a Jacobian check each stage at its own input as they go,
-    # which evaluates each stage once; _eval runs the stages unchecked, for
-    # an outer call that has already checked them
+    # which evaluates each stage once and hands it its own distances; _eval
+    # runs the stages unchecked, for an outer walk that has already checked
+    # them, and takes each stage's distances itself
     def __call__(self, x):
         for m in self.stages:
             x = m(x)
         return x
 
-    def jacobian(self, x):
-        x = _as_points(x)
-        J = self.stages[0].jacobian(x)
-        for prev, m in zip(self.stages, self.stages[1:]):
-            x = prev._eval(x)           # checked by prev.jacobian
-            J = m.jacobian(x) @ J
-        return J
+    def _jacobian_image(self, x, image):
+        J = None
+        for k, m in enumerate(self.stages):
+            # every stage but the last hands its image to the next
+            Jm, x = m._jacobian_image(x, image or k + 1 < len(self.stages))
+            J = Jm if J is None else Jm @ J
+        return J, x
 
-    def _eval(self, x):
+    def _eval(self, x, dist):
         for m in self.stages:
-            x = m._eval(x)
+            x = m._eval(x, m._singularity_distance(x))
         return x
 
     def _singularity_distance(self, x):
-        d = self.stages[0]._singularity_distance(x)
+        d = dm = self.stages[0]._singularity_distance(x)
         for prev, m in zip(self.stages, self.stages[1:]):
             if np.any(d < SINGULAR_EPS):
                 break
-            x = prev._eval(x)
-            d = np.minimum(d, m._singularity_distance(x))
+            x = prev._eval(x, dm)
+            dm = m._singularity_distance(x)
+            d = np.minimum(d, dm)
         return d
 
     def describe(self):

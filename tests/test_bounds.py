@@ -142,26 +142,26 @@ def test_quad_weighted_nonconstant():
     assert val == pytest.approx(PI / 2.0, abs=1e-9)
 
 
-def test_quad_refinement_stops_at_tolerance_or_cap():
+def test_quad_refinement_stops_at_tolerance_or_cap(monkeypatch):
     shape = HalfSemiring(n=2, r0=1.0, r1=E)
-    levels = []
+    levels, quad_once = [], bounds._quad_once
 
-    def counted(g):
-        def wrapped(X):
-            levels.append(len(X))
-            return g(X)
-        return wrapped
+    # a level is one rule, evaluated in as many QUAD_BLOCK calls of g as it needs
+    def counted(g, shape, nr, na):
+        levels.append((nr, na))
+        return quad_once(g, shape, nr, na)
 
+    monkeypatch.setattr(bounds, "_quad_once", counted)
     # no doubling leaves no error estimate
-    val, err = bounds.quad_weighted_with_error(counted(ONE), shape, QuadratureSpec(max_refine=0))
+    val, err = bounds.quad_weighted_with_error(ONE, shape, QuadratureSpec(max_refine=0))
     assert val == pytest.approx(PI) and err == math.inf and len(levels) == 1
     # a constant is exact at every level, so one doubling settles it
     levels.clear()
-    val, err = bounds.quad_weighted_with_error(counted(ONE), shape)
+    val, err = bounds.quad_weighted_with_error(ONE, shape)
     assert val == pytest.approx(PI) and err <= bounds.QUAD_RTOL * PI and len(levels) == 2
     # a jump in the angle keeps changing the value, so every doubling runs
     levels.clear()
-    jump = counted(lambda X: (X[:, 1] > X[:, 0]).astype(float))
+    jump = lambda X: (X[:, 1] > X[:, 0]).astype(float)
     val, err = bounds.quad_weighted_with_error(jump, shape)
     assert len(levels) == 1 + DEFAULT_SPEC.max_refine
     assert bounds.QUAD_RTOL * val < err < 1e-2
@@ -226,6 +226,31 @@ def test_quad_level_evaluated_in_bounded_blocks():
     inner = vals.reshape(len(radii), nq, len(Z)) @ wz
     whole = 2.0 * ((inner * q ** 3.0) @ wq) / bounds.ball_volume(4)
     assert np.array_equal(blocked, whole)
+
+
+def test_bounds_do_not_depend_on_the_block_size(monkeypatch):
+    # each point is computed as in one whole-level array and each level is
+    # summed once all its blocks are in, so every bound reads the same bits
+    # whether a block cuts a shell midway or spans a whole level: psi_D's one
+    # shell of 18432 points, modintbound's shells of 1458 points, and the
+    # 196608-point level of the Hoelder profile
+    def reports():
+        twist = RotationTwist()
+        sides = [(r.left, r.right, r.error, r.details) for r in (
+            eq1est_bounds(twist, HalfSemiring(n=2, r0=1.0, r1=E)),
+            eq1est_bounds(twist, HalfSemiring(n=3, r0=1.0, r1=E), QuadratureSpec(8, 8, 1)),
+            eq2est_bounds(twist, HalfSemiring(n=2, r0=1.0, r1=E)),
+            holder_identity_check(RadialStretch(a=0.8), np.zeros(2), 0.01, 1.0))]
+        modint = bounds.modintbound_with_error(Linear(LINEAR_N4), np.zeros(4), 1.0, E,
+                                               QuadratureSpec(16, 24, 1))
+        psi = psi_D(RadialStretch(a=0.8), 1.0, (0.3, 0.2, 0.1), QuadratureSpec(angular=96))
+        return repr((sides, modint, psi))
+
+    seen = {}
+    for block in (1 << 10, 1 << 14, 1 << 16):
+        monkeypatch.setattr(bounds, "QUAD_BLOCK", block)
+        seen[block] = reports()
+    assert seen[1 << 10] == seen[1 << 14] == seen[1 << 16]
 
 
 def test_quad_rejects_bad_input():

@@ -12,6 +12,8 @@ from ringmod import (
     MapDomainError,
     RadialStretch,
     RotationTwist,
+    build_grid,
+    build_image_grid,
     eq1est_bounds,
     parse_map,
 )
@@ -187,6 +189,32 @@ def test_radial_jacobian_takes_one_norm(monkeypatch):
         calls.clear()
         RadialStretch(a=0.7).jacobian(x)
         assert calls == [x.shape]
+
+
+def test_radial_call_takes_one_norm(monkeypatch):
+    # a call takes its radii from the domain check's norms too, with the bits
+    # of r^(a-1) x for r = |x|, so the radial image grid keeps its nodes
+    calls = []
+    norm = maps._norm
+
+    def counted(x):
+        calls.append(x.shape)
+        return norm(x)
+
+    monkeypatch.setattr(maps, "_norm", counted)
+    m = RadialStretch(a=0.8)
+    X = np.random.default_rng(9).standard_normal((50, 3))
+    for x in (X, X[0], X.reshape(5, 10, 3)):
+        calls.clear()
+        y = m(x)
+        assert calls == [x.shape]
+        np.testing.assert_array_equal(y, norm(x)[..., None] ** (0.8 - 1.0) * x)
+    shape = HalfSemiring(n=2, r0=1.0, r1=2.7)
+    calls.clear()
+    image = build_image_grid(m, shape, (48, 97))
+    assert calls == [(48 * 97, 2)]
+    source = build_grid(shape, 48, 97).nodes
+    np.testing.assert_array_equal(image.nodes, norm(source)[:, None] ** (0.8 - 1.0) * source)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
