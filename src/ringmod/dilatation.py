@@ -33,9 +33,10 @@ At n = 2 the stationary points of |Ah| |h.u| solve a cubic, rooted in closed
 form in numpy with no LAPACK call (see ``_max_stretch_planar``).  For
 n >= 3 the maximizer's multiplier lies in [beta_max, 2 beta_max], beta_max
 the top eigenvalue of A^T A, where the secular equation of the stationary
-points changes sign exactly once; bisection over the bit patterns of the
-doubles closes on that root in 62 halvings, one eigh per point, and the
-hard-case branch at beta_max covers the rest (see ``_max_stretch_block``).
+points changes sign exactly once; 20 bisections over the bit patterns of
+the doubles bracket that root to 2^-10 of its size and 3 safeguarded Newton
+steps close it to rounding, one eigh per point, and the hard-case branch at
+beta_max covers the rest (see ``_max_stretch_block``).
 
 The kernels work on rows: entry (i, j) of A over a block of points, and
 component i of u or of an eigen-coordinate vector, is one array over the
@@ -152,14 +153,22 @@ def _det_dual(A: np.ndarray, u: np.ndarray):
             r = 1.0 / J
             v = ((a[1][1] * u[0] - a[1][0] * u[1]) * r, (a[0][0] * u[1] - a[0][1] * u[0]) * r)
         else:
-            # the rows of B, and u, rotate cyclically (which keeps det B = J) to
-            # put the row of largest |B_i0| = |A_0i| first
+            # the rows of B, and u, rotate cyclically by k (which keeps det B = J)
+            # to put the row of largest |B_i0| = |A_0i| first: by indexing where
+            # every point has the same k, one point included, and else by a
+            # pointwise choice among the values of k that occur
             m0, m1, m2 = np.abs(a[0])
             c1 = (m1 > m0) & (m1 >= m2)
             c2 = (m2 > m0) & (m2 > m1)
+            n1, n2 = np.count_nonzero(c1), np.count_nonzero(c2)
+            k = 1 if n1 == c1.size else 2 if n2 == c1.size else 0
+            mixed = [(j, c) for j, c, count in ((1, c1, n1), (2, c2, n2)) if 0 < count < c1.size]
 
             def pivot_first(x):
-                return [np.where(c1, x[(k + 1) % 3], np.where(c2, x[(k + 2) % 3], x[k])) for k in range(3)]
+                rows = [x[(i + k) % 3] for i in range(3)]
+                for j, c in mixed:
+                    rows = [np.where(c, x[(i + j) % 3], row) for i, row in enumerate(rows)]
+                return rows
 
             (b00, b10, b20), (b01, b11, b21), (b02, b12, b22) = map(pivot_first, a)
             u0, u1, u2 = pivot_first(u)
@@ -180,8 +189,9 @@ def max_directional_stretch(A, u):
     stationary points on the sphere come in closed form at n = 2, the real
     roots of a cubic (see ``_max_stretch_planar``).  For n >= 3 only one of
     them outside the hard case can be the maximizer: the root of a secular
-    equation that changes sign exactly once in a proven bracket, which
-    bisection closes on to adjacent doubles (see ``_max_stretch_block``).
+    equation that changes sign exactly once in a proven bracket, where
+    bisection and then Newton's method close on it to rounding (see
+    ``_max_stretch_block``).
     The value also equals
     min over k > 0 of lambda_max(A^T A / k + k u u^T) / 2: AM-GM gives
     |Ah| |h.u| <= h^T (A^T A / k + k u u^T) h / 2, and equality holds for the
@@ -199,11 +209,16 @@ def max_directional_stretch(A, u):
     return _max_stretch_batch(A, u)
 
 
-# points per call of the maximal-stretch kernel, which peaks at about 0.6 kB
-# per point at n = 3 and 1.0 kB at n = 4 on random, radial and twist input
+# points per call of the maximal-stretch kernel, which peaks at about 0.5 kB
+# per point at n = 3 and 0.9 kB at n = 4 on random, radial and twist input
 # alike (tracemalloc, 4096 points); a fixed block keeps fine quadrature
 # levels within memory
 _BLOCK = 4096
+
+# the fixed root-finding schedule of ``_secular_root``: bisections on the
+# bit patterns of the doubles, then safeguarded Newton steps
+_BISECTIONS = 20
+_NEWTON_STEPS = 3
 
 
 def _max_stretch_batch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -252,8 +267,8 @@ def _max_stretch_planar(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     (h = u) is a candidate too, which is also the maximizer when d = 0.  A
     candidate that is not finite counts as 0.  The unpolished roots are not
     kept as candidates: the maximum over two values that differ by rounding
-    alone is biased upwards.  Against ``_max_stretch_block``, the bisection
-    of the secular equation, this agrees to 8.4e-16 relative on random,
+    alone is biased upwards.  Against ``_max_stretch_block``, the root of
+    the secular equation, this agrees to 7.9e-16 relative on random,
     badly conditioned (to cond(A) = 1e15), radial (u an eigenvector of
     A^T A) and nearly radial input and near double and triple roots.
     """
@@ -300,14 +315,11 @@ def _max_stretch_block(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     phi = 2 R - (1 + s), R the w-weighted mean of 1 + d_i.  R falls as s
     grows, since the weights of the larger d_i, nearer s, fall fastest; so
     phi' <= -1, phi(1) = 2 R - 2 <= 0, phi(0+) = 1 when y_top != 0, and f
-    changes sign exactly once.  Bisection closes on that root with no
-    tolerance: on the int64 bit patterns of the doubles, which are ordered
-    like the doubles, it ends on two adjacent doubles whatever the size of
-    the root.  The objective is stationary at the root, so an ulp of s moves
-    the value only to second order, and the upper end, which is never 0, is
-    the candidate.  Both ends are not: the larger of two values that differ
-    by rounding alone is biased upwards, by 0.3 ulp on average on twist
-    Jacobians.  With y_top = 0, f may be negative on all of (0, 1]; the
+    changes sign exactly once.  ``_secular_root`` closes on that root to
+    rounding.  The objective is stationary there, so an error delta in s
+    moves the value by O(delta^2), and the root is one candidate, not the
+    larger of two that differ by rounding alone, which would be biased
+    upwards.  With y_top = 0, f may be negative on all of (0, 1]; the root's
     bracket then closes on 0 and the hard-case pair below holds the
     maximizer.
 
@@ -326,9 +338,10 @@ def _max_stretch_block(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     and A^T A are kept as rows, component first and point last, so that
     each elementwise step runs over contiguous rows; A is read through its
     (n, n, N) view, contiguous rows when it is component-major as the maps'
-    Jacobians are.  Each sum over components, A^T A, y = V^T u, the sign of
-    f and the candidate scores, is taken in index order (``_rowsum``), so a
-    point's result does not depend on the batch it comes in.
+    Jacobians are.  Each sum over components, A^T A, y = V^T u, f and the
+    sums of the Newton step and the candidate scores, is taken in index
+    order (``_rowsum``), so a point's result does not depend on the batch it
+    comes in.
     """
     n = u.shape[-1]
     a = np.moveaxis(A, 0, -1)                             # a[k, i] = A_ki, rows over the points
@@ -338,22 +351,9 @@ def _max_stretch_block(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     y = _rowsum(V * u[:, None])                           # y_i = sum_j V_ji u_j
     top = np.fmax(beta[-1], np.finfo(float).tiny)         # A = 0 has beta_max = 0
     d = (beta - top) / top
-    e = 1.0 + 2.0 * d
-    one = np.float64(1.0).view(np.int64)
-    lo, hi = np.zeros(len(top), np.int64), np.full(len(top), one)
-    # y_i / (d_i - s) overflows near s = 0 to an inf that f's sign takes, and
     # infeasible or degenerate candidates come out non-finite and count as 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # the bit patterns of the doubles in [0, 1] lie below 2^62, 2 to the bit
-        # length of 1.0's, so 62 halvings leave lo and hi adjacent: the step
-        # count is that of the float64 format
-        for _ in range(int(one).bit_length()):
-            mid = (lo + hi) >> 1
-            s = mid.view(float)
-            w = y / (d - s)
-            positive = _rowsum(w * w * (e - s)) > 0.0                # f(s) > 0
-            lo, hi = np.where(positive, mid, lo), np.where(positive, hi, mid)
-        root = _stretch(y / (d - hi.view(float)), beta, y)
+        root = _stretch(y / (d - _secular_root(y, d)), beta, y)
         # z[:, m - 1] is y / d with its top m components set to 0
         keep = np.arange(n)[:, None] < np.arange(n - 1, 0, -1)
         z = np.where(keep[..., None], (y / d)[:, None], 0.0)
@@ -363,6 +363,53 @@ def _max_stretch_block(A: np.ndarray, u: np.ndarray) -> np.ndarray:
         e_top = np.eye(n)[:, -1, None, None]
         hard = [_stretch(gamma * z + sign * tau * e_top, beta, y).max(axis=0) for sign in (1.0, -1.0)]
         return np.maximum.reduce([root, *hard])
+
+
+def _secular_root(y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The root in [0, 1] of f(s) = sum_i y_i^2 (e_i - s) / (d_i - s)^2,
+    e_i = 1 + 2 d_i, for rows y and d: (n, N) as ``_max_stretch_block``
+    has them, on a fixed schedule: the same operations for every point in
+    any batch.
+
+    First ``_BISECTIONS`` halvings of the int64 bit patterns of the doubles,
+    which are ordered like the doubles: those in [0, 1] lie below 2^62, so
+    20 halvings fix the binade and 10 bits of the mantissa, a sign bracket
+    [lo, hi] about 2^-10 wide relative to the root whatever its size.  Then
+    ``_NEWTON_STEPS`` Newton steps on phi = f / W from the bracket's
+    midpoint: with w_i = y_i^2 / (d_i - s)^2, r_i = 1 / (d_i - s),
+    W = sum_i w_i, W' = 2 sum_i w_i r_i and f' = sum_i w_i r_i
+    (2 e_i - d_i - s), the step phi / phi' is f / (f' - phi W').  phi is
+    smooth on (0, 1] with phi' <= -1, so the steps converge quadratically,
+    from a relative error of about 1e-3 to rounding in three.  Each step
+    first moves the end of the bracket that the sign of f names to the
+    current iterate; a Newton iterate that leaves the bracket is put back
+    on the end it passed, which may lie closer to the root than Newton's
+    overshoot, and one that is not finite on the bracket's midpoint.
+
+    y_i / (d_i - s) overflows near s = 0 to an inf that f's sign takes; the
+    caller ignores floating-point warnings.
+    """
+    e = 1.0 + 2.0 * d
+    lo, hi = np.zeros(d.shape[1], np.int64), np.full(d.shape[1], np.float64(1.0).view(np.int64))
+    for _ in range(_BISECTIONS):
+        mid = (lo + hi) >> 1
+        s = mid.view(float)
+        q = y / (d - s)
+        positive = _rowsum(q * q * (e - s)) > 0.0                # f(s) > 0
+        lo, hi = np.where(positive, mid, lo), np.where(positive, hi, mid)
+    lo, hi = lo.view(float), hi.view(float)
+    s = 0.5 * (lo + hi)
+    c = 2.0 * e - d                                           # f' = sum_i w_i r_i (c_i - s)
+    for _ in range(_NEWTON_STEPS):
+        r = 1.0 / (d - s)
+        q = y * r
+        w = q * q
+        f, g = _rowsum(w * (e - s)), w * r
+        positive = f > 0.0
+        lo, hi = np.where(positive, s, lo), np.where(positive, hi, s)
+        s = s - f / (_rowsum(g * (c - s)) - f / _rowsum(w) * (2.0 * _rowsum(g)))
+        s = np.where(np.isfinite(s), np.clip(s, lo, hi), 0.5 * (lo + hi))
+    return s
 
 
 def _rowsum(t: np.ndarray) -> np.ndarray:

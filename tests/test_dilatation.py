@@ -18,7 +18,9 @@ from ringmod import (
 )
 from ringmod.bounds import modintbound_with_error
 from ringmod.dilatation import (
+    _BISECTIONS,
     _BLOCK,
+    _NEWTON_STEPS,
     _det_dual,
     _max_stretch_block,
     _max_stretch_planar,
@@ -302,9 +304,15 @@ def test_max_stretch_matches_dual_and_companion_oracle(n):
     np.testing.assert_allclose(mx, _dual_max_stretch(A, u), rtol=1e-12, atol=0.0)
 
 
-def _in_order_max_stretch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _in_order_max_stretch(A: np.ndarray, u: np.ndarray, bisections: int = _BISECTIONS,
+                          newton_steps: int = _NEWTON_STEPS):
     """``_max_stretch_block`` on row-major (N, n, n) and (N, n) arrays, with
-    every sum over components written out in index order."""
+    every sum over components written out in index order and the counts of
+    its root schedule as arguments.  62 bisections, which end on adjacent
+    doubles, and no Newton step are the former kernel, whose candidate was
+    the upper end of that bracket.  Returns the maximal stretch and phi =
+    f / W at each Newton iterate, NaN where f is positive at no bisection
+    point: y_top = 0 or nearly, where the hard-case pair holds the maximizer."""
     N, n = u.shape
 
     def total(terms):
@@ -328,22 +336,40 @@ def _in_order_max_stretch(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     top = np.fmax(beta[:, -1:], np.finfo(float).tiny)
     d = (beta - top) / top
     e = 1.0 + 2.0 * d
+    c = 2.0 * e - d
     lo, hi = np.zeros(N, np.int64), np.full(N, np.float64(1.0).view(np.int64))
+    phi = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(62):
+        for _ in range(bisections):
             mid = (lo + hi) >> 1
             s = mid.view(float)
-            w = y / (d - s[:, None])
-            positive = total([w[:, i] * w[:, i] * (e[:, i] - s) for i in range(n)]) > 0.0
+            q = y / (d - s[:, None])
+            positive = total([q[:, i] * q[:, i] * (e[:, i] - s) for i in range(n)]) > 0.0
             lo, hi = np.where(positive, mid, lo), np.where(positive, hi, mid)
-        best = score(y / (d - hi.view(float)[:, None]))
+        lo, hi = lo.view(float), hi.view(float)
+        sign_change = lo > 0.0
+        s = 0.5 * (lo + hi) if newton_steps else hi
+        for _ in range(newton_steps):
+            r = 1.0 / (d - s[:, None])
+            q = y * r
+            w = q * q
+            g = w * r
+            f = total([w[:, i] * (e[:, i] - s) for i in range(n)])
+            W = total([w[:, i] for i in range(n)])
+            phi.append(np.where(sign_change, f / W, np.nan))
+            positive = f > 0.0
+            lo, hi = np.where(positive, s, lo), np.where(positive, hi, s)
+            df = total([g[:, i] * (c[:, i] - s) for i in range(n)])
+            s = s - f / (df - f / W * (2.0 * total([g[:, i] for i in range(n)])))
+            s = np.where(np.isfinite(s), np.clip(s, lo, hi), 0.5 * (lo + hi))
+        best = score(y / (d - s[:, None]))
         for m in range(1, n):
             z = np.where(np.arange(n) < n - m, y / d, 0.0)
             gamma = np.sqrt(-1.0 / (2.0 * total([z[:, i] * y[:, i] for i in range(n)])))
             tau = np.sqrt(1.0 - gamma ** 2 * total([z[:, i] * z[:, i] for i in range(n)]))
             for sign in (1.0, -1.0):
                 best = np.maximum(best, score(gamma[:, None] * z + sign * tau[:, None] * np.eye(n)[-1]))
-    return best
+    return best, np.array(phi)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -351,15 +377,61 @@ def test_max_stretch_kernel_is_the_in_order_reference_in_either_layout(n):
     # the kernel sums over components in index order on rows; einsum's order
     # differed from it at 14% of n = 3 points
     rng = np.random.default_rng(90 + n)
-    A, u = _oracle_families(rng, n)
+    A, u = _schedule_families(rng, n)
     X = rng.uniform(0.2, 2.0, (500, n))
     twist = _unit_scaled(RotationTwist().jacobian(X))      # component-major, as the field has it
     A, u = np.concatenate([A, twist]), np.concatenate([u, X / np.linalg.norm(X, axis=1, keepdims=True)])
-    expected = _in_order_max_stretch(A, u)
+    expected, _ = _in_order_max_stretch(A, u)
     np.testing.assert_array_equal(_max_stretch_block(A, u), expected)
     component_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(A, 0, -1)), -1, 0)
     np.testing.assert_array_equal(_max_stretch_block(component_major, u), expected)
     np.testing.assert_array_equal(_max_stretch_block(twist, u[-500:]), expected[-500:])
+
+
+def _tiny_root_family(rng, n, count=300):
+    """(A, u) with A^T A = Q diag(beta) Q^T and u nearly orthogonal to its top
+    eigenvector: |y_top| from 1e-4 down to 1e-150, so that the secular root,
+    about |y_top| in size where there is one, spans many binades."""
+    Q = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+    beta = np.sort(rng.uniform(0.05, 9.0, (count, n)), axis=1)
+    y = rng.standard_normal((count, n))
+    y[:, -1] = np.sign(y[:, -1]) * 10.0 ** -rng.uniform(4.0, 150.0, count)
+    y[:, :-1] *= np.sqrt(1.0 - y[:, -1:] ** 2) / np.linalg.norm(y[:, :-1], axis=1, keepdims=True)
+    return np.sqrt(beta)[:, :, None] * np.swapaxes(Q, 1, 2), np.einsum("nij,nj->ni", Q, y)
+
+
+def _schedule_families(rng, n):
+    """(A, u) at n, scaled as the kernel gets them: ``_oracle_families``,
+    twist Jacobians, ``_tied_top_family``, ``_near_hard_window`` and
+    ``_tiny_root_family``."""
+    X = rng.uniform(0.2, 2.0, (500, n))
+    parts = [_oracle_families(rng, n), (RotationTwist().jacobian(X), X / np.linalg.norm(X, axis=1, keepdims=True)),
+             *(_tied_top_family(n, noise) for noise in (1e-12, 1e-10, 1e-8)),
+             _near_hard_window(rng, n, 30), _tiny_root_family(rng, n)]
+    A, u = (np.concatenate(x) for x in zip(*parts))
+    return _unit_scaled(A), u
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_max_stretch_schedule_matches_the_62_step_bisection(n):
+    # agreement to rounding only: near the root the computed sign of f flips
+    # within a band of several ulps, so the bisection's end depended on its path
+    A, u = _schedule_families(np.random.default_rng(100 + n), n)
+    former, _ = _in_order_max_stretch(A, u, bisections=62, newton_steps=0)
+    np.testing.assert_allclose(_max_stretch_block(A, u), former, rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_max_stretch_newton_steps_end_at_rounding(n):
+    # one more Newton step would move s by |phi / phi'| <= |phi|, as phi' <= -1:
+    # |phi| within 4 eps at the final iterate puts that step at the rounding
+    # of phi, which is O(1); ulps of s would not do, since for s << 1 the
+    # rounding of phi spans hundreds of them
+    A, u = _schedule_families(np.random.default_rng(100 + n), n)
+    _, phi = _in_order_max_stretch(A, u, newton_steps=_NEWTON_STEPS + 1)
+    final = phi[-1][~np.isnan(phi[-1])]
+    assert len(final) >= 0.97 * len(u)
+    assert np.max(np.abs(final)) <= 4.0 * np.finfo(float).eps
 
 
 def _tied_top_family(n, noise):
@@ -676,6 +748,23 @@ def test_closed_form_kernel_matches_lapack(n, seed):
     mn = min_directional_stretch(A, u)
     lapack = 1.0 / np.linalg.norm(np.linalg.solve(np.swapaxes(A, 1, 2), u[..., None])[..., 0], axis=1)
     assert np.all(np.abs(mn - lapack) <= tol * lapack)
+
+
+def test_det_dual_pivot_rows_do_not_depend_on_the_batch():
+    # the n = 3 pivot row is indexed when every point of a batch shares it and
+    # chosen pointwise among those that occur otherwise: values are only
+    # selected, so every batch, one point included, gives the same bits
+    rng = np.random.default_rng(19)
+    A = rng.standard_normal((3000, 3, 3))
+    u = rng.standard_normal((3000, 3))
+    J, v2 = _det_dual(A, u)
+    k = np.argmax(np.abs(A[:, 0]), axis=1)      # the pivot row's shift
+    for sel in (k == 0, k == 1, k == 2, k != 0, k != 1, k != 2):
+        assert 0 < sel.sum() < len(k)
+        Js, vs = _det_dual(A[sel], u[sel])
+        assert np.array_equal(Js, J[sel]) and np.array_equal(vs, v2[sel])
+    for i in range(0, 3000, 97):
+        assert _det_dual(A[i], u[i]) == (J[i], v2[i])
 
 
 @pytest.mark.parametrize("n", [2, 3])
