@@ -38,13 +38,17 @@ grid lines and the discretization error small.  Builders are array code over
 the product index grid: node ids form an array with the radial axis first,
 one helper pairs every node with its neighbour along each axis (only the
 angular or azimuthal axis wraps), and the first and last radial layers are
-the source and sink.  Planar grids carry the cotangent conductances of a
-triangulation of their quads (Pinkall and Polthier, "Computing discrete
-minimal surfaces and their conjugates", 1993), which are consistent on any
-shape-regular mesh.  Every planar grid is the log-polar grid of an annulus or
-a half semiring, with its nodes pushed through a map or not: an Apollonian
-semiring is the half semiring through its Moebius chart, a private
-``Mapping``, and an image grid of it goes through the chart and then the map.
+the source and sink.  Builder edges are stored component-major: the tails
+fill one row and the heads the other of a (2, E) buffer, and
+``GridGraph.edges`` is its (E, 2) transpose, so the solver reads each end as
+a contiguous row without copying it.  Planar grids carry the cotangent
+conductances of a triangulation of their quads (Pinkall and Polthier,
+"Computing discrete minimal surfaces and their conjugates", 1993), which are
+consistent on any shape-regular mesh.  Every planar grid is the log-polar
+grid of an annulus or a half semiring, with its nodes pushed through a map
+or not: an Apollonian semiring is the half semiring through its Moebius
+chart, a private ``Mapping``, and an image grid of it goes through the chart
+and then the map.
 Where a map moves the nodes, each quad is split along its local Delaunay
 diagonal, which is always an edge, and the cotangents come from the moved
 nodes.  An aligned grid's quads are similar cyclic trapezoids that a centre
@@ -83,7 +87,9 @@ class GridGraph:
     """
 
     nodes: np.ndarray          # (N, n)
-    edges: np.ndarray          # (E, 2) int node ids
+    # (E, 2) int node ids; a builder's is the transpose of a C-ordered (2, E)
+    # array, so each column is contiguous (any layout is accepted)
+    edges: np.ndarray
     conductance: np.ndarray    # (E,) sigma_e of the energy sum_e sigma_e |dphi_e|^p
     source: np.ndarray         # node ids on the inner boundary
     sink: np.ndarray           # node ids on the outer boundary
@@ -106,7 +112,7 @@ class GridGraph:
                              f"{self.edges.dtype} of shape {self.edges.shape}")
         for name in ("edges", "source", "sink"):      # a negative id would wrap
             ids = getattr(self, name)
-            if np.any((ids < 0) | (ids >= len(self.nodes))):
+            if ids.size and (ids.min() < 0 or ids.max() >= len(self.nodes)):
                 raise ValueError(f"{name} holds a node id outside [0, {len(self.nodes)})")
         if set(self.source.tolist()) & set(self.sink.tolist()):
             raise ValueError("source and sink sets must be disjoint")
@@ -146,11 +152,14 @@ def mo_from_gamma(m_gamma: float, kind: str, n: int) -> float:
 # grid construction
 # ---------------------------------------------------------------------------
 
-def _grid_edges(ids: np.ndarray, wrap_axis: int | None) -> np.ndarray:
-    """(E, 2) edges joining index neighbours of the node-id array ``ids``,
-    axis by axis and in C order of the tail within an axis.  Only
-    ``wrap_axis`` (None for none) wraps around.  Each axis's head and tail
-    ids are sliced first and written once, into their rows of the result."""
+def _grid_edges(ids: np.ndarray, wrap_axis: int | None, extra: int = 0) -> np.ndarray:
+    """Edges joining index neighbours of the node-id array ``ids``, stored
+    component-major: row 0 of the (2, E + extra) result holds the tails and
+    row 1 the heads, axis by axis and in C order of the tail within an axis,
+    and its transpose is the (E, 2) ``GridGraph.edges``.  Only ``wrap_axis``
+    (None for none) wraps around.  Each axis's head and tail ids are sliced
+    first and written once, into their columns of the result; the last
+    ``extra`` columns are left for the caller to fill."""
     pairs = []
     for axis in range(ids.ndim):
         if axis == wrap_axis:
@@ -158,20 +167,21 @@ def _grid_edges(ids: np.ndarray, wrap_axis: int | None) -> np.ndarray:
         else:
             cut = (slice(None),) * axis
             pairs.append((ids[cut + (slice(-1),)], ids[cut + (slice(1, None),)]))
-    edges = np.empty((sum(head.size for head, _ in pairs), 2), dtype=ids.dtype)
+    edges = np.empty((2, sum(head.size for head, _ in pairs) + extra), dtype=ids.dtype)
     lo = 0
     for head, tail in pairs:
-        block = edges[lo:lo + head.size].reshape(head.shape + (2,))
-        block[..., 0], block[..., 1] = head, tail
+        for row, end in zip(edges[:, lo:lo + head.size], (head, tail)):
+            row.reshape(end.shape)[...] = end
         lo += head.size
     return edges
 
 
 def _grid_graph(shape: Shape, ids: np.ndarray, nodes: np.ndarray, edges: np.ndarray,
                 conductance: np.ndarray) -> GridGraph:
-    """Graph of a product grid whose first axis is radial: the first radial
-    layer is the source and the last the sink, and every node keeps its layer."""
-    graph = GridGraph(nodes=nodes, edges=edges, conductance=conductance,
+    """Graph of a product grid whose first axis is radial, with the (2, E)
+    ``edges`` of ``_grid_edges``: the first radial layer is the source and the
+    last the sink, and every node keeps its layer."""
+    graph = GridGraph(nodes=nodes, edges=edges.T, conductance=conductance,
                       source=ids[0].ravel(), sink=ids[-1].ravel(), p=float(shape.n),
                       kind=shape.kind, resolution=ids.shape)
     graph.layer = np.arange(ids.size) // ids[0].size
@@ -237,7 +247,7 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
     radii = np.exp(np.linspace(math.log(shape.r0), math.log(shape.r1), K))
     theta = np.arange(M) * (2.0 * math.pi / M) if wrap else np.linspace(0.0, math.pi, M)
     source = radii[:, None] * np.exp(1j * theta)
-    pts = np.stack([source.real, source.imag], axis=-1).reshape(-1, 2) + shape.center
+    pts = source.view(float).reshape(-1, 2) + shape.center     # (re, im) pairs
 
     def sides(a, b, c, d, ac):
         # each side ab, bc, cd, da takes the cotangent at the corner opposite
@@ -247,6 +257,7 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
 
     ids = np.arange(K * M).reshape(K, M)
     Q = M if wrap else M - 1                      # quads per radial step
+    R, A = (K - 1) * M, K * Q                     # radial and angular edges
     # the first source quad, split along a-c: its cotangents give the ratio
     # and, on an aligned grid, the conductances of every quad; the mean of
     # its radial sides ab and cd keeps their sum, so a semiring's end columns
@@ -254,7 +265,9 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
     cots = sides(source[0, 0], source[1, 0], source[1, 1], source[0, 1], True)
     cots[0] = cots[2] = 0.5 * (cots[0] + cots[2])
     ratio = float((cots[3] + cots[1]) / (cots[0] + cots[2]))      # (da + bc) / (ab + cd)
-    edges, s_diag = [_grid_edges(ids, 1 if wrap else None)], []
+    # a moved grid's diagonals take the last columns of edges and sigma
+    edges = _grid_edges(ids, 1 if wrap else None, 0 if mapping is None else (K - 1) * Q)
+    sigma = np.empty(edges.shape[1])              # twice the conductances, halved at the end
     if mapping is not None:
         pts = mapping(pts)
         if not np.all(np.isfinite(pts)):
@@ -266,15 +279,21 @@ def _build_2d(shape: Shape, K: int, M: int, mapping: Mapping | None) -> GridGrap
         ac = angle[1] + angle[3] >= angle[0] + angle[2]      # split along a-c, else b-d
         cots = sides(a, b, c, d, ac)
         # the kept diagonal's sum is the larger, and a NaN one reaches the graph, which refuses it
-        s_diag.append(np.maximum(angle[1] + angle[3], angle[0] + angle[2]).ravel())
-        edges.append(np.where(ac[..., None], np.stack([ids[:-1, :Q], nxt[1:]], axis=-1),
-                              np.stack([ids[1:, :Q], nxt[:-1]], axis=-1)).reshape(-1, 2))
+        np.maximum(angle[1] + angle[3], angle[0] + angle[2], out=sigma[R + A:].reshape(K - 1, Q))
+        edges[:, R + A:] = np.where(ac, [ids[:-1, :Q], nxt[1:]],
+                                    [ids[1:, :Q], nxt[:-1]]).reshape(2, -1)
     s_ab, s_bc, s_cd, s_da = (np.broadcast_to(s, (K - 1, Q)) for s in cots)
-    pad = ((0, 0), (0, M - Q))        # a semiring layer has one radial edge more than quads
-    sigma = 0.5 * np.concatenate([
-        (np.pad(s_ab, pad) + np.roll(np.pad(s_cd, pad), 1, axis=1)).ravel(),
-        (np.pad(s_da, ((0, 1), (0, 0))) + np.pad(s_bc, ((1, 0), (0, 0)))).ravel(), *s_diag])
-    graph = _grid_graph(shape, ids, pts, np.concatenate(edges), sigma)
+    # radial edge (k, m) is side ab of quad (k, m) and side cd of quad (k, m - 1),
+    # angular edge (k, m) side da of quad (k, m) and side bc of quad (k - 1, m);
+    # a semiring layer has one radial edge more than quads
+    radial, angular = sigma[:R].reshape(K - 1, M), sigma[R:R + A].reshape(K, Q)
+    radial[:, :Q], radial[:, Q:] = s_ab, 0.0
+    radial[:, 1:] += s_cd[:, :M - 1]
+    radial[:, 0] += s_cd[:, -1] if wrap else 0.0
+    angular[:-1], angular[-1] = s_da, 0.0
+    angular[1:] += s_bc
+    sigma *= 0.5
+    graph = _grid_graph(shape, ids, pts, edges, sigma)
     graph.ratio = ratio
     return graph
 
@@ -391,13 +410,18 @@ def _level_system(graph: GridGraph):
     side.  Levels of neighbouring free nodes differ by at most one, so
     P^T L P is tridiagonal.  Returns the free nodes, their levels, the first
     right-hand side (each free node's summed sink-edge conductance), the
-    contiguous edge ends (e0, e1) and three functions of the conductances c:
-    ``bands(c)``, the (3, D) bands of P^T L P; ``diagonal(c)``, the free
-    nodes' Laplacian diagonal, without self-loops; and ``laplacian(c, diag)``,
-    the free Laplacian L as CSR with the diagonal ``diag`` that its caller
-    summed, the only code that numbers the free nodes.  The self-loop and
-    inner-edge masks are built inside the last two, which only CG and the
-    Jacobi refusal call.
+    edge ends (e0, e1) as contiguous rows and three functions of the
+    conductances c: ``bands(c)``, the (3, D) bands of P^T L P;
+    ``diagonal(c)``, the free nodes' Laplacian diagonal, without self-loops;
+    and ``laplacian(c, diag)``, the free Laplacian L as CSR with the diagonal
+    ``diag`` that its caller summed, the only code that numbers the free
+    nodes.  e0 and e1 are views of a builder graph's component-major edges;
+    C-ordered edges, as a graph built by hand usually has, are copied once.
+    Each edge is classed from one gather of each end's level, and the
+    functions keep only the crossing and boundary edges' index sets, so no
+    edge-sized level array outlives the call.  The self-loop masks are built
+    inside the last two, and ``laplacian`` takes its inner edges from the
+    free nodes; only CG and the Jacobi refusal call them.
     """
     import scipy.sparse as sp
 
@@ -412,20 +436,26 @@ def _level_system(graph: GridGraph):
     reached[graph.source] = reached[graph.sink] = False
     free = np.flatnonzero(reached)
     D = int(layer[free].max(initial=0))
-    level = np.full(N, D, np.intp)               # D on the sink and the nodes only it reaches
+    # D on the sink and the nodes only it reaches; 32-bit levels (below 2^31
+    # nodes) halve the bytes of the edge gathers and masks that follow
+    level = np.full(N, D, np.int32 if N < 2 ** 31 else np.intp)
     level[free], level[graph.source] = layer[free] - 1, -1
-    e0, e1 = graph.edges.T.copy()     # contiguous: bincount would copy a strided column
-    lo, hi = np.minimum(level[e0], level[e1]), np.maximum(level[e0], level[e1])
-    to_sink = np.flatnonzero((hi == D) & (lo < D))
+    # contiguous rows, as bincount would copy a strided one: views of a builder's edges
+    e0, e1 = np.ascontiguousarray(graph.edges.T)
+    lo, hi = level[e0], level[e1]
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)      # one gather's buffer reused
+    rising, above, below = lo < hi, lo >= 0, hi < D
+    to_sink = np.flatnonzero(rising & ~below)    # hi == D, the top level, and lo < D
     if not len(to_sink):                         # no sink edge reaches a free node or the source
         raise ValueError("graph is disconnected between source and sink")
-    cross = np.flatnonzero((lo >= 0) & (hi < D) & (lo < hi))     # from a free level to the next
+    cross = np.flatnonzero(rising & above & below)               # from a free level to the next
     # with lo < hi, one end is free where exactly one of lo >= 0 and hi < D holds
-    bound = np.flatnonzero(((lo >= 0) != (hi < D)) & (lo < hi))
+    bound = np.flatnonzero(rising & (above != below))
     near = np.where(hi[bound] < D, hi[bound], lo[bound])          # the free end's level
+    lo_cross = lo[cross]
 
     def bands(c):
-        up = np.bincount(lo[cross], c[cross], D)  # its last entry, from level D - 1 to D, is 0
+        up = np.bincount(lo_cross, c[cross], D)   # its last entry, from level D - 1 to D, is 0
         # the main band from the same sums as its neighbours: P^T L P keeps the
         # zero row sums of L between levels in rounding
         main = up + np.roll(up, 1) + np.bincount(near, c[bound], D)
@@ -436,7 +466,7 @@ def _level_system(graph: GridGraph):
         return (np.bincount(e0, kept, N) + np.bincount(e1, kept, N))[free]
 
     def laplacian(c, diag):
-        inner = (lo >= 0) & (hi < D) & (e0 != e1)                 # both ends free
+        inner = reached[e0] & reached[e1] & (e0 != e1)          # both ends free
         i, j = (np.cumsum(reached) - 1)[graph.edges[inner].T]    # free nodes as 0 .. F - 1
         F, v = len(free), -c[inner]
         return sp.csr_matrix((np.r_[v, v, diag], (np.r_[i, j, :F], np.r_[j, i, :F])), shape=(F, F))
@@ -499,7 +529,8 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     free nodes of ``_level_system``, which also returns the first right-hand
     side; the others take the sink's potential.  Newton (p > 2) backtracks on F
     from the p = 2 potential, and the edge differences of each potential give
-    its flux, Hessian weights and energy.  Each solve, on the weighted
+    its flux, Hessian weights and energy; those of an accepted level start
+    are the ones its stopping test took.  Each solve, on the weighted
     Laplacian L, starts from x0 = P (P^T L P)^-1 P^T rhs, the level-constant
     vector of least energy error, and runs CG only if x0 fails CG's stopping
     test.  The first solve tests x0 on the potential itself, so at p = 2 its
@@ -529,10 +560,11 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
 
     def solve(c, rhs, phi=None):
         # the free values y of L_c y = rhs and, for a level start that passes
-        # CG's stopping test, the net flux of the start: of the potential phi
-        # with y filled in, whose boundary values give rhs, or of y alone
+        # CG's stopping test, the edge differences and net flux of the start:
+        # of the potential phi with y filled in, whose boundary values give
+        # rhs, or of y alone
         if not len(free):
-            return rhs, None
+            return rhs, None, None
         # at p != 2 conductances are positive and Newton floors its weights, so
         # only p = 2 can have a free node with a diagonal of 0 or less
         diag = diagonal(c) if p == 2.0 and graph.ratio is None else None
@@ -544,10 +576,11 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
         x[free] = solve_banded((1, 1), tri, np.bincount(level, rhs, tri.shape[1]))[level]
         # CG's own stopping test at the level start, L assembled only if it
         # fails: at the free nodes the net flux of phi is L y - rhs, of y L y
-        flux = net(c * (x[e1] - x[e0]))
+        dphi = x[e1] - x[e0]
+        flux = net(c * dphi)
         if np.linalg.norm((0.0 if phi is not None else rhs) - flux[free]) < \
                 _CG_RTOL * np.linalg.norm(rhs):
-            return x[free], flux
+            return x[free], dphi, flux
         diag = diagonal(c) if diag is None else diag
         L = laplacian(c, diag)
         if graph.ratio is None:
@@ -560,18 +593,19 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
                      M=precondition, callback=lambda _: cg_steps.append(1))
         if info != 0:
             raise ConvergenceError(f"conjugate gradients did not converge (info={info})")
-        return x, None
+        return x, None, None
 
-    def differences(x):
+    def differences(x, dphi=None):
+        # dphi, if given, holds the edge differences of x its level start took;
         # pairwise summation of F: a dot product drifts by 6e-15 relative at 256x1024
-        dphi = x[e1] - x[e0]
+        dphi = x[e1] - x[e0] if dphi is None else dphi
         w = graph.conductance if p == 2.0 else graph.conductance * np.abs(dphi) ** (p - 2.0)
         return dphi, w, float(np.sum(w * (dphi * dphi)))
 
     phi = np.ones(len(graph.nodes))   # unreached nodes take the sink's potential
     phi[graph.source] = 0.0
-    phi[free], flux = solve(graph.conductance, rhs, phi)
-    dphi, w, f = differences(phi)
+    phi[free], dphi, flux = solve(graph.conductance, rhs, phi)
+    dphi, w, f = differences(phi, dphi)
     solves = 1
     while True:
         # at p = 2, w = sigma, so an accepted level start has the flux already
@@ -615,10 +649,13 @@ def build_image_grid(mapping: Mapping, shape: Shape, resolution: tuple[int, int]
     P1 cotangent conductances of the image triangulation (see ``_build_2d``).
     An Apollonian semiring's nodes go through its chart first, as in
     ``build_grid``.  Planar shapes only; the map must be nonsingular on the
-    closed shape.
+    closed shape.  ``resolution`` is two cell counts, radial and angular.
     """
     if shape.n != 2:
         raise NotImplementedError("image grids are implemented for n = 2")
+    if np.shape(resolution) != (2,):
+        raise ValueError(f"resolution must be two cell counts, radial and angular, "
+                         f"got {resolution!r}")
     return _build_planar(shape, *resolution, mapping)
 
 

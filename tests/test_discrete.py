@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -322,6 +323,63 @@ def test_builder_layers_are_the_hop_layers(build):
     np.testing.assert_array_equal(laplacian(c, diagonal(c)).toarray(),
                                   hop_laplacian(c, hop_diagonal(c)).toarray())
     np.testing.assert_array_equal(modulus_connect(g).potential, modulus_connect(hops).potential)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_grid(Annulus(n=2, r0=1.0, r1=E), 16, 64),
+    lambda: discrete.build_image_grid(RotationTwist(), HalfSemiring(n=2, r0=1.0, r1=E), (16, 33)),
+    lambda: build_grid(ApollonianSemiring(n=2, r0=0.1, r1=1.0), 16, 33),
+    lambda: build_grid(Annulus(n=3, r0=1.0, r1=E), 8, 8),
+], ids=["ring", "twisted-semiring", "apollonian", "ring-3d"])
+def test_builder_edges_are_component_major(build):
+    # a builder fills a C-ordered (2, E) array and its edges are the (E, 2)
+    # transpose, so the level system takes both edge ends as views
+    g = build()
+    assert g.edges.shape == (len(g.conductance), 2) and g.edges.T.flags.c_contiguous
+    e0, e1 = discrete._level_system(g)[3]
+    assert np.shares_memory(e0, g.edges) and np.shares_memory(e1, g.edges)
+    np.testing.assert_array_equal(np.stack([e0, e1], axis=1), g.edges)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_grid(Annulus(n=2, r0=1.0, r1=E), 64, 256),
+    lambda: discrete.build_image_grid(RotationTwist(), HalfSemiring(n=2, r0=1.0, r1=E), (32, 65)),
+    lambda: build_grid(Annulus(n=3, r0=1.0, r1=E), 16, 16),
+    lambda: chain_graph([[1.0, 2.0, 0.5], [3.0, 0.25], [1.5, 1.5, 4.0, 0.7]], 3.0),
+], ids=["aligned-ring", "twisted-semiring", "ring-3d", "p3-chains"])
+def test_edge_layout_does_not_change_the_solve(build):
+    # the same graph with its edges in the other memory layout, C-ordered for
+    # a builder grid and component-major for a hand-built one, gives the same
+    # solve bit for bit; dataclasses.replace drops the layers and the source
+    # ratio, so the copy gets them back by hand
+    g = build()
+    row_major = g.edges.flags.c_contiguous
+    edges = np.ascontiguousarray(g.edges.T).T if row_major else np.ascontiguousarray(g.edges)
+    other = replace(g, edges=edges)
+    other.layer, other.ratio = g.layer, g.ratio
+    assert other.edges.flags.c_contiguous != row_major
+    a, b = modulus_connect(g), modulus_connect(other)
+    assert a.m_gamma.hex() == b.m_gamma.hex() and a.residual.hex() == b.residual.hex()
+    assert (a.iterations, a.cg_iterations) == (b.iterations, b.cg_iterations)
+    np.testing.assert_array_equal(a.potential, b.potential)
+    # the cases cover level starts CG accepts, a CG solve, and Newton steps
+    assert (a.cg_iterations > 0) == (g.kind == "semiring" or g.layer is None)
+    assert (a.iterations > 1) == (g.layer is None)
+
+
+def test_solve_peak_memory_in_edge_words():
+    # one solve of an aligned 128x512 annulus (E = 130,560 edges) peaks at
+    # 6.1 edge-words of 8 bytes: the potential, the level system's kept index
+    # sets, and one edge difference and flux per potential
+    g = build_grid(Annulus(n=2, r0=1.0, r1=E), 128, 512)
+    modulus_connect(g)                    # scipy is imported by the first solve
+    tracemalloc.start()
+    try:
+        modulus_connect(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.0 * 8 * len(g.edges), peak / (8 * len(g.edges))
 
 
 def test_m_gamma_is_the_energy_of_the_potential():
@@ -830,6 +888,14 @@ def test_twisted_semiring_within_certified_bracket():
     # grid value trails the bracket by about 3e-3
     mo = image_modulus(RotationTwist(), HalfSemiring(n=2, r0=1.0, r1=E), (64, 129)).mo
     assert 1.69068 - 5e-3 <= mo <= 1.69821 + 5e-3, mo
+
+
+def test_image_grid_refuses_a_resolution_of_other_than_two_counts():
+    for resolution in ((8, 8, 8), (8,), 8):
+        with pytest.raises(ValueError, match="resolution must be two cell counts"):
+            discrete.build_image_grid(Identity(), Annulus(n=2, r0=1.0, r1=E), resolution)
+        with pytest.raises(ValueError, match="resolution"):
+            image_modulus(Identity(), Annulus(n=2, r0=1.0, r1=E), resolution)
 
 
 def test_image_grid_refuses_overflowing_map():
