@@ -11,7 +11,11 @@ Every shell quantity goes through the same two steps: ``_shell_sums``
 evaluates the integrand on blocks of shell points and sums each shell with
 the spherical rule, and ``_refine`` doubles the radial and angular node
 counts up to ``max_refine`` times, stopping once the value changes by at
-most QUAD_RTOL relative; the last change is the error estimate.  A value
+most QUAD_RTOL relative; the last change is the error estimate.  The
+sandwich bounds eq1est and eq2est integrate the angular and the normal
+dilatation over the same nodes: one frame per point gives both fields
+(``_quad_dilatations``), and ``_refine_each`` refines each on its own
+stopping rule, so both read the bits of two separate quadratures.  A value
 whose last change still exceeds the tolerance stopped at its cap
 (``_capped``); every refined report (eq1est, eq2est, modintbound, Hoelder,
 domfac and infinity) says so in ``details["capped"]``.
@@ -40,7 +44,9 @@ from typing import Callable
 import numpy as np
 
 from .constants import ball_volume, sphere_area
-from .dilatation import angular_dilatation_field, normal_dilatation_field
+# normal_dilatation_field is no longer called here; it stays importable from
+# this module, as perfbench's warm-up reaches it
+from .dilatation import _dilatations, angular_dilatation_field, normal_dilatation_field  # noqa: F401
 from .geometry import Annulus, HalfSemiring, Shape, exact_modulus, span_area
 from .maps import Mapping, MapDomainError
 from .special import constants_for
@@ -74,12 +80,15 @@ DEFAULT_SPEC = QuadratureSpec()
 
 QUAD_RTOL = 1e-7          # relative change at which _refine stops doubling
 # integrand points per call of g in _shell_sums.  At 1 << 14 the temporaries
-# of a block of the planar angular field (points, (2, 2, N) Jacobian, dual
-# rows) fit a 2 MiB L2 and stay below glibc's mmap threshold, so the heap
-# reuses them instead of faulting them in again: on a 2-core Xeon (BLAS on
-# 1 thread) a perfbench `bounds` pass took 3,400-4,300 minor faults and
-# 0.066 s at 1 << 16, about 3 faults and 0.056 s at 1 << 14; 1 << 12,
-# 1 << 13 and 1 << 15 read 0.054-0.061 s
+# of a block of the planar angular field (component rows of the points,
+# (2, 2, N) Jacobian, dual rows) fit a 2 MiB L2 and stay below glibc's mmap
+# threshold, so the heap reuses them instead of faulting them in again: on a
+# 2-core Xeon (BLAS on 1 thread) a perfbench `bounds` pass took 3,400-4,300
+# minor faults at 1 << 16 and about 3 at 1 << 14.  With component-row
+# blocks and one frame for both dilatations, an in-process seed-1 pass, the
+# median of 5 in each of 10 alternating rounds, read 34.9 ms at 1 << 14
+# against 37.1, 35.5, 37.9 and 42.5 ms at 1 << 12, 1 << 13, 1 << 15 and
+# 1 << 16, which beat it in at most 3 of the 10 rounds
 QUAD_BLOCK = 1 << 14
 # absolute slack of every verdict: sharp cases sit exactly on a bound, and
 # when two quadrature levels agree to the last bit the error estimate is 0,
@@ -213,27 +222,39 @@ def _check_quad_shape(shape: Shape):
 def _shell_sums(g: Callable, x0: np.ndarray, radii: np.ndarray, rule) -> np.ndarray:
     """Spherical-rule sums of g over the shells x0 + radius z, one per radius.
 
-    ``rule`` is a (directions, weights) pair from ``_sphere_rule``.  Blocks of
-    at most QUAD_BLOCK points in row-major (radius, direction) order bound the
-    memory, and keep each block's temporaries cache-sized (see QUAD_BLOCK).
-    A block's points are formed by broadcasting x0 + radius * z over the
-    shells the block spans (fewer than QUAD_BLOCK + 2 len(directions)
-    points), then cut to the block; each point is computed as in one
-    whole-level array, so the values are too, and the level is summed only
-    once every block is in: the result does not depend on QUAD_BLOCK.  A
-    non-finite value raises ValueError.
+    ``rule`` is a (directions, weights) pair from ``_sphere_rule``.  g maps
+    points X: (N, n) to N values, or to a (k, N) array of k fields, which
+    give k rows of sums.  The points run through blocks of at most
+    QUAD_BLOCK in (radius, direction) order, which bound the memory and
+    keep each block's temporaries cache-sized (see QUAD_BLOCK).  A block is
+    built as component rows: the (n, shells, directions) array
+    x0 + radius * z over the shells the block spans (fewer than
+    QUAD_BLOCK + 2 len(directions) points), from the directions transposed
+    once per call, then cut to the block; g gets its (N, n) transpose view,
+    whose columns are contiguous, so the elementwise steps of the
+    dilatation fields and the maps' Jacobians run over contiguous memory.
+    Each point is computed as in one whole-level row-major array, so the
+    values are too, and the level is summed only once every block is in:
+    the result does not depend on QUAD_BLOCK.  A non-finite value raises
+    ValueError.
     """
     Z, wz = rule
-    m = len(Z)
-    vals = np.empty(len(radii) * m)
-    for lo in range(0, len(vals), QUAD_BLOCK):
-        hi = min(lo + QUAD_BLOCK, len(vals))
+    m, n = Z.shape
+    ZT = np.ascontiguousarray(Z.T)
+    total = len(radii) * m
+    vals = None
+    for lo in range(0, total, QUAD_BLOCK):
+        hi = min(lo + QUAD_BLOCK, total)
         i0, i1 = lo // m, (hi - 1) // m + 1
-        X = (x0 + radii[i0:i1, None, None] * Z).reshape(-1, Z.shape[-1])
-        vals[lo:hi] = np.asarray(g(X[lo - i0 * m:hi - i0 * m]), dtype=float)
+        X = (x0[:, None, None] + radii[i0:i1, None] * ZT[:, None, :]).reshape(n, -1)
+        block = np.asarray(g(X[:, lo - i0 * m:hi - i0 * m].T), dtype=float)
+        if vals is None:
+            vals = np.empty(block.shape[:-1] + (total,))
+        vals[..., lo:hi] = block
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite integrand sample")
-    return vals.reshape(len(radii), m) @ wz
+    sums = [row @ wz for row in vals.reshape(-1, len(radii), m)]
+    return np.stack(sums).reshape(vals.shape[:-1] + (len(radii),))
 
 
 def _capped(val: float, err: float, rel_tol: float = QUAD_RTOL) -> bool:
@@ -249,20 +270,35 @@ def _refine(level: Callable[[int], float], max_refine: int,
     changes by at most rel_tol * max(1, |value|); the error is the last
     change, inf without a doubling, and capped says the tolerance was not met
     within max_refine doublings."""
-    val, err = level(0), math.inf
+    return _refine_each(lambda k, live: [level(k)], 1, max_refine, rel_tol)[0]
+
+
+def _refine_each(level: Callable, count: int, max_refine: int,
+                 rel_tol: float = QUAD_RTOL) -> list[tuple[float, float, bool]]:
+    """``_refine`` of ``count`` quantities that share their levels:
+    ``level(k, live)`` gives the values at doubling k of the quantities whose
+    indices are listed in ``live``.  Each quantity stops on its own rule and
+    leaves ``live`` when it does, so later levels do not compute it; its
+    (value, error, capped) are those of ``_refine`` on it alone."""
+    vals, errs = list(level(0, range(count))), [math.inf] * count
+    live = list(range(count))
     for k in range(1, max_refine + 1):
-        nxt = level(k)
-        err = abs(nxt - val)
-        val = nxt
-        if not _capped(val, err, rel_tol):
+        for i, nxt in zip(live, level(k, live)):
+            errs[i] = abs(nxt - vals[i])
+            vals[i] = nxt
+        live = [i for i in live if _capped(vals[i], errs[i], rel_tol)]
+        if not live:
             break
-    return val, err, _capped(val, err, rel_tol)
+    return [(val, err, _capped(val, err, rel_tol)) for val, err in zip(vals, errs)]
 
 
-def _quad_once(g: Callable, shape: Shape, nr: int, na: int) -> float:
+def _quad_once(g: Callable, shape: Shape, nr: int, na: int):
+    """One level of the weighted integral of g: a float, or a list of k
+    floats when g gives k fields (see ``_shell_sums``)."""
     s, ws = _gauss(nr, math.log(shape.r0), math.log(shape.r1))
     rule = _sphere_rule(shape.n, na, shape.kind == "semiring")
-    return float(ws @ _shell_sums(g, shape.x0, np.exp(s), rule))
+    sums = _shell_sums(g, shape.x0, np.exp(s), rule)
+    return float(ws @ sums) if sums.ndim == 1 else [float(ws @ row) for row in sums]
 
 
 def quad_weighted_with_error(g: Callable, shape: Shape,
@@ -281,6 +317,28 @@ def quad_weighted_with_error(g: Callable, shape: Shape,
 
 def quad_weighted(g: Callable, shape: Shape, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     return quad_weighted_with_error(g, shape, spec)[0]
+
+
+def _quad_dilatations(mapping: Mapping, shape: Shape, spec: QuadratureSpec,
+                      shift: float = 0.0) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((I_d, e_d), (I_t, e_t)): the angular and the normal dilatation of
+    ``mapping`` about the shape's x0, minus ``shift``, each integrated as
+    ``quad_weighted_with_error`` integrates its field, to the same bits.
+    Both come from one ``_frame`` per point, and each field is refined on its
+    own (``_refine_each``): once one has stopped, later levels evaluate only
+    the other, and the normal field's kernel runs only while it is live."""
+    _check_quad_shape(shape)
+    x0 = shape.x0
+
+    def level(k, live):
+        def g(X):
+            fields = _dilatations(mapping, x0, X, normal=1 in live)
+            return np.stack([fields[i] for i in live]) - shift
+
+        return _quad_once(g, shape, spec.radial << k, spec.angular << k)
+
+    (I_d, e_d, _), (I_t, e_t, _) = _refine_each(level, 2, spec.max_refine)
+    return (I_d, e_d), (I_t, e_t)
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +362,16 @@ def eq1est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
     """Two-sided bound on mo f(S) / mo S from the directional dilatations.
 
     lower = (nu-average of the angular dilatation)^(1/(1-n)),
-    upper = nu-average of the normal dilatation.  When ``image_mo`` is given
+    upper = nu-average of the normal dilatation.  Both averages come from
+    one frame per point (``_quad_dilatations``), each refined on its own as
+    ``quad_weighted_with_error`` refines it.  When ``image_mo`` is given
     the verdict checks lower <= image_mo / mo S <= upper within the combined
     error estimates, and the reported error includes image_mo_error / mo S.
     """
     _require_image_mo(image_mo, image_mo_error)
     n = shape.n
     nu = nu_measure(shape)
-    I_d, e_d = quad_weighted_with_error(angular_dilatation_field(mapping, shape.x0), shape, spec)
-    I_t, e_t = quad_weighted_with_error(normal_dilatation_field(mapping, shape.x0), shape, spec)
+    (I_d, e_d), (I_t, e_t) = _quad_dilatations(mapping, shape, spec)
     avg_d, avg_t = I_d / nu, I_t / nu
     lower = avg_d ** (1.0 / (1.0 - n))
     upper = avg_t
@@ -341,16 +400,15 @@ def eq2est_bounds(mapping: Mapping, shape: Shape, spec: QuadratureSpec = DEFAULT
     lower = -pref * integral of (normal - 1) d nu,
     upper = +pref * integral of (angular - 1) d nu,
     with pref = 2/omega_{n-1} on half shapes and 1/omega_{n-1} on rings.
+    Both integrals come from one frame per point (``_quad_dilatations``),
+    each refined on its own as ``quad_weighted_with_error`` refines it.
     The lower inequality always applies; the upper one is only claimed when
     mo S >= mo f(S), otherwise it is reported inconclusive.  With
     ``image_mo`` the reported error includes ``image_mo_error``.
     """
     _require_image_mo(image_mo, image_mo_error)
     pref = 1.0 / span_area(shape.kind, shape.n)
-    d_field = angular_dilatation_field(mapping, shape.x0)
-    t_field = normal_dilatation_field(mapping, shape.x0)
-    I_t, e_t = quad_weighted_with_error(lambda X: t_field(X) - 1.0, shape, spec)
-    I_d, e_d = quad_weighted_with_error(lambda X: d_field(X) - 1.0, shape, spec)
+    (I_d, e_d), (I_t, e_t) = _quad_dilatations(mapping, shape, spec, shift=1.0)
     lower = -pref * I_t
     upper = pref * I_d
     err = pref * (e_t + e_d)
@@ -391,9 +449,10 @@ def _sphere_jitter(Z: np.ndarray, n: int, hemisphere: bool) -> np.ndarray:
 
 def psi_D(mapping: Mapping, t: float, x0, spec: QuadratureSpec = DEFAULT_SPEC,
           full_sphere: bool = False) -> float:
-    """Spherical average of the angular dilatation on the shell of radius t."""
-    if t <= 0:
-        raise ValueError("radius must be positive")
+    """Spherical average of the angular dilatation on the shell of radius t;
+    t must be positive and finite."""
+    if not 0 < t < math.inf:
+        raise ValueError(f"need 0 < t < inf for the shell radius t, got {t}")
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     Z, wz = _sphere_rule(n, spec.angular, hemisphere=not full_sphere)
@@ -418,9 +477,10 @@ def modintbound_with_error(mapping: Mapping, x0, r: float, R: float,
                            spec: QuadratureSpec = DEFAULT_SPEC,
                            full_sphere: bool = False) -> tuple[float, float]:
     """Lower bound for mo f(S(x0; r, R)): radial integral of the reciprocal
-    (n-1)-root of the shell averages of the angular dilatation."""
-    if not 0 < r < R:
-        raise ValueError("need 0 < r < R")
+    (n-1)-root of the shell averages of the angular dilatation over the
+    shells of radius r to R, 0 < r < R < inf."""
+    if not 0 < r < R < math.inf:
+        raise ValueError(f"need 0 < r < R < inf, got r = {r}, R = {R}")
     x0 = np.asarray(x0, dtype=float)
     return _refine(lambda k: _modint_once(mapping, x0, r, R, spec.radial << k,
                                           spec.angular << k, full_sphere),

@@ -453,7 +453,9 @@ def _frame(mapping: Mapping, x0: np.ndarray, X: np.ndarray):
     """Unit directions u = (X - x0)/|X - x0|, Jacobians A, determinants J and
     |A^{-T} u|^2 at the points X; refuses X = x0 (ValueError), and every J
     that is not positive and finite or |A^{-T} u|^2 that is not finite
-    (IrregularPointError)."""
+    (IrregularPointError).  The elementwise steps keep the layout of X:
+    given the (N, n) view of component rows, as the quadrature of ``bounds``
+    passes it, X - x0, its norm and u run over contiguous columns."""
     diff = X - x0
     d = _norm(diff)[..., None]
     if np.any(d == 0.0):
@@ -493,28 +495,39 @@ def directional_sample(mapping: Mapping, x, x0) -> DilatationSample:
     )
 
 
+def _dilatations(mapping: Mapping, x0: np.ndarray, X: np.ndarray, normal: bool):
+    """(D, T) at the points X from one ``_frame``: the angular dilatation
+    D = J |A^{-T} u|^n, and the normal dilatation T = (max^n / J)^(1/(n-1))
+    when ``normal`` is true, else None, so that its kernel, the batched
+    maximal stretch, runs only when asked for."""
+    n = X.shape[-1]
+    u, A, J, v2 = _frame(mapping, x0, X)
+    angular = J * v2 ** (0.5 * n)
+    if not normal:
+        return angular, None
+    return angular, (_max_stretch_batch(A, u) ** n / J) ** (1.0 / (n - 1.0))
+
+
 def angular_dilatation_field(mapping: Mapping, x0):
     """Vectorized x -> D(x, x0) = |w|^n / J^(n-1) = J |A^{-T} u|^n, with the
     cofactor product w = cof(A) u; cheap: J and w are written out for n = 2
-    and 3 and come from LAPACK for n >= 4 (see ``_det_dual``)."""
+    and 3 and come from LAPACK for n >= 4 (see ``_det_dual``).  The angular
+    value of ``_dilatations``, which callers needing both fields call once."""
     x0 = np.asarray(x0, dtype=float)
 
     def field(X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        _, _, J, v2 = _frame(mapping, x0, X)
-        return J * v2 ** (0.5 * X.shape[-1])
+        return _dilatations(mapping, x0, np.asarray(X, dtype=float), normal=False)[0]
 
     return field
 
 
 def normal_dilatation_field(mapping: Mapping, x0):
-    """Vectorized x -> T(x, x0); uses the exact batched maximal stretch."""
+    """Vectorized x -> T(x, x0); uses the exact batched maximal stretch.  The
+    normal value of ``_dilatations``, which callers needing both fields call
+    once."""
     x0 = np.asarray(x0, dtype=float)
 
     def field(X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        n = X.shape[-1]
-        u, A, J, _ = _frame(mapping, x0, X)
-        return (_max_stretch_batch(A, u) ** n / J) ** (1.0 / (n - 1.0))
+        return _dilatations(mapping, x0, np.asarray(X, dtype=float), normal=True)[1]
 
     return field

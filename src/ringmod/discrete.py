@@ -561,8 +561,8 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
     def solve(c, rhs, phi=None):
         # the free values y of L_c y = rhs and, for a level start that passes
         # CG's stopping test, the edge differences and net flux of the start:
-        # of the potential phi with y filled in, whose boundary values give
-        # rhs, or of y alone
+        # of the potential phi, whose boundary values give rhs and whose free
+        # nodes take y in place, or of y alone
         if not len(free):
             return rhs, None, None
         # at p != 2 conductances are positive and Newton floors its weights, so
@@ -571,16 +571,16 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
         if diag is not None and np.any(diag <= 0):
             raise ValueError("a free node has a non-positive Laplacian diagonal, "
                              "which Jacobi cannot precondition")
-        x = np.zeros(N) if phi is None else phi.copy()
+        x = np.zeros(N) if phi is None else phi
         tri = bands(c)
-        x[free] = solve_banded((1, 1), tri, np.bincount(level, rhs, tri.shape[1]))[level]
+        x[free] = y = solve_banded((1, 1), tri, np.bincount(level, rhs, tri.shape[1]))[level]
         # CG's own stopping test at the level start, L assembled only if it
         # fails: at the free nodes the net flux of phi is L y - rhs, of y L y
         dphi = x[e1] - x[e0]
         flux = net(c * dphi)
         if np.linalg.norm((0.0 if phi is not None else rhs) - flux[free]) < \
                 _CG_RTOL * np.linalg.norm(rhs):
-            return x[free], dphi, flux
+            return y, dphi, flux
         diag = diagonal(c) if diag is None else diag
         L = laplacian(c, diag)
         if graph.ratio is None:
@@ -589,11 +589,13 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
             from scipy.sparse.linalg import LinearOperator
             precondition = LinearOperator((len(free),) * 2, matvec=_source_inverse(graph),
                                           dtype=float)
-        x, info = cg(L, rhs, x0=x[free], rtol=_CG_RTOL, atol=0.0,
+        y, info = cg(L, rhs, x0=y, rtol=_CG_RTOL, atol=0.0,
                      M=precondition, callback=lambda _: cg_steps.append(1))
         if info != 0:
             raise ConvergenceError(f"conjugate gradients did not converge (info={info})")
-        return x, None, None
+        if phi is not None:
+            phi[free] = y
+        return y, None, None
 
     def differences(x, dphi=None):
         # dphi, if given, holds the edge differences of x its level start took;
@@ -604,7 +606,7 @@ def modulus_connect(graph: GridGraph) -> ModulusEstimate:
 
     phi = np.ones(len(graph.nodes))   # unreached nodes take the sink's potential
     phi[graph.source] = 0.0
-    phi[free], dphi, flux = solve(graph.conductance, rhs, phi)
+    _, dphi, flux = solve(graph.conductance, rhs, phi)
     dphi, w, f = differences(phi, dphi)
     solves = 1
     while True:

@@ -5,6 +5,7 @@ import pytest
 
 from ringmod import (
     Annulus,
+    Composition,
     DominatingFactor,
     HalfSemiring,
     Identity,
@@ -27,9 +28,9 @@ from ringmod import (
     quad_weighted,
     separation_bound,
 )
-from ringmod import bounds
+from ringmod import bounds, dilatation
 from ringmod.bounds import DEFAULT_SPEC
-from ringmod.dilatation import angular_dilatation_field
+from ringmod.dilatation import angular_dilatation_field, normal_dilatation_field
 from ringmod.geometry import exact_modulus
 from ringmod.special import constants_for
 
@@ -253,6 +254,122 @@ def test_bounds_do_not_depend_on_the_block_size(monkeypatch):
     assert seen[1 << 10] == seen[1 << 14] == seen[1 << 16]
 
 
+def _block_maps(n):
+    """A built-in map of each kind in dimension n, orientation-preserving."""
+    A = np.eye(n) + 0.1 * np.arange(n * n).reshape(n, n) / n
+    return [Identity(), RadialStretch(a=0.8), RotationTwist(), Linear(A),
+            Composition((RadialStretch(a=1.3), Linear(A), RotationTwist()))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_shell_blocks_are_component_rows(n, monkeypatch):
+    # every block reaches the integrand as the (N, n) view of component rows,
+    # so each coordinate is a contiguous column, and the built-in fields give
+    # the same bits on it as on a C-ordered copy of the same points
+    monkeypatch.setattr(bounds, "QUAD_BLOCK", 100)           # blocks cut shells midway
+    blocks = []
+
+    def recording(X):
+        blocks.append(X)
+        return np.ones(len(X))
+
+    x0 = np.r_[0.3, -0.2, np.zeros(n - 2)]
+    Z, wz = bounds._sphere_rule(n, 16, True)
+    radii = np.exp(np.linspace(0.0, 1.0, 16))
+    bounds._shell_sums(recording, x0, radii, (Z, wz))
+    assert len(blocks) > 2 and sum(len(X) for X in blocks) == len(radii) * len(Z)
+    for X in blocks:
+        assert X.shape[1] == n and X.strides[0] == X.itemsize
+    points = np.concatenate([np.ascontiguousarray(X) for X in blocks])
+    assert points.tobytes() == (x0 + radii[:, None, None] * Z).reshape(-1, n).tobytes()
+    for mapping in _block_maps(n):
+        for field in (angular_dilatation_field, normal_dilatation_field):
+            f = field(mapping, x0)
+            for X in blocks[:2]:
+                assert f(X).tobytes() == f(np.ascontiguousarray(X)).tobytes()
+
+
+def _separate_quadratures(mapping, shape, spec, shift=0.0):
+    """The two integrals of ``bounds._quad_dilatations`` as two separate
+    ``quad_weighted_with_error`` calls over the public fields, as
+    eq1est_bounds (shift 0) and eq2est_bounds (shift 1) took them before
+    both fields came from one frame per point."""
+    out = []
+    for field in (angular_dilatation_field, normal_dilatation_field):
+        f = field(mapping, shape.x0)
+        g = f if shift == 0.0 else (lambda X, f=f: f(X) - shift)
+        out.append(bounds.quad_weighted_with_error(g, shape, spec))
+    return tuple(out)
+
+
+# the twist about (0.5, 0) on the half semiring S(1, e): its normal field stops
+# at the first doubling of QuadratureSpec(8, 8, 3) and its angular field at the
+# second.  Found by counting the levels of each field's own
+# quad_weighted_with_error for the twist, a radial stretch, a random linear map
+# and compositions of them with a linear stretch, on rings and half semirings
+# about the origin and about (0.5, 0, ...) in n = 2 and 3; the normal field
+# stopped first only here and for the twist composed with the stretch
+SPLIT_STOP = (RotationTwist(), HalfSemiring(n=2, r0=1.0, r1=E, center=(0.5, 0.0)),
+              QuadratureSpec(8, 8, 3))
+
+
+@pytest.mark.parametrize("case", [
+    (RadialStretch(a=0.8), HalfSemiring(n=2, r0=1.0, r1=E), DEFAULT_SPEC),
+    (RotationTwist(), Annulus(n=2, r0=1.0, r1=E), DEFAULT_SPEC),
+    (RotationTwist(), HalfSemiring(n=3, r0=1.0, r1=E), QuadratureSpec(8, 8, 1)),
+    (Linear(LINEAR_N4), HalfSemiring(n=4, r0=1.0, r1=E), QuadratureSpec(8, 8, 1)),
+    SPLIT_STOP,
+], ids=["radial-n2", "twist-n2", "twist-n3", "linear-n4", "split-stop-n2"])
+def test_sandwich_equals_two_separate_quadratures(case, monkeypatch):
+    # one frame per point, each field refined on its own, gives eq1est and
+    # eq2est bit for bit what two quad_weighted_with_error calls give
+    mapping, shape, spec = case
+    mo = exact_modulus(shape)
+
+    def reports():
+        return repr([(r.left, r.right, r.error, r.verdict, r.details) for r in (
+            eq1est_bounds(mapping, shape, spec),
+            eq1est_bounds(mapping, shape, spec, image_mo=0.9 * mo, image_mo_error=1e-3),
+            eq2est_bounds(mapping, shape, spec),
+            eq2est_bounds(mapping, shape, spec, image_mo=0.9 * mo, image_mo_error=1e-3))])
+
+    fused = reports()
+    monkeypatch.setattr(bounds, "_quad_dilatations", _separate_quadratures)
+    assert fused == reports()
+
+
+def test_a_stopped_field_is_not_evaluated_again(monkeypatch):
+    mapping, shape, spec = SPLIT_STOP
+    levels, quad_once = [], bounds._quad_once
+
+    def counted_levels(g, shape, nr, na):
+        levels.append(nr)
+        return quad_once(g, shape, nr, na)
+
+    monkeypatch.setattr(bounds, "_quad_once", counted_levels)
+    stops = []
+    for field in (angular_dilatation_field, normal_dilatation_field):
+        levels.clear()
+        bounds.quad_weighted_with_error(field(mapping, shape.x0), shape, spec)
+        stops.append(len(levels))
+    assert stops == [3, 2]                     # the normal field stops first
+
+    kernel_points, kernel = [], dilatation._max_stretch_batch
+
+    def counted_kernel(A, u):
+        kernel_points.append(u.shape[0])
+        return kernel(A, u)
+
+    monkeypatch.setattr(dilatation, "_max_stretch_batch", counted_kernel)
+    levels.clear()
+    eq1est_bounds(mapping, shape, spec)
+    assert len(levels) == 3                    # the fused levels, the angular field's
+    # the kernel ran on the points of the normal field's two levels only
+    level_points = [(spec.radial << k) * len(bounds._sphere_rule(2, spec.angular << k, True)[0])
+                    for k in range(3)]
+    assert kernel_points == level_points[:2]
+
+
 def test_quad_rejects_bad_input():
     from ringmod import ApollonianSemiring
     with pytest.raises(TypeError):
@@ -386,6 +503,23 @@ def test_psi_values():
         1.0, abs=1e-10)
     with pytest.raises(ValueError):
         psi_D(Identity(), -1.0, np.zeros(2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_shell_bounds_refuse_radii_that_are_not_finite():
+    # an infinite or NaN radius used to pass the range test, warn about an
+    # invalid value and blame the map with an IrregularPointError
+    m, x0 = RadialStretch(a=0.8), np.zeros(2)
+    for t in (math.inf, math.nan, -math.inf, 0.0):
+        with pytest.raises(ValueError, match="shell radius t") as info:
+            psi_D(m, t, x0)
+        assert type(info.value) is ValueError
+    for r, R in ((1.0, math.inf), (math.inf, math.inf), (math.nan, 2.0), (1.0, math.nan),
+                 (0.0, 2.0), (2.0, 1.0)):
+        for call in (bounds.modintbound_with_error, modintbound):
+            with pytest.raises(ValueError, match="need 0 < r < R < inf") as info:
+                call(m, x0, r, R)
+            assert type(info.value) is ValueError
 
 
 def test_psi_jitter_on_singular_node(monkeypatch):
